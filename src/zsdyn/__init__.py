@@ -6,7 +6,9 @@ game value, best-response MDP values, Nash distribution), Nash-gap metrics,
 and a seeded experiment harness with CSV/JSON output.
 """
 
-from .config import (CONDITION_NOTE, MatrixRunConfig, StepsizeSchedule, VisbrConfig,
+import types as _types
+
+from .config import (MatrixRunConfig, StepsizeSchedule, VisbrConfig,
                      matrix_condition_warnings, visbr_condition_warnings)
 from .errors import (BadConfig, BadDiscount, BadTransitionRow, DimensionMismatch,
                      GridMismatch, MissingGamma, NoConvergence, NonFiniteInput,
@@ -34,28 +36,7 @@ from .visbr import (VISBR_METRICS, VisbrState, init_visbr, inner_step,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateSeries", "BadConfig", "BadDiscount", "BadTransitionRow",
-    "BestResponse", "CONDITION_NOTE", "DimensionMismatch", "ExperimentBundle",
-    "ExperimentConfig", "ExplorationBound", "GameValue", "GridMismatch",
-    "MATRIX_METRICS", "VISBR_METRICS",
-    "JointPolicy", "LearnerState", "MatrixDynamicsState", "MatrixGame",
-    "MatrixRunConfig", "MissingGamma", "NashDistribution", "NoConvergence",
-    "NonFiniteInput", "NonPositiveValues", "NotADistribution", "NotErgodic",
-    "NotZeroSum", "OutputExists", "PayoffOutOfRange", "PointResult",
-    "SoftmaxParams", "StepsizeSchedule", "StochasticGame", "TrajectoryRecord",
-    "VisbrConfig", "VisbrState", "ZsdynError", "aggregate", "bellman_T",
-    "best_response_value", "matrix_condition_warnings", "visbr_condition_warnings",
-    "entropy", "exploration_bound", "game_hash", "generalized_gap_vx",
-    "induced_chain", "init_matrix_state", "init_visbr", "inner_step",
-    "load_game", "matching_pennies", "matrix_game_value", "minimax_bellman",
-    "minimax_fixed_point", "nash_distribution", "nash_gap_matrix",
-    "nash_gap_stochastic", "outer_update", "player_seed_sequences",
-    "policy_value", "rate_fit",
-    "regularized_nash_gap", "rock_paper_scissors", "run_experiment",
-    "run_matrix_dynamics", "run_visbr", "softmax", "softmax_explore",
-    "splitmix64", "stationary_distribution", "step_matrix", "sweep_point_key",
-    "tilted_rps", "visbr_seed_sequences",
-    "trajectory_seed", "uniform_joint_policy", "validate_joint_policy",
-    "validate_matrix_game", "validate_stochastic_game", "__version__",
-]
+# the public names are exactly what is imported above; submodules are not
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _types.ModuleType))
+__all__.append("__version__")

@@ -44,44 +44,24 @@ def _load_policy(path: str, game) -> JointPolicy:
                                  np.asarray(d["pi2"], dtype=np.float64), game)
 
 
-def _experiment_from_parts(kind: str, game_src: str, config_path: str,
-                           out_dir: str, args) -> ExperimentConfig:
-    d = _read_json(config_path)
-    if "kind" in d or "game" in d or "out_dir" in d:
-        raise ZsdynError(
-            f"{kind}-run config file carries only run/n_trajectories/"
-            "aggregation/base_seed/sweep; game and output come from the "
-            "command line")
-    run = dict(d.get("run", {}))
-    if args.stride is not None:
-        run["record_stride"] = args.stride
-    base_seed = args.seed if args.seed is not None else d.get("base_seed")
-    if base_seed is None:
-        raise ZsdynError("no seed: set base_seed in the config or pass --seed")
-    return ExperimentConfig(
-        kind=kind,
-        game=game_src,
-        run=run,
-        n_trajectories=int(d.get("n_trajectories", 1)),
-        base_seed=int(base_seed),
-        sweep={k: list(v) for k, v in d.get("sweep", {}).items()},
-        aggregation=d.get("aggregation", "both"),
-        out_dir=out_dir,
-        sweep_cap=int(d.get("sweep_cap", 10_000)),
-    )
+_RUN_KINDS = {"matrix-run": "matrix", "sg-run": "stochastic"}
 
 
-def _cmd_run(kind: str, args) -> int:
-    config = _experiment_from_parts(kind, args.game, args.config, args.out, args)
-    bundle = run_experiment(config, force=args.force, quiet=args.quiet)
-    if not args.quiet:
-        print(f"wrote {len(bundle.points)} sweep point(s) to {bundle.out_dir}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_experiment(args) -> int:
+    # matrix-run and sg-run take kind, game and out_dir from the command
+    # line; sweep reads a full experiment config. Both then share one path.
     d = _read_json(args.config)
-    if args.out is not None:
+    if not isinstance(d, dict):
+        raise ZsdynError(f"config file {args.config} must hold a JSON object")
+    if args.command in _RUN_KINDS:
+        if "kind" in d or "game" in d or "out_dir" in d:
+            raise ZsdynError(
+                f"{args.command} config file carries only run/n_trajectories/"
+                "base_seed/sweep/sweep_cap; game and output come from the "
+                "command line")
+        d.update(kind=_RUN_KINDS[args.command], game=args.game, out_dir=args.out)
+        d.setdefault("n_trajectories", 1)
+    elif args.out is not None:
         d["out_dir"] = args.out
     if args.seed is not None:
         d["base_seed"] = args.seed
@@ -187,13 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "matrix-run":
-            return _cmd_run("matrix", args)
-        if args.command == "sg-run":
-            return _cmd_run("stochastic", args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_oracle(args)
+        if args.command == "oracle":
+            return _cmd_oracle(args)
+        return _cmd_experiment(args)
     except ZsdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

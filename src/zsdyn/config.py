@@ -24,6 +24,20 @@ def _require(cond: bool, msg: str) -> None:
         raise BadConfig(msg)
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _float(x: Any) -> Any:
+    # a JSON number without a fraction (1 for 1.0) parses as int; other
+    # values pass through unchanged so __post_init__ can reject them
+    return float(x) if _is_int(x) else x
+
+
 @dataclass(frozen=True)
 class StepsizeSchedule:
     """Learning-rate pair (alpha_k, beta_k), constant or diminishing.
@@ -45,7 +59,7 @@ class StepsizeSchedule:
                  f"schedule kind must be 'constant' or 'diminishing', got {self.kind!r}")
         for name in ("alpha", "beta", "h"):
             val = getattr(self, name)
-            _require(isinstance(val, (int, float)) and math.isfinite(val),
+            _require(_is_real(val) and math.isfinite(val),
                      f"schedule {name} must be a finite number, got {val!r}")
         _require(self.alpha > 0.0, f"alpha must be positive, got {self.alpha}")
         _require(0.0 < self.beta <= self.alpha,
@@ -83,23 +97,23 @@ class StepsizeSchedule:
         _require(not extra, f"unknown schedule keys: {sorted(extra)}")
         _require("kind" in d and "alpha" in d and "beta" in d,
                  "schedule dict needs kind, alpha, beta")
-        return StepsizeSchedule(kind=d["kind"], alpha=float(d["alpha"]),
-                                beta=float(d["beta"]), h=float(d.get("h", 0.0)))
+        return StepsizeSchedule(kind=d["kind"], alpha=_float(d["alpha"]),
+                                beta=_float(d["beta"]), h=_float(d.get("h", 0.0)))
 
 
 def _check_common(variant: str, tau: float, eps_bar: float, K: int, seed: int,
                   record_stride: int, schedule: StepsizeSchedule) -> None:
     _require(variant in _VARIANTS, f"variant must be one of {_VARIANTS}, got {variant!r}")
-    _require(isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0.0,
+    _require(_is_real(tau) and math.isfinite(tau) and tau > 0.0,
              f"tau must be positive and finite, got {tau!r}")
-    _require(isinstance(eps_bar, (int, float)) and 0.0 <= eps_bar <= 1.0,
+    _require(_is_real(eps_bar) and 0.0 <= eps_bar <= 1.0,
              f"eps_bar must lie in [0, 1], got {eps_bar!r}")
     if variant == "plain":
         _require(eps_bar == 0.0, "plain variant must keep eps_bar == 0")
-    _require(isinstance(K, int) and K >= 1, f"K must be an integer >= 1, got {K!r}")
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
+    _require(_is_int(K) and K >= 1, f"K must be an integer >= 1, got {K!r}")
+    _require(_is_int(seed) and 0 <= seed < 2 ** 64,
              f"seed must be an integer in [0, 2^64), got {seed!r}")
-    _require(isinstance(record_stride, int) and record_stride >= 1,
+    _require(_is_int(record_stride) and record_stride >= 1,
              f"record_stride must be an integer >= 1, got {record_stride!r}")
     _require(isinstance(schedule, StepsizeSchedule),
              f"schedule must be a StepsizeSchedule, got {type(schedule).__name__}")
@@ -146,14 +160,14 @@ class MatrixRunConfig:
         for key in ("tau", "schedule", "K", "seed"):
             _require(key in d, f"config is missing {key!r}")
         return MatrixRunConfig(
-            tau=float(d["tau"]),
+            tau=_float(d["tau"]),
             schedule=StepsizeSchedule.from_dict(d["schedule"]),
-            K=int(d["K"]),
-            seed=int(d["seed"]),
+            K=d["K"],
+            seed=d["seed"],
             variant=d.get("variant", "plain"),
-            eps_bar=float(d.get("eps_bar", 0.0)),
-            record_stride=int(d.get("record_stride", 1)),
-            normalize_q_in_softmax=bool(d.get("normalize_q_in_softmax", False)),
+            eps_bar=_float(d.get("eps_bar", 0.0)),
+            record_stride=d.get("record_stride", 1),
+            normalize_q_in_softmax=d.get("normalize_q_in_softmax", False),
         )
 
 
@@ -173,7 +187,7 @@ class VisbrConfig:
     def __post_init__(self) -> None:
         _check_common(self.variant, self.tau, self.eps_bar, self.K, self.seed,
                       self.record_stride, self.schedule)
-        _require(isinstance(self.T, int) and self.T >= 1,
+        _require(_is_int(self.T) and self.T >= 1,
                  f"T must be an integer >= 1, got {self.T!r}")
 
     def to_dict(self) -> dict[str, Any]:
@@ -197,19 +211,15 @@ class VisbrConfig:
         for key in ("tau", "schedule", "T", "K", "seed"):
             _require(key in d, f"config is missing {key!r}")
         return VisbrConfig(
-            tau=float(d["tau"]),
+            tau=_float(d["tau"]),
             schedule=StepsizeSchedule.from_dict(d["schedule"]),
-            T=int(d["T"]),
-            K=int(d["K"]),
-            seed=int(d["seed"]),
+            T=d["T"],
+            K=d["K"],
+            seed=d["seed"],
             variant=d.get("variant", "plain"),
-            eps_bar=float(d.get("eps_bar", 0.0)),
-            record_stride=int(d.get("record_stride", 1)),
+            eps_bar=_float(d.get("eps_bar", 0.0)),
+            record_stride=d.get("record_stride", 1),
         )
-
-
-CONDITION_NOTE = ("remaining stepsize conditions depend on analysis constants "
-                  "that are not machine-checkable")
 
 
 def matrix_condition_warnings(config: MatrixRunConfig, a_max: int) -> tuple[str, ...]:

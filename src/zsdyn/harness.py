@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import MatrixRunConfig, VisbrConfig
+from .config import MatrixRunConfig, VisbrConfig, _is_int, _require
 from .errors import (BadConfig, GridMismatch, NonPositiveValues, OutputExists)
 from .games import MatrixGame, StochasticGame, TrajectoryRecord, game_hash, load_game
 from .matrix_dyn import run_matrix_dynamics
@@ -39,8 +39,6 @@ _SWEEP_AXES = {
     "matrix": ("tau", "eps_bar", "schedule", "K"),
     "stochastic": ("tau", "eps_bar", "schedule", "K", "T"),
 }
-
-_AGG_MODES = ("mean", "median", "both")
 
 MATRIX_CSV_COLUMNS = ("k", "ng_mean", "ng_std", "ngtau_mean", "ngtau_std",
                       "min_pi", "q_inf")
@@ -68,11 +66,6 @@ def trajectory_seed(base_seed: int, point: dict[str, Any], j: int) -> int:
     return splitmix64(splitmix64(base_seed ^ sweep_point_key(point)) ^ j)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise BadConfig(msg)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a game, a run template, sweep axes, and seeding.
@@ -88,7 +81,6 @@ class ExperimentConfig:
     n_trajectories: int
     base_seed: int
     sweep: dict[str, list] = field(default_factory=dict)
-    aggregation: str = "both"
     out_dir: str | None = None
     sweep_cap: int = 10_000
 
@@ -100,12 +92,10 @@ class ExperimentConfig:
         _require(isinstance(self.run, dict), "run must be a run-config dict")
         _require("seed" not in self.run,
                  "run template must not carry a seed; seeds are derived per trajectory")
-        _require(isinstance(self.n_trajectories, int) and self.n_trajectories >= 1,
+        _require(_is_int(self.n_trajectories) and self.n_trajectories >= 1,
                  f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
-        _require(isinstance(self.base_seed, int) and 0 <= self.base_seed < 2 ** 64,
+        _require(_is_int(self.base_seed) and 0 <= self.base_seed < 2 ** 64,
                  f"base_seed must be an integer in [0, 2^64), got {self.base_seed!r}")
-        _require(self.aggregation in _AGG_MODES,
-                 f"aggregation must be one of {_AGG_MODES}, got {self.aggregation!r}")
         allowed = _SWEEP_AXES[self.kind]
         _require(isinstance(self.sweep, dict), "sweep must be a dict of axis lists")
         total = 1
@@ -116,7 +106,7 @@ class ExperimentConfig:
             _require(isinstance(values, list) and len(values) >= 1,
                      f"sweep axis {axis!r} must be a non-empty list")
             total *= len(values)
-        _require(isinstance(self.sweep_cap, int) and self.sweep_cap >= 1,
+        _require(_is_int(self.sweep_cap) and self.sweep_cap >= 1,
                  "sweep_cap must be a positive integer")
         _require(total <= self.sweep_cap,
                  f"sweep cross product has {total} points, above the cap "
@@ -150,7 +140,6 @@ class ExperimentConfig:
             "n_trajectories": self.n_trajectories,
             "base_seed": self.base_seed,
             "sweep": self.sweep,
-            "aggregation": self.aggregation,
             "out_dir": self.out_dir,
             "sweep_cap": self.sweep_cap,
         }
@@ -159,7 +148,7 @@ class ExperimentConfig:
     def from_dict(d: dict[str, Any]) -> "ExperimentConfig":
         _require(isinstance(d, dict), f"experiment config must be a dict, got {type(d).__name__}")
         known = {"kind", "game", "run", "n_trajectories", "base_seed", "sweep",
-                 "aggregation", "out_dir", "sweep_cap"}
+                 "out_dir", "sweep_cap"}
         extra = set(d) - known
         _require(not extra, f"unknown experiment config keys: {sorted(extra)}")
         for key in ("kind", "game", "run", "n_trajectories", "base_seed"):
@@ -168,12 +157,11 @@ class ExperimentConfig:
             kind=d["kind"],
             game=d["game"],
             run=dict(d["run"]),
-            n_trajectories=int(d["n_trajectories"]),
-            base_seed=int(d["base_seed"]),
+            n_trajectories=d["n_trajectories"],
+            base_seed=d["base_seed"],
             sweep={k: list(v) for k, v in d.get("sweep", {}).items()},
-            aggregation=d.get("aggregation", "both"),
             out_dir=d.get("out_dir"),
-            sweep_cap=int(d.get("sweep_cap", 10_000)),
+            sweep_cap=d.get("sweep_cap", 10_000),
         )
 
 
@@ -191,9 +179,8 @@ class AggregateSeries:
     n: int
 
 
-def aggregate(runs: list[TrajectoryRecord], mode: str = "both") -> list[AggregateSeries]:
+def aggregate(runs: list[TrajectoryRecord]) -> list[AggregateSeries]:
     """Elementwise statistics over trajectories sharing one index grid."""
-    _require(mode in _AGG_MODES, f"mode must be one of {_AGG_MODES}, got {mode!r}")
     if not runs:
         raise GridMismatch("need at least one record to aggregate")
     first = runs[0]
@@ -354,7 +341,7 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
         for j in range(config.n_trajectories):
             run_cfg = config._run_config(point, trajectory_seed(config.base_seed, point, j))
             records.append(runner(game, run_cfg))
-        aggregates = aggregate(records, config.aggregation)
+        aggregates = aggregate(records)
         warnings: list[str] = []
         for rec in records:
             for w in rec.warnings:

@@ -25,7 +25,7 @@ from ._core import pick_action, policy_step, smoothed_policy
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .errors import DimensionMismatch, NotZeroSum
 from .games import JointPolicy, LearnerState, MatrixGame, TrajectoryRecord
-from .metrics import ng_matrix_lists, ngtau_matrix_lists
+from .metrics import matrix_gaps_lists
 
 MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
 
@@ -139,8 +139,9 @@ def run_matrix_dynamics(game: MatrixGame, config: MatrixRunConfig) -> Trajectory
 
     def record(k: int) -> None:
         index.append((0, k))
-        series["ng"].append(ng_matrix_lists(R1, R2, pi1, pi2))
-        series["ngtau"].append(ngtau_matrix_lists(R1, R2, pi1, pi2, tau))
+        ng, ngtau = matrix_gaps_lists(R1, R2, pi1, pi2, tau)
+        series["ng"].append(ng)
+        series["ngtau"].append(ngtau)
         series["min_pi"].append(min(min(pi1), min(pi2)))
         series["q_inf"].append(max(max(abs(x) for x in q1), max(abs(x) for x in q2)))
 

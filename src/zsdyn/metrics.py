@@ -10,9 +10,9 @@ inner maximum is evaluated in closed form,
 attained at the softmax of x, rather than by numerical optimization over
 the simplex.
 
-The module also carries list-based twins of the matrix-game gaps; the
-dynamics' recording loops call those to avoid array overhead on 2x2 and
-3x3 games. Unit tests pin them to the public functions.
+The module also carries a list form computing both matrix-game gaps at
+once; the dynamics' recording loop calls it to avoid array overhead on
+2x2 and 3x3 games. Unit tests pin it to the public functions.
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotZeroSum
 from .games import JointPolicy, MatrixGame, StochasticGame, validate_joint_policy
-from .ops import best_response_value, policy_value, softmax
+from .ops import _entropy, best_response_value, policy_value, softmax
 
 
 def _tau_logsumexp(x: np.ndarray, tau: float) -> float:
     m = float(x.max())
     return m + tau * math.log(float(np.exp((x - m) / tau).sum()))
-
-
-def _entropy_term(pi: np.ndarray) -> float:
-    mask = pi > 0.0
-    return float(-(pi[mask] * np.log(pi[mask])).sum()) + 0.0
 
 
 def _matrix_joint(game: MatrixGame, joint: JointPolicy) -> JointPolicy:
@@ -67,8 +62,8 @@ def _vx_terms(X1: np.ndarray, X2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray,
               tau: float) -> float:
     x1 = X1 @ pi2
     x2 = X2 @ pi1
-    term1 = _tau_logsumexp(x1, tau) - (float(pi1 @ x1) + tau * _entropy_term(pi1))
-    term2 = _tau_logsumexp(x2, tau) - (float(pi2 @ x2) + tau * _entropy_term(pi2))
+    term1 = _tau_logsumexp(x1, tau) - (float(pi1 @ x1) + tau * _entropy(pi1))
+    term2 = _tau_logsumexp(x2, tau) - (float(pi2 @ x2) + tau * _entropy(pi2))
     return term1 + term2
 
 
@@ -166,54 +161,34 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
 
 
 # ---------------------------------------------------------------------------
-# List-based twins for the recording loops
+# List form for the recording loop
 # ---------------------------------------------------------------------------
 
-def ng_matrix_lists(R1, R2, pi1, pi2) -> float:
-    """nash_gap_matrix on nested lists; hot-loop twin of the public form."""
-    n1, n2 = len(pi1), len(pi2)
-    best1 = -math.inf
-    ach1 = 0.0
-    for a in range(n1):
-        row = R1[a]
-        x = 0.0
-        for b in range(n2):
-            x += row[b] * pi2[b]
-        if x > best1:
-            best1 = x
-        ach1 += pi1[a] * x
-    best2 = -math.inf
-    ach2 = 0.0
-    for b in range(n2):
-        row = R2[b]
-        x = 0.0
-        for a in range(n1):
-            x += row[a] * pi1[a]
-        if x > best2:
-            best2 = x
-        ach2 += pi2[b] * x
-    return max(0.0, (best1 - ach1) + (best2 - ach2))
+def matrix_gaps_lists(R1, R2, pi1, pi2, tau: float) -> tuple[float, float]:
+    """(nash_gap_matrix, regularized_nash_gap) on nested lists, in one pass.
 
-
-def _lse_entropy_gap(x, pi, tau: float) -> float:
-    # tau*logsumexp(x/tau) - pi.x - tau*entropy(pi), all on lists
-    m = max(x)
-    total = 0.0
-    for xi in x:
-        total += math.exp((xi - m) / tau)
-    best = m + tau * math.log(total)
-    ach = 0.0
-    ent = 0.0
-    for p, xi in zip(pi, x):
-        ach += p * xi
-        if p > 0.0:
-            ent -= p * math.log(p)
-    return best - ach - tau * ent
-
-
-def ngtau_matrix_lists(R1, R2, pi1, pi2, tau: float) -> float:
-    """regularized_nash_gap on nested lists; hot-loop twin."""
-    n1, n2 = len(pi1), len(pi2)
-    x1 = [sum(R1[a][b] * pi2[b] for b in range(n2)) for a in range(n1)]
-    x2 = [sum(R2[b][a] * pi1[a] for a in range(n1)) for b in range(n2)]
-    return max(0.0, _lse_entropy_gap(x1, pi1, tau) + _lse_entropy_gap(x2, pi2, tau))
+    Each player's payoff vector x = R_i pi^{-i}, its max and pi^i . x are
+    computed once and shared by both gaps: the plain gap uses max(x), the
+    regularized one tau * logsumexp(x / tau) and the entropy of pi^i.
+    """
+    ng = 0.0
+    ngtau = 0.0
+    for R, own, opp in ((R1, pi1, pi2), (R2, pi2, pi1)):
+        x = []
+        for row in R:
+            acc = 0.0
+            for r, p in zip(row, opp):
+                acc += r * p
+            x.append(acc)
+        m = max(x)
+        total = 0.0
+        ach = 0.0
+        ent = 0.0
+        for xi, p in zip(x, own):
+            total += math.exp((xi - m) / tau)
+            ach += p * xi
+            if p > 0.0:
+                ent -= p * math.log(p)
+        ng += m - ach
+        ngtau += m + tau * math.log(total) - ach - tau * ent
+    return max(0.0, ng), max(0.0, ngtau)

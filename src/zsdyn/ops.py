@@ -74,6 +74,12 @@ def softmax_explore(q, params: SoftmaxParams) -> np.ndarray:
     return params.eps_bar / n + (1.0 - params.eps_bar) * base
 
 
+def _entropy(arr: np.ndarray) -> float:
+    # unchecked core: arr is a float64 vector already known to be a distribution
+    mask = arr > 0.0
+    return float(-(arr[mask] * np.log(arr[mask])).sum()) + 0.0
+
+
 def entropy(mu) -> float:
     """Shannon entropy with the convention 0 log 0 = 0."""
     arr = np.asarray(mu, dtype=np.float64)
@@ -83,8 +89,7 @@ def entropy(mu) -> float:
         raise NotADistribution("entropy input has a negative or non-finite entry")
     if abs(float(arr.sum()) - 1.0) > 1e-12:
         raise NotADistribution(f"entropy input sums to {float(arr.sum())}")
-    mask = arr > 0.0
-    return float(-(arr[mask] * np.log(arr[mask])).sum()) + 0.0
+    return _entropy(arr)
 
 
 @dataclass(frozen=True)

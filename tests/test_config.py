@@ -104,6 +104,50 @@ def test_config_dict_roundtrip():
         z.VisbrConfig.from_dict({"tau": 1.0})
 
 
+def _matrix_dict(**overrides):
+    d = z.MatrixRunConfig(tau=0.5, schedule=_sched(), K=10, seed=3).to_dict()
+    d.update(overrides)
+    return d
+
+
+def test_from_dict_rejects_string_bool():
+    # bool("false") is True; the string must be rejected, not coerced
+    with pytest.raises(z.BadConfig, match="normalize_q_in_softmax"):
+        z.MatrixRunConfig.from_dict(_matrix_dict(normalize_q_in_softmax="false"))
+
+
+def test_from_dict_rejects_fractional_int_field():
+    with pytest.raises(z.BadConfig, match="K"):
+        z.MatrixRunConfig.from_dict(_matrix_dict(K=10.7))
+    v = z.VisbrConfig(tau=0.5, schedule=_sched(), T=2, K=10, seed=3).to_dict()
+    with pytest.raises(z.BadConfig, match="T"):
+        z.VisbrConfig.from_dict({**v, "T": 2.0})
+    with pytest.raises(z.BadConfig, match="record_stride"):
+        z.VisbrConfig.from_dict({**v, "record_stride": 2.5})
+
+
+def test_int_fields_reject_bool():
+    with pytest.raises(z.BadConfig, match="K"):
+        z.MatrixRunConfig.from_dict(_matrix_dict(K=True))
+    with pytest.raises(z.BadConfig, match="seed"):
+        z.MatrixRunConfig(tau=0.5, schedule=_sched(), K=10, seed=False)
+    with pytest.raises(z.BadConfig, match="tau"):
+        z.MatrixRunConfig(tau=True, schedule=_sched(), K=10, seed=1)
+
+
+def test_from_dict_floats_accept_json_ints_only():
+    # JSON writes 1.0 as 1, so an int becomes the float it stands for ...
+    c = z.MatrixRunConfig.from_dict(_matrix_dict(tau=1, schedule={
+        "kind": "constant", "alpha": 1, "beta": 1}))
+    assert type(c.tau) is float and c.tau == 1.0
+    assert type(c.schedule.alpha) is float and type(c.schedule.beta) is float
+    # ... but a numeric string is not a number
+    with pytest.raises(z.BadConfig, match="tau"):
+        z.MatrixRunConfig.from_dict(_matrix_dict(tau="0.5"))
+    with pytest.raises(z.BadConfig, match="alpha"):
+        z.StepsizeSchedule.from_dict({"kind": "constant", "alpha": "0.5", "beta": 0.1})
+
+
 def test_matrix_condition_flags_each_violation():
     # tau above 1
     c = z.MatrixRunConfig(tau=2.0, schedule=_sched(), K=10, seed=1)

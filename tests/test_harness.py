@@ -184,8 +184,11 @@ def test_experiment_config_enforces_sweep_cap():
 
 
 def test_experiment_config_rejects_bad_aggregation():
+    # aggregate() computes every statistic, so there is no aggregation key
+    d = matrix_config().to_dict()
+    d["aggregation"] = "both"
     with pytest.raises(BadConfig, match="aggregation"):
-        matrix_config(aggregation="geometric")
+        ExperimentConfig.from_dict(d)
 
 
 def test_experiment_config_rejects_bad_trajectory_count():
@@ -193,6 +196,15 @@ def test_experiment_config_rejects_bad_trajectory_count():
         matrix_config(n_trajectories=0)
     with pytest.raises(BadConfig):
         matrix_config(base_seed=-1)
+
+
+def test_experiment_config_from_dict_rejects_fractional_counts():
+    d = matrix_config().to_dict()
+    d["n_trajectories"] = 2.9
+    with pytest.raises(BadConfig, match="n_trajectories"):
+        ExperimentConfig.from_dict(d)
+    with pytest.raises(BadConfig, match="n_trajectories"):
+        matrix_config(n_trajectories=True)
 
 
 def test_experiment_config_validates_every_sweep_point():
@@ -209,8 +221,7 @@ def test_experiment_config_allows_axis_only_in_sweep():
 
 
 def test_experiment_config_dict_roundtrip():
-    cfg = matrix_config(sweep={"tau": [0.1, 0.2]}, aggregation="mean",
-                        out_dir="results")
+    cfg = matrix_config(sweep={"tau": [0.1, 0.2]}, out_dir="results")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -322,9 +333,10 @@ def test_aggregate_rejects_metric_mismatch():
 def test_aggregate_rejects_empty_and_bad_mode():
     with pytest.raises(GridMismatch):
         aggregate([])
-    with pytest.raises(BadConfig, match="mode"):
+    # every statistic is always computed; there is no mode to choose
+    with pytest.raises(TypeError, match="mode"):
         aggregate([synthetic_record({"ng": [1.0]}, index=[[0, 1]])],
-                  mode="sum")
+                  mode="both")
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +631,14 @@ def test_cli_sweep_requires_out_dir(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_non_object_config(tmp_path, capsys):
+    cfg = write_json(tmp_path / "list.json", [matrix_template()])
+    rc = cli_main(["matrix-run", "--game", "builtin:mp", "--config", cfg,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_cli_oracle_value_matrix(capsys):
     rc = cli_main(["oracle", "value", "--game", "builtin:mp"])
     assert rc == 0
@@ -696,3 +716,24 @@ def test_cli_missing_files_exit_cleanly(tmp_path, capsys):
                    "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+# ---------------------------------------------------------------------------
+
+def test_package_all_is_the_imported_public_names():
+    import pkgutil
+
+    import zsdyn
+
+    submodules = {m.name for m in pkgutil.iter_modules(zsdyn.__path__)}
+    assert "harness" in submodules and "__version__" in zsdyn.__all__
+    assert len(set(zsdyn.__all__)) == len(zsdyn.__all__)
+    for name in zsdyn.__all__:
+        getattr(zsdyn, name)
+        assert name not in submodules
+    namespace = {}
+    exec("from zsdyn import *", namespace)
+    assert set(zsdyn.__all__) <= set(namespace)
+    assert namespace["run_experiment"] is run_experiment

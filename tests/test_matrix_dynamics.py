@@ -5,7 +5,7 @@ import pytest
 
 import zsdyn as z
 from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.metrics import ng_matrix_lists, ngtau_matrix_lists
+from zsdyn.metrics import matrix_gaps_lists
 
 
 def _config(**kw):
@@ -116,9 +116,7 @@ def test_run_equals_stepping_bitwise():
         q2 = state.players[1].q.tolist()
         pi1 = state.players[0].pi.tolist()
         pi2 = state.players[1].pi.tolist()
-        assert rec.series["ng"][row] == ng_matrix_lists(
-            game.R1.tolist(), game.R2.tolist(), pi1, pi2)
-        assert rec.series["ngtau"][row] == ngtau_matrix_lists(
+        assert (rec.series["ng"][row], rec.series["ngtau"][row]) == matrix_gaps_lists(
             game.R1.tolist(), game.R2.tolist(), pi1, pi2, config.tau)
         assert rec.series["min_pi"][row] == min(min(pi1), min(pi2))
         assert rec.series["q_inf"][row] == max(max(abs(x) for x in q1),

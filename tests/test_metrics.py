@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn.metrics import ng_matrix_lists, ngtau_matrix_lists
+from zsdyn.metrics import matrix_gaps_lists
 
 
 def _random_joint(rng, n1, n2):
@@ -307,7 +307,7 @@ def test_stochastic_gap_nonnegative_on_random_inputs():
         assert 0.0 <= gap <= 4.0 / (1.0 - 0.7) + 1e-9
 
 
-# --- list twins used by the recording loops ----------------------------------
+# --- list form used by the recording loop ------------------------------------
 
 def test_list_twins_match_array_metrics():
     rng = np.random.default_rng(151)
@@ -322,7 +322,7 @@ def test_list_twins_match_array_metrics():
         r2l = [list(row) for row in game.R2]
         p1l = list(joint.pi1)
         p2l = list(joint.pi2)
-        assert ng_matrix_lists(r1l, r2l, p1l, p2l) == pytest.approx(
-            z.nash_gap_matrix(game, joint), abs=1e-12)
-        assert ngtau_matrix_lists(r1l, r2l, p1l, p2l, tau) == pytest.approx(
+        ng, ngtau = matrix_gaps_lists(r1l, r2l, p1l, p2l, tau)
+        assert ng == pytest.approx(z.nash_gap_matrix(game, joint), abs=1e-12)
+        assert ngtau == pytest.approx(
             z.regularized_nash_gap(game, joint, tau), abs=1e-12)
