@@ -10,10 +10,10 @@ import types as _types
 
 from .config import (MatrixRunConfig, StepsizeSchedule, VisbrConfig,
                      matrix_condition_warnings, visbr_condition_warnings)
-from .errors import (BadConfig, BadDiscount, BadTransitionRow, DimensionMismatch,
-                     GridMismatch, MissingGamma, NoConvergence, NonFiniteInput,
-                     NonPositiveValues, NotADistribution, NotErgodic, NotZeroSum,
-                     OutputExists, PayoffOutOfRange, ZsdynError)
+from .errors import (BadConfig, BadDiscount, BadGameSource, BadTransitionRow,
+                     DimensionMismatch, GridMismatch, MissingGamma, NoConvergence,
+                     NonFiniteInput, NonPositiveValues, NotADistribution, NotErgodic,
+                     NotZeroSum, OutputExists, PayoffOutOfRange, ZsdynError)
 from .games import (JointPolicy, LearnerState, MatrixGame, StochasticGame,
                     TrajectoryRecord, game_hash, load_game, matching_pennies,
                     rock_paper_scissors, tilted_rps, uniform_joint_policy,

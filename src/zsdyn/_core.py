@@ -13,13 +13,20 @@ import math
 
 def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> list:
     """Softmax of q/tau (optionally of the l2-normalized q), eps-mixed with uniform."""
+    # sums run left to right in explicit loops: the builtin sum() of floats
+    # is compensated from Python 3.12 on, which would change output bytes
     if normalize:
-        nrm = math.sqrt(sum(x * x for x in q))
+        sq = 0.0
+        for x in q:
+            sq += x * x
+        nrm = math.sqrt(sq)
         if nrm > 0.0:
             q = [x / nrm for x in q]
     m = max(q)
     exps = [math.exp((x - m) / tau) for x in q]
-    tot = sum(exps)
+    tot = 0.0
+    for e in exps:
+        tot += e
     probs = [e / tot for e in exps]
     if eps_bar > 0.0:
         n = len(probs)

@@ -16,19 +16,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import ZsdynError
-from .games import JointPolicy, MatrixGame, StochasticGame, load_game
+from .games import JointPolicy, MatrixGame, load_game, validate_joint_policy
 from .harness import ExperimentConfig, run_experiment
 from .metrics import nash_distribution, nash_gap_matrix, nash_gap_stochastic, \
     regularized_nash_gap
 from .ops import matrix_game_value, minimax_fixed_point
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ZsdynError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _print_json(obj) -> None:
@@ -39,9 +40,7 @@ def _load_policy(path: str, game) -> JointPolicy:
     d = _read_json(path)
     if not isinstance(d, dict) or "pi1" not in d or "pi2" not in d:
         raise ZsdynError(f"policy file {path} must carry pi1 and pi2")
-    from .games import validate_joint_policy
-    return validate_joint_policy(np.asarray(d["pi1"], dtype=np.float64),
-                                 np.asarray(d["pi2"], dtype=np.float64), game)
+    return validate_joint_policy(d["pi1"], d["pi2"], game)
 
 
 _RUN_KINDS = {"matrix-run": "matrix", "sg-run": "stochastic"}
@@ -66,7 +65,9 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         d["base_seed"] = args.seed
     if args.stride is not None:
-        d.setdefault("run", {})["record_stride"] = args.stride
+        run = d.setdefault("run", {})
+        if isinstance(run, dict):  # from_dict rejects any other run below
+            run["record_stride"] = args.stride
     config = ExperimentConfig.from_dict(d)
     if config.out_dir is None:
         raise ZsdynError("no output directory: set out_dir in the config or pass --out")

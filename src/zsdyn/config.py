@@ -1,17 +1,22 @@
 """Run configuration for the learning dynamics.
 
-Stepsize schedules, the matrix-game and stochastic-game run configs, and
-the convergence-condition checkers. The checkers only test the closed-form
-parameter inequalities; the remaining conditions involve analysis constants
-with no computable form, so violations surface as warnings rather than
-errors and runs always proceed.
+Stepsize schedules, the matrix-game and stochastic-game run configs on
+their shared RunConfig base, the field-driven dict round-trip (DictConfig)
+that harness.ExperimentConfig also uses, and the convergence-condition
+checkers. The checkers only test the closed-form parameter inequalities;
+the remaining conditions involve analysis constants with no computable
+form, so violations surface as warnings rather than errors and runs always
+proceed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, ClassVar
 
 from .errors import BadConfig
 from .ops import SoftmaxParams, exploration_bound
@@ -38,8 +43,61 @@ def _float(x: Any) -> Any:
     return float(x) if _is_int(x) else x
 
 
+@functools.cache
+def _field_table(cls: type) -> dict[str, tuple[bool, Callable | None]]:
+    # field name -> (required, converter applied by from_dict)
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if hint is float:
+            convert = _float
+        elif DictConfig in getattr(hint, "__mro__", ()):
+            convert = hint.from_dict
+        else:
+            convert = None
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        table[f.name] = (required, convert)
+    return table
+
+
+class DictConfig:
+    """Dict round-trip driven by the dataclass fields of the subclass.
+
+    from_dict rejects unknown keys, requires every field without a default,
+    turns JSON ints into floats for float fields and builds nested configs
+    from dicts; every other value reaches __post_init__ unconverted.
+    `label` names the config in error messages.
+    """
+
+    label: ClassVar[str] = "config"
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]):
+        _require(isinstance(d, dict),
+                 f"{cls.label} must be a dict, got {type(d).__name__}")
+        table = _field_table(cls)
+        extra = d.keys() - table.keys()
+        _require(not extra, f"unknown {cls.label} keys: {sorted(extra)}")
+        kwargs = {}
+        for name, (required, convert) in table.items():
+            if name in d:
+                kwargs[name] = d[name] if convert is None else convert(d[name])
+            else:
+                _require(not required, f"{cls.label} is missing {name!r}")
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict[str, Any]:
+        out = {}
+        for name in _field_table(type(self)):
+            val = getattr(self, name)
+            out[name] = val.to_dict() if isinstance(val, DictConfig) else val
+        return out
+
+
 @dataclass(frozen=True)
-class StepsizeSchedule:
+class StepsizeSchedule(DictConfig):
     """Learning-rate pair (alpha_k, beta_k), constant or diminishing.
 
     constant:     alpha_k = alpha, beta_k = beta
@@ -48,6 +106,8 @@ class StepsizeSchedule:
     Both rates must stay in (0, 1] with beta_k <= alpha_k for every k >= 0,
     which for the diminishing kind pins h >= alpha.
     """
+
+    label: ClassVar[str] = "schedule"
 
     kind: str
     alpha: float
@@ -85,43 +145,15 @@ class StepsizeSchedule:
         return self.beta / self.alpha
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"kind": self.kind, "alpha": self.alpha, "beta": self.beta}
-        if self.kind == "diminishing":
-            d["h"] = self.h
+        d = super().to_dict()
+        if self.kind == "constant":
+            del d["h"]  # always 0.0 for a constant schedule
         return d
 
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "StepsizeSchedule":
-        _require(isinstance(d, dict), f"schedule must be a dict, got {type(d).__name__}")
-        extra = set(d) - {"kind", "alpha", "beta", "h"}
-        _require(not extra, f"unknown schedule keys: {sorted(extra)}")
-        _require("kind" in d and "alpha" in d and "beta" in d,
-                 "schedule dict needs kind, alpha, beta")
-        return StepsizeSchedule(kind=d["kind"], alpha=_float(d["alpha"]),
-                                beta=_float(d["beta"]), h=_float(d.get("h", 0.0)))
 
-
-def _check_common(variant: str, tau: float, eps_bar: float, K: int, seed: int,
-                  record_stride: int, schedule: StepsizeSchedule) -> None:
-    _require(variant in _VARIANTS, f"variant must be one of {_VARIANTS}, got {variant!r}")
-    _require(_is_real(tau) and math.isfinite(tau) and tau > 0.0,
-             f"tau must be positive and finite, got {tau!r}")
-    _require(_is_real(eps_bar) and 0.0 <= eps_bar <= 1.0,
-             f"eps_bar must lie in [0, 1], got {eps_bar!r}")
-    if variant == "plain":
-        _require(eps_bar == 0.0, "plain variant must keep eps_bar == 0")
-    _require(_is_int(K) and K >= 1, f"K must be an integer >= 1, got {K!r}")
-    _require(_is_int(seed) and 0 <= seed < 2 ** 64,
-             f"seed must be an integer in [0, 2^64), got {seed!r}")
-    _require(_is_int(record_stride) and record_stride >= 1,
-             f"record_stride must be an integer >= 1, got {record_stride!r}")
-    _require(isinstance(schedule, StepsizeSchedule),
-             f"schedule must be a StepsizeSchedule, got {type(schedule).__name__}")
-
-
-@dataclass(frozen=True)
-class MatrixRunConfig:
-    """Everything one matrix-game run depends on, besides the game."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(DictConfig):
+    """The run parameters both dynamics share; subclasses add their own."""
 
     tau: float
     schedule: StepsizeSchedule
@@ -130,96 +162,49 @@ class MatrixRunConfig:
     variant: str = "plain"
     eps_bar: float = 0.0
     record_stride: int = 1
+
+    def __post_init__(self) -> None:
+        _require(self.variant in _VARIANTS,
+                 f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        tau, eps_bar = self.tau, self.eps_bar
+        _require(_is_real(tau) and math.isfinite(tau) and tau > 0.0,
+                 f"tau must be positive and finite, got {tau!r}")
+        _require(_is_real(eps_bar) and 0.0 <= eps_bar <= 1.0,
+                 f"eps_bar must lie in [0, 1], got {eps_bar!r}")
+        if self.variant == "plain":
+            _require(eps_bar == 0.0, "plain variant must keep eps_bar == 0")
+        _require(_is_int(self.K) and self.K >= 1,
+                 f"K must be an integer >= 1, got {self.K!r}")
+        _require(_is_int(self.seed) and 0 <= self.seed < 2 ** 64,
+                 f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _require(_is_int(self.record_stride) and self.record_stride >= 1,
+                 f"record_stride must be an integer >= 1, got {self.record_stride!r}")
+        _require(isinstance(self.schedule, StepsizeSchedule),
+                 f"schedule must be a StepsizeSchedule, got {type(self.schedule).__name__}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class MatrixRunConfig(RunConfig):
+    """Everything one matrix-game run depends on, besides the game."""
+
     normalize_q_in_softmax: bool = False
 
     def __post_init__(self) -> None:
-        _check_common(self.variant, self.tau, self.eps_bar, self.K, self.seed,
-                      self.record_stride, self.schedule)
+        super().__post_init__()
         _require(isinstance(self.normalize_q_in_softmax, bool),
                  "normalize_q_in_softmax must be a bool")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tau": self.tau,
-            "schedule": self.schedule.to_dict(),
-            "K": self.K,
-            "seed": self.seed,
-            "variant": self.variant,
-            "eps_bar": self.eps_bar,
-            "record_stride": self.record_stride,
-            "normalize_q_in_softmax": self.normalize_q_in_softmax,
-        }
 
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "MatrixRunConfig":
-        _require(isinstance(d, dict), f"config must be a dict, got {type(d).__name__}")
-        known = {"tau", "schedule", "K", "seed", "variant", "eps_bar",
-                 "record_stride", "normalize_q_in_softmax"}
-        extra = set(d) - known
-        _require(not extra, f"unknown config keys: {sorted(extra)}")
-        for key in ("tau", "schedule", "K", "seed"):
-            _require(key in d, f"config is missing {key!r}")
-        return MatrixRunConfig(
-            tau=_float(d["tau"]),
-            schedule=StepsizeSchedule.from_dict(d["schedule"]),
-            K=d["K"],
-            seed=d["seed"],
-            variant=d.get("variant", "plain"),
-            eps_bar=_float(d.get("eps_bar", 0.0)),
-            record_stride=d.get("record_stride", 1),
-            normalize_q_in_softmax=d.get("normalize_q_in_softmax", False),
-        )
-
-
-@dataclass(frozen=True)
-class VisbrConfig:
+@dataclass(frozen=True, kw_only=True)
+class VisbrConfig(RunConfig):
     """Run config for the stochastic-game dynamics: T outer x K inner steps."""
 
-    tau: float
-    schedule: StepsizeSchedule
     T: int
-    K: int
-    seed: int
-    variant: str = "plain"
-    eps_bar: float = 0.0
-    record_stride: int = 1
 
     def __post_init__(self) -> None:
-        _check_common(self.variant, self.tau, self.eps_bar, self.K, self.seed,
-                      self.record_stride, self.schedule)
+        super().__post_init__()
         _require(_is_int(self.T) and self.T >= 1,
                  f"T must be an integer >= 1, got {self.T!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tau": self.tau,
-            "schedule": self.schedule.to_dict(),
-            "T": self.T,
-            "K": self.K,
-            "seed": self.seed,
-            "variant": self.variant,
-            "eps_bar": self.eps_bar,
-            "record_stride": self.record_stride,
-        }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "VisbrConfig":
-        _require(isinstance(d, dict), f"config must be a dict, got {type(d).__name__}")
-        known = {"tau", "schedule", "T", "K", "seed", "variant", "eps_bar", "record_stride"}
-        extra = set(d) - known
-        _require(not extra, f"unknown config keys: {sorted(extra)}")
-        for key in ("tau", "schedule", "T", "K", "seed"):
-            _require(key in d, f"config is missing {key!r}")
-        return VisbrConfig(
-            tau=_float(d["tau"]),
-            schedule=StepsizeSchedule.from_dict(d["schedule"]),
-            T=d["T"],
-            K=d["K"],
-            seed=d["seed"],
-            variant=d.get("variant", "plain"),
-            eps_bar=_float(d.get("eps_bar", 0.0)),
-            record_stride=d.get("record_stride", 1),
-        )
 
 
 def matrix_condition_warnings(config: MatrixRunConfig, a_max: int) -> tuple[str, ...]:

@@ -45,6 +45,10 @@ class NoConvergence(ZsdynError):
     """A fixed-point iteration exhausted its iteration budget."""
 
 
+class BadGameSource(ZsdynError, ValueError):
+    """A game source (builtin id, game file or game document) cannot be read."""
+
+
 class BadConfig(ZsdynError):
     """A run or experiment configuration violates its invariants."""
 

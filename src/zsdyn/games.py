@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadDiscount,
+    BadGameSource,
     BadTransitionRow,
     DimensionMismatch,
     NotADistribution,
@@ -30,12 +31,13 @@ ZERO_SUM_TOL = 1e-12
 DIST_TOL = 1e-12
 
 
-def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
+def _as_float_array(x, name: str, ndim: int | None) -> np.ndarray:
+    # ndim None leaves the number of axes to the caller
     try:
         arr = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"{name} is not a rectangular numeric array: {exc}") from None
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must have {ndim} axes, got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionMismatch(f"{name} must be non-empty")
@@ -289,8 +291,8 @@ def validate_joint_policy(pi1, pi2, game=None) -> JointPolicy:
     """
     if isinstance(pi1, JointPolicy) and pi2 is None:
         return validate_joint_policy(pi1.pi1, pi1.pi2, game)
-    a1 = np.asarray(pi1, dtype=np.float64)
-    a2 = np.asarray(pi2, dtype=np.float64)
+    a1 = _as_float_array(pi1, "pi1", None)
+    a2 = _as_float_array(pi2, "pi2", None)
     if a1.ndim != a2.ndim or a1.ndim not in (1, 2):
         raise DimensionMismatch(
             f"policies must both be vectors or both be tables, got shapes {a1.shape}, {a2.shape}")
@@ -428,7 +430,7 @@ def tilted_rps(n: int) -> MatrixGame:
     ((1/3, 2/3, 0), (0, 2/3, 1/3)) as n grows."""
     n = int(n)
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadGameSource("n must be nonnegative")
     # divide rather than multiply by a reciprocal: n/n is exactly 1.0,
     # n * (1.0/n) rounds above 1.0 for some n and would fail range checks
     R1 = np.array([[n, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / max(n, 1)
@@ -440,13 +442,17 @@ def _game_from_dict(doc: dict):
     if not isinstance(doc, dict) or "type" not in doc:
         raise DimensionMismatch("game document must be a mapping with a 'type' field")
     kind = doc["type"]
+    if kind not in ("matrix", "stochastic"):
+        raise DimensionMismatch(f"unknown game type {kind!r}")
+    needed = ("R1",) if kind == "matrix" else ("transition", "R1")
+    missing = [key for key in needed if key not in doc]
+    if missing:
+        raise BadGameSource(f"{kind} game document is missing {missing}")
     if kind == "matrix":
         return validate_matrix_game(doc["R1"], doc.get("R2"))
-    if kind == "stochastic":
-        return validate_stochastic_game(doc["transition"], doc["R1"], doc.get("R2"),
-                                        gamma=doc.get("gamma"),
-                                        initial_dist=doc.get("initial_dist"))
-    raise DimensionMismatch(f"unknown game type {kind!r}")
+    return validate_stochastic_game(doc["transition"], doc["R1"], doc.get("R2"),
+                                    gamma=doc.get("gamma"),
+                                    initial_dist=doc.get("initial_dist"))
 
 
 def load_game(source):
@@ -472,11 +478,15 @@ def load_game(source):
             try:
                 n = int(name[len("appF:N="):])
             except ValueError:
-                raise ValueError(f"bad builtin game id {source!r}") from None
+                raise BadGameSource(f"bad builtin game id {source!r}") from None
             return tilted_rps(n)
-        raise ValueError(f"unknown builtin game {source!r}")
+        raise BadGameSource(f"unknown builtin game {source!r}")
     with open(source, "r", encoding="utf-8") as fh:
-        return _game_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise BadGameSource(f"game file {source} is not valid JSON: {exc}") from None
+    return _game_from_dict(doc)
 
 
 def game_hash(game) -> str:

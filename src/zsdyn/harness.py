@@ -23,11 +23,11 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
-from .config import MatrixRunConfig, VisbrConfig, _is_int, _require
+from .config import DictConfig, MatrixRunConfig, VisbrConfig, _is_int, _require
 from .errors import (BadConfig, GridMismatch, NonPositiveValues, OutputExists)
 from .games import MatrixGame, StochasticGame, TrajectoryRecord, game_hash, load_game
 from .matrix_dyn import run_matrix_dynamics
@@ -67,13 +67,16 @@ def trajectory_seed(base_seed: int, point: dict[str, Any], j: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(DictConfig):
     """One experiment: a game, a run template, sweep axes, and seeding.
 
     run is a run-config dict without the seed field; seeds are derived per
     trajectory. sweep maps axis names to value lists; the run executes at
-    every point of the cross product.
+    every point of the cross product. Both are copied once validated, so
+    later edits to the caller's dicts do not reach the config.
     """
+
+    label: ClassVar[str] = "experiment config"
 
     kind: str
     game: Any
@@ -89,6 +92,8 @@ class ExperimentConfig:
                  f"kind must be 'matrix' or 'stochastic', got {self.kind!r}")
         _require(isinstance(self.game, (str, dict)),
                  "game must be a source string or an inline dict")
+        _require(self.out_dir is None or isinstance(self.out_dir, str),
+                 f"out_dir must be a path string or null, got {self.out_dir!r}")
         _require(isinstance(self.run, dict), "run must be a run-config dict")
         _require("seed" not in self.run,
                  "run template must not carry a seed; seeds are derived per trajectory")
@@ -106,6 +111,8 @@ class ExperimentConfig:
             _require(isinstance(values, list) and len(values) >= 1,
                      f"sweep axis {axis!r} must be a non-empty list")
             total *= len(values)
+        object.__setattr__(self, "run", dict(self.run))
+        object.__setattr__(self, "sweep", {k: list(v) for k, v in self.sweep.items()})
         _require(_is_int(self.sweep_cap) and self.sweep_cap >= 1,
                  "sweep_cap must be a positive integer")
         _require(total <= self.sweep_cap,
@@ -131,38 +138,6 @@ class ExperimentConfig:
         axes = sorted(self.sweep)
         return [dict(zip(axes, combo))
                 for combo in itertools.product(*(self.sweep[a] for a in axes))]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "game": self.game,
-            "run": self.run,
-            "n_trajectories": self.n_trajectories,
-            "base_seed": self.base_seed,
-            "sweep": self.sweep,
-            "out_dir": self.out_dir,
-            "sweep_cap": self.sweep_cap,
-        }
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "ExperimentConfig":
-        _require(isinstance(d, dict), f"experiment config must be a dict, got {type(d).__name__}")
-        known = {"kind", "game", "run", "n_trajectories", "base_seed", "sweep",
-                 "out_dir", "sweep_cap"}
-        extra = set(d) - known
-        _require(not extra, f"unknown experiment config keys: {sorted(extra)}")
-        for key in ("kind", "game", "run", "n_trajectories", "base_seed"):
-            _require(key in d, f"experiment config is missing {key!r}")
-        return ExperimentConfig(
-            kind=d["kind"],
-            game=d["game"],
-            run=dict(d["run"]),
-            n_trajectories=d["n_trajectories"],
-            base_seed=d["base_seed"],
-            sweep={k: list(v) for k, v in d.get("sweep", {}).items()},
-            out_dir=d.get("out_dir"),
-            sweep_cap=d.get("sweep_cap", 10_000),
-        )
 
 
 @dataclass(frozen=True)

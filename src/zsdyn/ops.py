@@ -378,35 +378,36 @@ def induced_chain(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     return np.einsum("sabt,sa,sb->st", game.transition, joint.pi1, joint.pi2)
 
 
-def _is_irreducible(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    reach = adj.copy()
-    for _ in range(n):
-        reach = reach | (reach @ adj)
-    return bool(reach.all())
-
-
-def _period(adj: np.ndarray) -> int:
-    # gcd of (level[u] + 1 - level[v]) over edges of a strongly connected
-    # graph, with BFS levels from state 0.
-    n = adj.shape[0]
-    level = [-1] * n
+def _bfs_levels(adj: np.ndarray) -> list[int]:
+    # breadth-first distance from state 0 along edges u -> v with adj[u, v];
+    # -1 marks a state that state 0 cannot reach
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    level = [-1] * adj.shape[0]
     level[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in range(n):
-                if adj[u, v] and level[v] < 0:
+            for v in succ[u]:
+                if level[v] < 0:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in range(n):
-            if adj[u, v]:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
+    return level
+
+
+def _is_irreducible(adj: np.ndarray) -> bool:
+    # strongly connected iff state 0 reaches every state and every state
+    # reaches state 0, i.e. state 0 reaches all on the reversed graph too
+    return min(_bfs_levels(adj)) >= 0 and min(_bfs_levels(adj.T)) >= 0
+
+
+def _period(adj: np.ndarray) -> int:
+    # gcd of (level[u] + 1 - level[v]) over edges of a strongly connected
+    # graph, with BFS levels from state 0.
+    level = np.array(_bfs_levels(adj))
+    us, vs = np.nonzero(adj)
+    return int(np.gcd.reduce(np.abs(level[us] + 1 - level[vs])))
 
 
 def stationary_distribution(game: StochasticGame, joint: JointPolicy) -> np.ndarray:

@@ -159,17 +159,17 @@ def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
     return ()
 
 
-def run_visbr(game: StochasticGame, config: VisbrConfig, *, ng_tol: float = 1e-6,
-              v_star_budget: int = 4096,
+def run_visbr(game: StochasticGame, config: VisbrConfig, *, v_star_budget: int = 4096,
               frozen_pi2: np.ndarray | None = None) -> TrajectoryRecord:
     """Run T outer rounds of K inner steps and record metrics.
 
     Rows carry index (t, k): every stride multiple within a round, each
     round's final (t, K), the initial point (0, 0), and the final (T, 0)
-    written after the last outer update. Metrics: stochastic Nash gap (at
-    ng_tol), min policy entry, max |q|, the zero-sum drift |v1+v2| sup-norm
-    (lsum), max |v|, and the distance v_err to the exact minimax fixed
-    point when n_states*n_actions_1*n_actions_2 <= v_star_budget.
+    written after the last outer update. Metrics: stochastic Nash gap (best
+    responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
+    drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
+    exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
+    v_star_budget.
 
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
     learning (its q, pi, v stay put) and min_pi / q_inf then cover player 1
@@ -218,7 +218,7 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *, ng_tol: float = 1e-6
     def record(t: int, k: int) -> None:
         index.append((t, k))
         joint = JointPolicy(pi1=np.array(pi1), pi2=np.array(pi2))
-        series["ng"].append(nash_gap_stochastic(game, joint, tol=ng_tol))
+        series["ng"].append(nash_gap_stochastic(game, joint, tol=1e-6))
         rows = pi1 + ([] if frozen2 is not None else pi2)
         series["min_pi"].append(min(min(row) for row in rows))
         q_rows = q1 + ([] if frozen2 is not None else q2)

@@ -48,6 +48,7 @@ def test_schedule_dict_roundtrip():
     for s in (z.StepsizeSchedule(kind="constant", alpha=0.5, beta=0.01),
               z.StepsizeSchedule(kind="diminishing", alpha=128.0, beta=8.0, h=128.0)):
         assert z.StepsizeSchedule.from_dict(s.to_dict()) == s
+    assert "h" not in z.StepsizeSchedule(kind="constant", alpha=0.5, beta=0.01).to_dict()
     with pytest.raises(z.BadConfig):
         z.StepsizeSchedule.from_dict({"kind": "constant", "alpha": 0.5,
                                       "beta": 0.1, "gamma": 0.9})
@@ -89,6 +90,13 @@ def test_visbr_config_validation():
         z.VisbrConfig(tau=0.5, schedule=_sched(), T=0, K=10, seed=1)
     with pytest.raises(z.BadConfig):
         z.VisbrConfig(tau=0.5, schedule=_sched(), T=3, K=10, seed=1, eps_bar=0.2)
+
+
+def test_run_configs_are_keyword_only():
+    with pytest.raises(TypeError):
+        z.MatrixRunConfig(0.5, _sched(), 10, 1)
+    with pytest.raises(TypeError):
+        z.VisbrConfig(0.5, _sched(), 3, 10, 1)
 
 
 def test_config_dict_roundtrip():

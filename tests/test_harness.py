@@ -239,6 +239,27 @@ def test_experiment_config_from_dict_requires_core_keys():
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("run", [1, 2], "run must be"),
+    ("sweep", {"K": "12"}, "sweep axis 'K' must be a non-empty list"),
+    ("sweep", [1], "sweep must be"),
+    ("out_dir", 5, "out_dir"),
+], ids=["run-list", "sweep-axis-string", "sweep-list", "out-dir-int"])
+def test_experiment_config_from_dict_rejects_malformed_fields(key, value, match):
+    d = matrix_config().to_dict()
+    d[key] = value
+    with pytest.raises(BadConfig, match=match):
+        ExperimentConfig.from_dict(d)
+
+
+def test_experiment_config_copies_run_and_sweep():
+    run, sweep = matrix_template(), {"tau": [0.1, 0.2]}
+    cfg = matrix_config(run=run, sweep=sweep)
+    run["K"] = 0
+    sweep["tau"].append(-1.0)
+    assert cfg.run["K"] == 40 and cfg.sweep == {"tau": [0.1, 0.2]}
+
+
 def test_sweep_points_sorted_axes_cross_product():
     cfg = matrix_config(sweep={"tau": [0.1, 0.2], "K": [5, 10]})
     assert cfg.sweep_points() == [
@@ -637,6 +658,43 @@ def test_cli_run_rejects_non_object_config(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_cli_stride_with_non_object_run_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "run.json", {"run": [1, 2], "base_seed": 1})
+    rc = cli_main(["--stride", "5", "matrix-run", "--game", "builtin:mp",
+                   "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "run must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game, policy", [
+    ("{not json", None),
+    ({"type": "matrix", "R2": [[0.0]]}, None),
+    ({"type": "stochastic", "R1": [[[0.0]]], "gamma": 0.5}, None),
+    ("builtin:zz", None),
+    ("builtin:appF:N=x", None),
+    ("builtin:appF:N=-1", None),
+    ("builtin:mp", {"pi1": [[0.5, 0.5], [1.0]], "pi2": [0.5, 0.5]}),
+    ("builtin:mp", "{not json"),
+], ids=["game-invalid-json", "matrix-missing-R1", "stochastic-missing-transition",
+        "unknown-builtin", "appF-not-int", "appF-negative", "ragged-policy",
+        "policy-invalid-json"])
+def test_cli_bad_game_or_policy_exits_2(tmp_path, capsys, game, policy):
+    def as_file(name, doc):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    if not (isinstance(game, str) and game.startswith("builtin:")):
+        game = as_file("game.json", game)
+    if policy is None:
+        argv = ["oracle", "value", "--game", game]
+    else:
+        argv = ["oracle", "ng", "--game", game,
+                "--policy", as_file("policy.json", policy)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_oracle_value_matrix(capsys):

@@ -1,5 +1,7 @@
 """Matrix-game learning dynamics: stepping, recording, and their invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,17 @@ def test_normalized_softmax_variant_runs():
     assert a.config_echo != b.config_echo
     # both stay within the universal estimate bound
     assert (a.metric("q_inf") <= 1.0).all() and (b.metric("q_inf") <= 1.0).all()
+
+
+def test_smoothed_policy_sums_left_to_right():
+    # 1 + 1e-16 + 1e-16 is 1.0 when added in order, but a compensated sum
+    # (the builtin sum() of floats from Python 3.12 on) rounds it to 1 + 2^-52,
+    # which would change the policy bytes and the golden digests
+    q = [0.0, -36.8, -36.8]
+    assert math.fsum(math.exp(x) for x in q) != 1.0
+    assert smoothed_policy(q, 1.0, 0.0, False)[0] == 1.0
+    # the squared norm behind normalize=True: in order it is exactly 1.0,
+    # so normalizing leaves q untouched
+    q = [1.0] + [1e-8] * 4
+    assert math.fsum(x * x for x in q) != 1.0
+    assert smoothed_policy(q, 0.5, 0.0, True) == smoothed_policy(q, 0.5, 0.0, False)

@@ -565,9 +565,12 @@ def test_stationary_distribution_matches_power_iteration():
 
 
 def test_stationary_distribution_rejects_reducible_chain():
-    sg = _chain_game([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(z.NotErgodic):
-        z.stationary_distribution(sg, z.uniform_joint_policy(sg))
+    # the second chain: state 0 reaches every state, but state 2 is absorbing
+    for rows in ([[1.0, 0.0], [0.0, 1.0]],
+                 [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]):
+        sg = _chain_game(rows)
+        with pytest.raises(z.NotErgodic, match="reducible"):
+            z.stationary_distribution(sg, z.uniform_joint_policy(sg))
 
 
 def test_stationary_distribution_rejects_periodic_chain():
