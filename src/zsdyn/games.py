@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -58,6 +59,26 @@ def _check_payoff_range(arr: np.ndarray, name: str) -> None:
         raise PayoffOutOfRange(f"{name} entries must satisfy |r| <= 1, max |r| is {worst}")
 
 
+def _payoff_pair(R1, R2, ndim: int,
+                 require_zero_sum: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Validate payoff tables with the action axes last: R1[..., a1, a2] and
+    R2[..., a2, a1]. R2 defaults to -R1 with the action axes swapped.
+    Returns (R1, R2, zero_sum)."""
+    r1 = _as_float_array(R1, "R1", ndim)
+    r2 = -np.swapaxes(r1, -1, -2) if R2 is None else _as_float_array(R2, "R2", ndim)
+    want = r1.shape[:-2] + (r1.shape[-1], r1.shape[-2])
+    if r2.shape != want:
+        raise DimensionMismatch(f"R2 must have shape {want}, got {r2.shape}")
+    _check_payoff_range(r1, "R1")
+    _check_payoff_range(r2, "R2")
+    defect = float(np.abs(r1 + np.swapaxes(r2, -1, -2)).max())
+    zero_sum = defect <= ZERO_SUM_TOL
+    if require_zero_sum and not zero_sum:
+        raise NotZeroSum(f"max |R1 + R2 (action axes swapped)| = {defect} "
+                         f"exceeds {ZERO_SUM_TOL}")
+    return r1, r2, zero_sum
+
+
 def _check_distribution(vec: np.ndarray, name: str) -> None:
     if not np.isfinite(vec).all():
         raise NotADistribution(f"{name} contains non-finite entries")
@@ -69,11 +90,69 @@ def _check_distribution(vec: np.ndarray, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Structural equality and the shared game interface
+# ---------------------------------------------------------------------------
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class _Structural:
+    """== over the dataclass fields: arrays by value, dicts and tuples
+    elementwise; fields declared with compare=False are ignored."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+
+class _Game(_Structural):
+    """What matrix and stochastic games share: payoff tables whose last two
+    axes are (own action, opponent action)."""
+
+    @property
+    def n_actions_1(self) -> int:
+        return self.R1.shape[-2]
+
+    @property
+    def n_actions_2(self) -> int:
+        return self.R1.shape[-1]
+
+    @property
+    def a_max(self) -> int:
+        return max(self.n_actions_1, self.n_actions_2)
+
+    def payoff(self, player: int) -> np.ndarray:
+        """Payoff table of `player` indexed (own action, opponent action)."""
+        if player == 1:
+            return self.R1
+        if player == 2:
+            return self.R2
+        raise ValueError(f"player must be 1 or 2, got {player}")
+
+
+def check_zero_sum_game(game, kind: type) -> None:
+    """The learning dynamics' guard: `game` is a validated zero-sum `kind`."""
+    if not isinstance(game, kind):
+        raise DimensionMismatch(f"expected a {kind.__name__}, got {type(game).__name__}")
+    if not game.zero_sum:
+        raise NotZeroSum("the learning dynamics assume a zero-sum game")
+
+
+# ---------------------------------------------------------------------------
 # Matrix games
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class MatrixGame:
+class MatrixGame(_Game):
     """Two-player matrix game with payoffs normalized into [-1, 1].
 
     R1 has shape (n1, n2), R2 has shape (n2, n1). zero_sum records whether
@@ -84,36 +163,7 @@ class MatrixGame:
     R1: np.ndarray
     R2: np.ndarray
     zero_sum: bool
-    notes: tuple[str, ...] = ()
-
-    @property
-    def n_actions_1(self) -> int:
-        return self.R1.shape[0]
-
-    @property
-    def n_actions_2(self) -> int:
-        return self.R1.shape[1]
-
-    @property
-    def a_max(self) -> int:
-        return max(self.R1.shape)
-
-    def payoff(self, player: int) -> np.ndarray:
-        """Payoff table of `player` indexed (own action, opponent action)."""
-        if player == 1:
-            return self.R1
-        if player == 2:
-            return self.R2
-        raise ValueError(f"player must be 1 or 2, got {player}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixGame):
-            return NotImplemented
-        return (
-            np.array_equal(self.R1, other.R1)
-            and np.array_equal(self.R2, other.R2)
-            and self.zero_sum == other.zero_sum
-        )
+    notes: tuple[str, ...] = field(default=(), compare=False)
 
 
 def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True,
@@ -127,20 +177,7 @@ def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True,
     if isinstance(R1, MatrixGame):
         game = R1
         return validate_matrix_game(game.R1, game.R2, require_zero_sum, game.notes)
-    r1 = _as_float_array(R1, "R1", 2)
-    if R2 is None:
-        r2 = -r1.T
-    else:
-        r2 = _as_float_array(R2, "R2", 2)
-    if r2.shape != (r1.shape[1], r1.shape[0]):
-        raise DimensionMismatch(
-            f"R2 must have shape {(r1.shape[1], r1.shape[0])}, got {r2.shape}")
-    _check_payoff_range(r1, "R1")
-    _check_payoff_range(r2, "R2")
-    defect = float(np.abs(r1 + r2.T).max())
-    zero_sum = defect <= ZERO_SUM_TOL
-    if require_zero_sum and not zero_sum:
-        raise NotZeroSum(f"max |R1 + R2^T| = {defect} exceeds {ZERO_SUM_TOL}")
+    r1, r2, zero_sum = _payoff_pair(R1, R2, 2, require_zero_sum)
     return MatrixGame(R1=_frozen(r1), R2=_frozen(r2), zero_sum=zero_sum,
                       notes=tuple(notes))
 
@@ -150,7 +187,7 @@ def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class StochasticGame:
+class StochasticGame(_Game):
     """Tabular discounted two-player zero-sum stochastic game.
 
     transition[s, a1, a2, s'] is the probability of moving to s'; R1 is
@@ -165,42 +202,11 @@ class StochasticGame:
     gamma: float
     initial_dist: np.ndarray
     zero_sum: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
-
-    @property
-    def n_actions_1(self) -> int:
-        return self.transition.shape[1]
-
-    @property
-    def n_actions_2(self) -> int:
-        return self.transition.shape[2]
-
-    @property
-    def a_max(self) -> int:
-        return max(self.n_actions_1, self.n_actions_2)
-
-    def payoff(self, player: int) -> np.ndarray:
-        if player == 1:
-            return self.R1
-        if player == 2:
-            return self.R2
-        raise ValueError(f"player must be 1 or 2, got {player}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StochasticGame):
-            return NotImplemented
-        return (
-            np.array_equal(self.transition, other.transition)
-            and np.array_equal(self.R1, other.R1)
-            and np.array_equal(self.R2, other.R2)
-            and self.gamma == other.gamma
-            and np.array_equal(self.initial_dist, other.initial_dist)
-            and self.zero_sum == other.zero_sum
-        )
 
 
 def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None,
@@ -216,18 +222,11 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
         return validate_stochastic_game(g.transition, g.R1, g.R2, g.gamma,
                                         g.initial_dist, require_zero_sum, g.notes)
     p = _as_float_array(transition, "transition", 4)
-    r1 = _as_float_array(R1, "R1", 3)
+    r1, r2, zero_sum = _payoff_pair(R1, R2, 3, require_zero_sum)
     n_states, n_a1, n_a2 = r1.shape
     if p.shape != (n_states, n_a1, n_a2, n_states):
         raise DimensionMismatch(
             f"transition must have shape {(n_states, n_a1, n_a2, n_states)}, got {p.shape}")
-    if R2 is None:
-        r2 = -np.swapaxes(r1, 1, 2)
-    else:
-        r2 = _as_float_array(R2, "R2", 3)
-    if r2.shape != (n_states, n_a2, n_a1):
-        raise DimensionMismatch(
-            f"R2 must have shape {(n_states, n_a2, n_a1)}, got {r2.shape}")
 
     if gamma is None:
         raise BadDiscount("gamma is required")
@@ -241,13 +240,6 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
     worst = float(np.abs(row_sums - 1.0).max())
     if worst > DIST_TOL:
         raise BadTransitionRow(f"a transition row sums to 1 only within {worst}")
-
-    _check_payoff_range(r1, "R1")
-    _check_payoff_range(r2, "R2")
-    defect = float(np.abs(r1 + np.swapaxes(r2, 1, 2)).max())
-    zero_sum = defect <= ZERO_SUM_TOL
-    if require_zero_sum and not zero_sum:
-        raise NotZeroSum(f"max |R1(s,a,b) + R2(s,b,a)| = {defect} exceeds {ZERO_SUM_TOL}")
 
     notes = tuple(notes)
     if initial_dist is None:
@@ -271,16 +263,18 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class JointPolicy:
+class JointPolicy(_Structural):
     """Per-player mixed strategies; one row per state for stochastic games."""
 
     pi1: np.ndarray
     pi2: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JointPolicy):
-            return NotImplemented
-        return np.array_equal(self.pi1, other.pi1) and np.array_equal(self.pi2, other.pi2)
+
+def _policy_shapes(game) -> tuple[tuple, tuple]:
+    # a policy row per state (none for a matrix game) over the player's actions
+    if not isinstance(game, _Game):
+        raise TypeError(f"unsupported game type {type(game).__name__}")
+    return game.R1.shape[:-1], game.R2.shape[:-1]
 
 
 def validate_joint_policy(pi1, pi2, game=None) -> JointPolicy:
@@ -289,21 +283,13 @@ def validate_joint_policy(pi1, pi2, game=None) -> JointPolicy:
     When `game` is given the shapes are checked against it: vectors for a
     MatrixGame, (n_states, n_actions) tables for a StochasticGame.
     """
-    if isinstance(pi1, JointPolicy) and pi2 is None:
-        return validate_joint_policy(pi1.pi1, pi1.pi2, game)
     a1 = _as_float_array(pi1, "pi1", None)
     a2 = _as_float_array(pi2, "pi2", None)
     if a1.ndim != a2.ndim or a1.ndim not in (1, 2):
         raise DimensionMismatch(
             f"policies must both be vectors or both be tables, got shapes {a1.shape}, {a2.shape}")
     if game is not None:
-        if isinstance(game, MatrixGame):
-            want1, want2 = (game.n_actions_1,), (game.n_actions_2,)
-        elif isinstance(game, StochasticGame):
-            want1 = (game.n_states, game.n_actions_1)
-            want2 = (game.n_states, game.n_actions_2)
-        else:
-            raise TypeError(f"unsupported game type {type(game).__name__}")
+        want1, want2 = _policy_shapes(game)
         if a1.shape != want1 or a2.shape != want2:
             raise DimensionMismatch(
                 f"policy shapes {a1.shape}, {a2.shape} do not match game "
@@ -317,15 +303,9 @@ def validate_joint_policy(pi1, pi2, game=None) -> JointPolicy:
 
 def uniform_joint_policy(game) -> JointPolicy:
     """The uniform joint policy for a matrix or stochastic game."""
-    if isinstance(game, MatrixGame):
-        return JointPolicy(pi1=_frozen(np.full(game.n_actions_1, 1.0 / game.n_actions_1)),
-                           pi2=_frozen(np.full(game.n_actions_2, 1.0 / game.n_actions_2)))
-    if isinstance(game, StochasticGame):
-        shape1 = (game.n_states, game.n_actions_1)
-        shape2 = (game.n_states, game.n_actions_2)
-        return JointPolicy(pi1=_frozen(np.full(shape1, 1.0 / game.n_actions_1)),
-                           pi2=_frozen(np.full(shape2, 1.0 / game.n_actions_2)))
-    raise TypeError(f"unsupported game type {type(game).__name__}")
+    shape1, shape2 = _policy_shapes(game)
+    return JointPolicy(pi1=_frozen(np.full(shape1, 1.0 / game.n_actions_1)),
+                       pi2=_frozen(np.full(shape2, 1.0 / game.n_actions_2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +322,7 @@ class LearnerState:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
+class TrajectoryRecord(_Structural):
     """Metric series plus final iterates for one seeded run.
 
     index holds (t, k) rows, strictly increasing lexicographically; series
@@ -383,33 +363,6 @@ class TrajectoryRecord:
     def metric(self, name: str) -> np.ndarray:
         return np.asarray(self.series[name], dtype=np.float64)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrajectoryRecord):
-            return NotImplemented
-        if self.config_echo != other.config_echo or self.warnings != other.warnings:
-            return False
-        if not np.array_equal(self.index, other.index):
-            return False
-        if sorted(self.series) != sorted(other.series):
-            return False
-        for name in self.series:
-            if not np.array_equal(self.series[name], other.series[name]):
-                return False
-        if self.final_policy != other.final_policy:
-            return False
-        if len(self.final_q) != len(other.final_q):
-            return False
-        for a, b in zip(self.final_q, other.final_q):
-            if not np.array_equal(a, b):
-                return False
-        if (self.final_v is None) != (other.final_v is None):
-            return False
-        if self.final_v is not None:
-            for a, b in zip(self.final_v, other.final_v):
-                if not np.array_equal(a, b):
-                    return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Builtin games and file loading
@@ -428,6 +381,9 @@ def tilted_rps(n: int) -> MatrixGame:
     """3x3 cyclic game whose (0,0) payoff is tilted to n, then scaled by
     1/max(n,1) so payoffs stay in [-1, 1]. Its equilibrium moves toward
     ((1/3, 2/3, 0), (0, 2/3, 1/3)) as n grows."""
+    # bool is an Integral; a float such as 2.7 must not truncate to 2
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise BadGameSource(f"n must be an integer, got {n!r}")
     n = int(n)
     if n < 0:
         raise BadGameSource("n must be nonnegative")
@@ -436,6 +392,10 @@ def tilted_rps(n: int) -> MatrixGame:
     R1 = np.array([[n, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / max(n, 1)
     return validate_matrix_game(R1, notes=(f"builtin:appF:N={n}",
                                            f"payoffs scaled by 1/{max(n, 1)} into [-1, 1]"))
+
+
+_GAME_KEYS = {"matrix": ("type", "R1", "R2"),
+              "stochastic": ("type", "transition", "R1", "R2", "gamma", "initial_dist")}
 
 
 def _game_from_dict(doc: dict):
@@ -448,6 +408,10 @@ def _game_from_dict(doc: dict):
     missing = [key for key in needed if key not in doc]
     if missing:
         raise BadGameSource(f"{kind} game document is missing {missing}")
+    unknown = [key for key in doc if key not in _GAME_KEYS[kind]]
+    if unknown:
+        raise BadGameSource(f"{kind} game document has unknown keys {unknown}; "
+                            f"expected only {list(_GAME_KEYS[kind])}")
     if kind == "matrix":
         return validate_matrix_game(doc["R1"], doc.get("R2"))
     return validate_stochastic_game(doc["transition"], doc["R1"], doc.get("R2"),
@@ -460,9 +424,10 @@ def load_game(source):
 
     Builtins: "builtin:mp", "builtin:rps", "builtin:appF:N=<int>".
     File documents carry fields: type ("matrix" | "stochastic"), R1, and
-    optionally R2 (default -R1^T), transition, gamma, initial_dist.
+    optionally R2 (default -R1^T), transition, gamma, initial_dist; any
+    other key is rejected.
     """
-    if isinstance(source, (MatrixGame, StochasticGame)):
+    if isinstance(source, _Game):
         return source
     if isinstance(source, dict):
         return _game_from_dict(source)

@@ -23,8 +23,9 @@ import numpy as np
 
 from ._core import pick_action, policy_step, smoothed_policy
 from .config import MatrixRunConfig, matrix_condition_warnings
-from .errors import DimensionMismatch, NotZeroSum
-from .games import JointPolicy, LearnerState, MatrixGame, TrajectoryRecord
+from .errors import DimensionMismatch
+from .games import (JointPolicy, LearnerState, MatrixGame, TrajectoryRecord,
+                    check_zero_sum_game)
 from .metrics import matrix_gaps_lists
 
 MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
@@ -52,16 +53,21 @@ def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.
     return c1, c2
 
 
-def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynamicsState:
-    """Uniform policies, zero payoff estimates, per-player generators."""
+def _setup(game: MatrixGame, config: MatrixRunConfig):
+    # The start of every run as lists: (q1, q2, pi1, pi2) and the generators.
+    check_zero_sum_game(game, MatrixGame)
     c1, c2 = player_seed_sequences(config.seed)
     n1, n2 = game.n_actions_1, game.n_actions_2
-    players = (
-        LearnerState(q=np.zeros(n1), pi=np.full(n1, 1.0 / n1)),
-        LearnerState(q=np.zeros(n2), pi=np.full(n2, 1.0 / n2)),
-    )
-    return MatrixDynamicsState(players=players, k=0,
-                               rngs=(np.random.default_rng(c1), np.random.default_rng(c2)))
+    lists = ([0.0] * n1, [0.0] * n2, [1.0 / n1] * n1, [1.0 / n2] * n2)
+    return lists, (np.random.default_rng(c1), np.random.default_rng(c2))
+
+
+def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynamicsState:
+    """Uniform policies, zero payoff estimates, per-player generators."""
+    (q1, q2, pi1, pi2), rngs = _setup(game, config)
+    players = (LearnerState(q=np.array(q1), pi=np.array(pi1)),
+               LearnerState(q=np.array(q2), pi=np.array(pi2)))
+    return MatrixDynamicsState(players=players, k=0, rngs=rngs)
 
 
 def _advance(q1, q2, pi1, pi2, R1, R2, tau, eps, norm, alpha, beta, u1, u2):
@@ -79,17 +85,10 @@ def _advance(q1, q2, pi1, pi2, R1, R2, tau, eps, norm, alpha, beta, u1, u2):
     return a1, a2, r1, r2
 
 
-def _check_game(game: MatrixGame) -> None:
-    if not isinstance(game, MatrixGame):
-        raise DimensionMismatch(f"expected a MatrixGame, got {type(game).__name__}")
-    if not game.zero_sum:
-        raise NotZeroSum("the learning dynamics assume a zero-sum game")
-
-
 def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
                 config: MatrixRunConfig) -> MatrixDynamicsState:
     """Advance one iteration; returns the new state, generators advanced in place."""
-    _check_game(game)
+    check_zero_sum_game(game, MatrixGame)
     if state.players[0].q.shape != (game.n_actions_1,) or \
             state.players[1].q.shape != (game.n_actions_2,):
         raise DimensionMismatch("state shapes do not match the game")
@@ -116,19 +115,12 @@ def run_matrix_dynamics(game: MatrixGame, config: MatrixRunConfig) -> Trajectory
     the policy after k iterations. Convergence-condition violations land
     in warnings.
     """
-    _check_game(game)
+    (q1, q2, pi1, pi2), (rng1, rng2) = _setup(game, config)
     warnings = matrix_condition_warnings(config, game.a_max)
-    c1, c2 = player_seed_sequences(config.seed)
-    u1 = np.random.default_rng(c1).random(config.K)
-    u2 = np.random.default_rng(c2).random(config.K)
-
+    u1 = rng1.random(config.K)
+    u2 = rng2.random(config.K)
     R1 = game.R1.tolist()
     R2 = game.R2.tolist()
-    n1, n2 = game.n_actions_1, game.n_actions_2
-    q1 = [0.0] * n1
-    q2 = [0.0] * n2
-    pi1 = [1.0 / n1] * n1
-    pi2 = [1.0 / n2] * n2
 
     tau, eps, norm = config.tau, config.eps_bar, config.normalize_q_in_softmax
     sched = config.schedule

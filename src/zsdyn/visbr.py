@@ -25,13 +25,17 @@ import numpy as np
 
 from ._core import pick_action, policy_step, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
-from .errors import BadConfig, DimensionMismatch, NotErgodic, NotZeroSum
+from .errors import BadConfig, DimensionMismatch, NotErgodic
 from .games import (JointPolicy, LearnerState, StochasticGame, TrajectoryRecord,
-                    uniform_joint_policy)
+                    check_zero_sum_game, uniform_joint_policy)
 from .metrics import nash_gap_stochastic
 from .ops import minimax_fixed_point, stationary_distribution
 
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf")
+
+# run_visbr adds the v_err column when n_states * n_actions_1 * n_actions_2
+# is at most this, since it solves the minimax fixed point for it
+V_STAR_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,25 +64,25 @@ def visbr_seed_sequences(seed: int):
     return tuple(ss.spawn(3))
 
 
-def _check_game(game: StochasticGame) -> None:
-    if not isinstance(game, StochasticGame):
-        raise DimensionMismatch(f"expected a StochasticGame, got {type(game).__name__}")
-    if not game.zero_sum:
-        raise NotZeroSum("the learning dynamics assume a zero-sum game")
+def _setup(game: StochasticGame, config: VisbrConfig):
+    # The start of every run as lists: (q1, q2, pi1, pi2, v1, v2), the
+    # (player 1, player 2, environment) generators, and S0 drawn from the
+    # environment stream.
+    check_zero_sum_game(game, StochasticGame)
+    rngs = tuple(np.random.default_rng(c) for c in visbr_seed_sequences(config.seed))
+    S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
+    lists = ([[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)],
+             [[1.0 / n1] * n1 for _ in range(S)], [[1.0 / n2] * n2 for _ in range(S)],
+             [0.0] * S, [0.0] * S)
+    s0 = pick_action(game.initial_dist.tolist(), rngs[2].random())
+    return lists, rngs, s0
 
 
 def init_visbr(game: StochasticGame, config: VisbrConfig) -> VisbrState:
     """Zero values and estimates, uniform policies, S0 drawn from initial_dist."""
-    _check_game(game)
-    c1, c2, ce = visbr_seed_sequences(config.seed)
-    rngs = (np.random.default_rng(c1), np.random.default_rng(c2),
-            np.random.default_rng(ce))
-    S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    players = (
-        LearnerState(q=np.zeros((S, n1)), pi=np.full((S, n1), 1.0 / n1), v=np.zeros(S)),
-        LearnerState(q=np.zeros((S, n2)), pi=np.full((S, n2), 1.0 / n2), v=np.zeros(S)),
-    )
-    s0 = pick_action(game.initial_dist.tolist(), rngs[2].random())
+    (q1, q2, pi1, pi2, v1, v2), rngs, s0 = _setup(game, config)
+    players = (LearnerState(q=np.array(q1), pi=np.array(pi1), v=np.array(v1)),
+               LearnerState(q=np.array(q2), pi=np.array(pi2), v=np.array(v2)))
     return VisbrState(players=players, s=s0, t=0, k=0, rngs=rngs)
 
 
@@ -103,7 +107,7 @@ def _advance_inner(q1, q2, pi1, pi2, v1, v2, s, R1, R2, P, gamma, tau, eps,
 
 def inner_step(state: VisbrState, game: StochasticGame, config: VisbrConfig) -> VisbrState:
     """One inner iteration: policies move at every state, play happens at s."""
-    _check_game(game)
+    check_zero_sum_game(game, StochasticGame)
     if state.k >= config.K:
         raise BadConfig(f"inner loop is complete (k={state.k}, K={config.K}); "
                         "call outer_update")
@@ -138,7 +142,7 @@ def _weighted_rows(pi: list, q: list) -> list:
 def outer_update(state: VisbrState, game: StochasticGame,
                  config: VisbrConfig) -> VisbrState:
     """Refresh v from the current policy and q; everything else carries over."""
-    _check_game(game)
+    check_zero_sum_game(game, StochasticGame)
     if state.k != config.K:
         raise BadConfig(f"outer_update requires k == K ({config.K}), got k={state.k}")
     players = tuple(
@@ -159,7 +163,7 @@ def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
     return ()
 
 
-def run_visbr(game: StochasticGame, config: VisbrConfig, *, v_star_budget: int = 4096,
+def run_visbr(game: StochasticGame, config: VisbrConfig, *,
               frozen_pi2: np.ndarray | None = None) -> TrajectoryRecord:
     """Run T outer rounds of K inner steps and record metrics.
 
@@ -169,13 +173,15 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *, v_star_budget: int =
     responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
     drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
     exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
-    v_star_budget.
+    V_STAR_BUDGET.
 
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
     learning (its q, pi, v stay put) and min_pi / q_inf then cover player 1
-    only. Used to study one-sided learning against a stationary opponent.
+    only, while ng is the gap of the joint policy actually played,
+    (pi1, frozen_pi2). Used to study one-sided learning against a
+    stationary opponent.
     """
-    _check_game(game)
+    (q1, q2, pi1, pi2, v1, v2), (rng1, rng2, rng_env), s = _setup(game, config)
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
     warnings = visbr_condition_warnings(config, game.gamma) + _ergodicity_warning(game)
 
@@ -188,28 +194,18 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *, v_star_budget: int =
         frozen2 = arr.tolist()
 
     v_star = None
-    if S * n1 * n2 <= v_star_budget:
+    if S * n1 * n2 <= V_STAR_BUDGET:
         v_star = (minimax_fixed_point(game, 1, tol=1e-6).tolist(),
                   minimax_fixed_point(game, 2, tol=1e-6).tolist())
 
-    c1, c2, ce = visbr_seed_sequences(config.seed)
     total = config.T * config.K
-    u1 = np.random.default_rng(c1).random(total)
-    u2 = np.random.default_rng(c2).random(total)
-    rng_env = np.random.default_rng(ce)
-    s = pick_action(game.initial_dist.tolist(), rng_env.random())
+    u1 = rng1.random(total)
+    u2 = rng2.random(total)
     ue = rng_env.random(total)
-
     P = game.transition.tolist()
     R1 = game.R1.tolist()
     R2 = game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
-    q1 = [[0.0] * n1 for _ in range(S)]
-    q2 = [[0.0] * n2 for _ in range(S)]
-    pi1 = [[1.0 / n1] * n1 for _ in range(S)]
-    pi2 = [[1.0 / n2] * n2 for _ in range(S)]
-    v1 = [0.0] * S
-    v2 = [0.0] * S
 
     metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
     index: list[tuple[int, int]] = []

@@ -201,6 +201,14 @@ def test_tilted_rps_scaling():
         z.load_game("builtin:nonsense")
 
 
+def test_tilted_rps_rejects_non_integers():
+    for n in (2.7, 3.0, True, "3"):
+        with pytest.raises(z.BadGameSource):
+            z.tilted_rps(n)
+    assert z.tilted_rps(np.int64(3)).notes == z.tilted_rps(3).notes
+    assert z.tilted_rps(np.int64(3)) == z.tilted_rps(3)
+
+
 def test_tilted_rps_equilibrium_moves_with_n():
     # the claimed limit policies are an exact equilibrium once n >= 3
     for n in (3, 5, 9):
@@ -226,6 +234,38 @@ def test_load_game_from_dict_and_file(tmp_path):
 
     with pytest.raises(z.DimensionMismatch):
         z.load_game({"R1": [[0.0]]})
+    # a misspelt optional key is an error, not a silent default
+    with pytest.raises(z.BadGameSource, match="initial_dsit"):
+        z.load_game({**sg_doc, "initial_dsit": [1.0]})
+
+
+def test_structural_equality():
+    game = z.matching_pennies()
+    assert game == z.validate_matrix_game(game.R1)  # notes are not compared
+    assert game != z.validate_matrix_game(game.R1 * 0.5)
+    assert game != z.validate_matrix_game([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
+    sg = _mp_embedding(gamma=0.5)
+    assert sg != _mp_embedding(gamma=0.6)
+    assert sg != game and game != sg
+    config = z.MatrixRunConfig(tau=0.5, K=10, seed=3, record_stride=5,
+                               schedule=z.StepsizeSchedule(kind="constant", alpha=0.5,
+                                                           beta=0.1))
+    rec = z.run_matrix_dynamics(game, config)
+    fields = dict(config_echo=rec.config_echo, index=rec.index, series=rec.series,
+                  final_policy=rec.final_policy, final_q=rec.final_q,
+                  final_v=rec.final_v, warnings=rec.warnings)
+    assert z.TrajectoryRecord(**fields) == rec
+    changed = [
+        {"config_echo": {**rec.config_echo, "seed": 4}},
+        {"series": {**rec.series, "ng": rec.series["ng"] + 1.0}},
+        {"series": {name: v for name, v in rec.series.items() if name != "ng"}},
+        {"final_policy": z.JointPolicy(pi1=rec.final_policy.pi2, pi2=rec.final_policy.pi1)},
+        {"final_q": rec.final_q[:1]},
+        {"final_v": rec.final_q},
+        {"warnings": ("note",)},
+    ]
+    for change in changed:
+        assert z.TrajectoryRecord(**{**fields, **change}) != rec, change
 
 
 def test_game_hash_stability_and_sensitivity():

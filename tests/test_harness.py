@@ -677,9 +677,10 @@ def test_cli_stride_with_non_object_run_exits_2(tmp_path, capsys):
     ("builtin:appF:N=-1", None),
     ("builtin:mp", {"pi1": [[0.5, 0.5], [1.0]], "pi2": [0.5, 0.5]}),
     ("builtin:mp", "{not json"),
+    ({"type": "matrix", "R1": [[0.5, -0.5], [-0.5, 0.5]], "r2": [[0, 0], [0, 0]]}, None),
 ], ids=["game-invalid-json", "matrix-missing-R1", "stochastic-missing-transition",
         "unknown-builtin", "appF-not-int", "appF-negative", "ragged-policy",
-        "policy-invalid-json"])
+        "policy-invalid-json", "matrix-unknown-key"])
 def test_cli_bad_game_or_policy_exits_2(tmp_path, capsys, game, policy):
     def as_file(name, doc):
         path = tmp_path / name

@@ -227,16 +227,20 @@ def test_step_rejects_bad_inputs():
     game = z.matching_pennies()
     config = _config()
     state = z.init_matrix_state(game, config)
+    bad = z.validate_matrix_game([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
+                                 require_zero_sum=False)
     with pytest.raises(z.NotZeroSum):
-        bad = z.validate_matrix_game([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
-                                     require_zero_sum=False)
         z.step_matrix(state, bad, config)
     with pytest.raises(z.DimensionMismatch):
         z.step_matrix(state, z.rock_paper_scissors(), config)
     with pytest.raises(z.NotZeroSum):
-        bad = z.validate_matrix_game([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
-                                     require_zero_sum=False)
         z.run_matrix_dynamics(bad, config)
+    # init guards the game like step and run do
+    with pytest.raises(z.NotZeroSum):
+        z.init_matrix_state(bad, config)
+    sg = z.validate_stochastic_game(np.ones((1, 2, 2, 1)), game.R1[None], gamma=0.5)
+    with pytest.raises(z.DimensionMismatch):
+        z.init_matrix_state(sg, config)
 
 
 def test_run_reports_condition_warnings():

@@ -300,6 +300,46 @@ def test_value_matches_grid_search():
         assert abs(out.value - best) <= 0.02
 
 
+def _degenerate_matrices(rng):
+    # constant, duplicate rows, rank 1 and saddle-point games: ties and
+    # degenerate pivots for the simplex
+    for n, m in ((1, 1), (2, 3), (4, 4), (6, 6), (6, 2)):
+        yield np.full((n, m), rng.uniform(-1.0, 1.0))
+        base = rng.uniform(-1.0, 1.0, (max(n // 2, 1), m))
+        yield base[rng.integers(0, base.shape[0], n)]
+        yield np.outer(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, m))
+        saddle = rng.uniform(-1.0, 1.0, (n, m))
+        i, j = rng.integers(0, n), rng.integers(0, m)
+        saddle[i, :] = np.maximum(saddle[i, :], 0.5)
+        saddle[:, j] = np.minimum(saddle[:, j], 0.5)
+        saddle[i, j] = 0.5
+        yield saddle
+
+
+def test_value_matches_highs_linprog():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+
+    def highs_value(X):
+        # variables (x, v): maximize v s.t. v <= (x @ X)_j, sum x = 1, x >= 0
+        n, m = X.shape
+        res = scipy_optimize.linprog(
+            c=np.r_[np.zeros(n), -1.0],
+            A_ub=np.c_[-X.T, np.ones(m)], b_ub=np.zeros(m),
+            A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
+            bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+        assert res.status == 0, res.message
+        return -res.fun
+
+    rng = np.random.default_rng(2024)
+    games = [rng.uniform(-1.0, 1.0, tuple(rng.integers(1, 7, 2))) for _ in range(200)]
+    games += list(_degenerate_matrices(rng))
+    for X in games:
+        out = z.matrix_game_value(X)
+        assert out.value == pytest.approx(highs_value(X), abs=1e-9), X
+        assert float((out.maximin @ X).min()) >= out.value - 1e-9
+        assert float((X @ out.minimax).max()) <= out.value + 1e-9
+
+
 def test_value_rejects_bad_input():
     with pytest.raises(z.NonFiniteInput):
         z.matrix_game_value([[np.nan, 0.0], [0.0, 0.0]])
