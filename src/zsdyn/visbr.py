@@ -213,7 +213,8 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
 
     def record(t: int, k: int) -> None:
         index.append((t, k))
-        joint = JointPolicy(pi1=np.array(pi1), pi2=np.array(pi2))
+        joint = JointPolicy(pi1=np.array(pi1),
+                            pi2=np.array(pi2 if frozen2 is None else frozen2))
         series["ng"].append(nash_gap_stochastic(game, joint, tol=1e-6))
         rows = pi1 + ([] if frozen2 is not None else pi2)
         series["min_pi"].append(min(min(row) for row in rows))

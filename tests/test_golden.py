@@ -52,7 +52,7 @@ GOLDEN = {
     },
     "frozen": {
         "index": "de1c819e13c14faaf21b57fa7c951c3fd2dd05c7f9ef7e7c9c5712da152aa5c3",
-        "ng": "4d5b6eb01bb914bb737d445685eb3549667ec594813c1c22f104ddede8d312e3",
+        "ng": "0f6448fbce587841a0298f7eb97336bd69dc26681035f14bc4998baf41f1b35f",
         "min_pi": "114a06745e51a29db11383123bd6e193533638c1bb67a9cd7cc4c655279ddbfb",
         "q_inf": "5d4a5ec5d6f38e9e13301fe32e9ac46a62b0267186f758537268914627c56d30",
         "lsum": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",

@@ -270,6 +270,11 @@ def test_frozen_opponent_mode():
     assert np.array_equal(rec.final_v[1], np.zeros(2))
     # player 1 does
     assert float(np.abs(rec.final_q[0]).max()) > 0.0
+    # ng scores the joint policy that generates play, (pi1, frozen)
+    played = z.validate_joint_policy(rec.final_policy.pi1, frozen, sg)
+    assert rec.metric("ng")[-1] == z.nash_gap_stochastic(sg, played, tol=1e-6)
+    idle = z.validate_joint_policy(rec.final_policy.pi1, rec.final_policy.pi2, sg)
+    assert rec.metric("ng")[-1] != z.nash_gap_stochastic(sg, idle, tol=1e-6)
     with pytest.raises(z.DimensionMismatch):
         z.run_visbr(sg, config, frozen_pi2=np.full((3, 2), 0.5))
 
