@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-import zsdyn.visbr
 from zsdyn.visbr import _weighted_rows
 
 
@@ -252,7 +251,7 @@ def test_v_error_column_appears_only_under_budget(monkeypatch):
     assert "v_err" in with_err.series
     # v* for matching pennies is 0, so v_err equals v_inf throughout
     assert np.allclose(with_err.metric("v_err"), with_err.metric("v_inf"), atol=1e-6)
-    monkeypatch.setattr(zsdyn.visbr, "V_STAR_BUDGET", 0)
+    monkeypatch.setattr("zsdyn.visbr.V_STAR_BUDGET", 0)
     without = z.run_visbr(sg, _config(T=1, K=5))
     assert "v_err" not in without.series
 
