@@ -28,7 +28,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .config import DictConfig, MatrixRunConfig, VisbrConfig, _is_int, _require
-from .errors import (BadConfig, GridMismatch, NonPositiveValues, OutputExists)
+from .errors import GridMismatch, NonPositiveValues, OutputExists
 from .games import MatrixGame, StochasticGame, TrajectoryRecord, game_hash, load_game
 from .matrix_dyn import run_matrix_dynamics
 from .visbr import run_visbr
@@ -199,10 +199,7 @@ def rate_fit(series: AggregateSeries, k_min: int, stat: str = "mean") -> float:
             f"rate_fit needs positive finite values beyond k_min={k_min}")
     if np.any(k <= 0.0):
         raise NonPositiveValues("rate_fit needs positive k indices")
-    logk = np.log(k)
-    logv = np.log(values)
-    slope = np.polyfit(logk, logv, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(k), np.log(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +217,11 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _series_map(aggregates: list[AggregateSeries]) -> dict[str, AggregateSeries]:
-    return {s.name: s for s in aggregates}
-
-
 def _csv_text(kind: str, aggregates: list[AggregateSeries]) -> str:
     """Fixed-schema CSV: mean/std for the gap metrics, worst case for the
     bound metrics (min over trajectories for min_pi, max for q_inf and
     v_inf), mean for the drift diagnostics (lsum, v_err)."""
-    by_name = _series_map(aggregates)
+    by_name = {s.name: s for s in aggregates}
     index = aggregates[0].index
     if kind == "matrix":
         columns = list(MATRIX_CSV_COLUMNS)
@@ -294,20 +287,17 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         manifest_path = os.path.join(out_dir, "manifest.json")
-        existing = [p for p in ("manifest.json",) if os.path.exists(os.path.join(out_dir, p))]
-        existing += [name for name in sorted(os.listdir(out_dir))
-                     if name.startswith("point_") and name.endswith(".csv")]
+        existing = [name for name in sorted(os.listdir(out_dir)) if name == "manifest.json"
+                    or (name.startswith("point_") and name.endswith(".csv"))]
         if existing and not force:
             raise OutputExists(
                 f"{out_dir} already holds {existing[:3]}; pass force to overwrite")
 
     game = load_game(config.game)
-    if config.kind == "matrix" and not isinstance(game, MatrixGame):
-        raise BadConfig("kind 'matrix' needs a matrix game source")
-    if config.kind == "stochastic" and not isinstance(game, StochasticGame):
-        raise BadConfig("kind 'stochastic' needs a stochastic game source")
-
-    runner = run_matrix_dynamics if config.kind == "matrix" else run_visbr
+    game_type, runner = ((MatrixGame, run_matrix_dynamics) if config.kind == "matrix"
+                         else (StochasticGame, run_visbr))
+    _require(isinstance(game, game_type),
+             f"kind {config.kind!r} needs a {config.kind} game source")
     points = []
     warnings_manifest: dict[str, list[str]] = {}
     for i, point in enumerate(config.sweep_points()):
@@ -317,11 +307,8 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
             run_cfg = config._run_config(point, trajectory_seed(config.base_seed, point, j))
             records.append(runner(game, run_cfg))
         aggregates = aggregate(records)
-        warnings: list[str] = []
-        for rec in records:
-            for w in rec.warnings:
-                if w not in warnings:
-                    warnings.append(w)
+        # each distinct warning once, in order of first appearance
+        warnings = list(dict.fromkeys(w for rec in records for w in rec.warnings))
         if not quiet:
             print(f"{label}: {point if point else 'no sweep'}"
                   f" ({config.n_trajectories} trajectories)")

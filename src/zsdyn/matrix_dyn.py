@@ -48,8 +48,7 @@ class MatrixDynamicsState:
 
 def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
     """Per-player child seeds; player i consumes one uniform per iteration."""
-    ss = np.random.SeedSequence(seed)
-    c1, c2 = ss.spawn(2)
+    c1, c2 = np.random.SeedSequence(seed).spawn(2)
     return c1, c2
 
 
@@ -117,10 +116,8 @@ def run_matrix_dynamics(game: MatrixGame, config: MatrixRunConfig) -> Trajectory
     """
     (q1, q2, pi1, pi2), (rng1, rng2) = _setup(game, config)
     warnings = matrix_condition_warnings(config, game.a_max)
-    u1 = rng1.random(config.K)
-    u2 = rng2.random(config.K)
-    R1 = game.R1.tolist()
-    R2 = game.R2.tolist()
+    u1, u2 = rng1.random(config.K), rng2.random(config.K)
+    R1, R2 = game.R1.tolist(), game.R2.tolist()
 
     tau, eps, norm = config.tau, config.eps_bar, config.normalize_q_in_softmax
     sched = config.schedule

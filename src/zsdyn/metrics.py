@@ -32,17 +32,13 @@ def _tau_logsumexp(x: np.ndarray, tau: float) -> float:
     return m + tau * math.log(float(np.exp((x - m) / tau).sum()))
 
 
-def _matrix_joint(game: MatrixGame, joint: JointPolicy) -> JointPolicy:
-    return validate_joint_policy(joint.pi1, joint.pi2, game)
-
-
 def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
     """Sum over players of the best pure-deviation improvement.
 
     Zero exactly at a Nash equilibrium; tiny negative float residue is
     clamped to zero.
     """
-    joint = _matrix_joint(game, joint)
+    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
     x1 = game.R1 @ joint.pi2
     x2 = game.R2 @ joint.pi1
     gap = (float(x1.max()) - float(joint.pi1 @ x1)) + (float(x2.max()) - float(joint.pi2 @ x2))
@@ -51,7 +47,7 @@ def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
 
 def regularized_nash_gap(game: MatrixGame, joint: JointPolicy, tau: float) -> float:
     """Entropy-regularized Nash gap; zero exactly at the Nash distribution."""
-    joint = _matrix_joint(game, joint)
+    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     gap = _vx_terms(game.R1, game.R2, joint.pi1, joint.pi2, tau)

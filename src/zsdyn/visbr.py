@@ -199,12 +199,8 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
                   minimax_fixed_point(game, 2, tol=1e-6).tolist())
 
     total = config.T * config.K
-    u1 = rng1.random(total)
-    u2 = rng2.random(total)
-    ue = rng_env.random(total)
-    P = game.transition.tolist()
-    R1 = game.R1.tolist()
-    R2 = game.R2.tolist()
+    u1, u2, ue = (rng.random(total) for rng in (rng1, rng2, rng_env))
+    P, R1, R2 = game.transition.tolist(), game.R1.tolist(), game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
 
     metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
