@@ -143,9 +143,10 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
                         tol: float = 1e-6) -> float:
     """Sum over players of best-response minus achieved utility under p_o.
 
-    Best responses come from the value-iteration oracle (accurate to
-    tol/2), achieved values from an exact linear solve, so the result is
-    correct to 2 tol and is clamped to zero from below.
+    Best responses come from the policy-iteration oracle, whose values pass
+    a Bellman-residual certificate that puts each within tol/2 of the
+    optimum; achieved values come from an exact linear solve. The result is
+    therefore correct to tol and is clamped to zero from below.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
     gap = 0.0

@@ -2,9 +2,9 @@
 
 Softmax family, entropy, guaranteed exploration floors, one-step lookahead
 and minimax Bellman operators, the exact matrix-game value (dense simplex,
-Bland's rule), a best-response MDP solver, exact policy evaluation, and the
-stationary-distribution ergodicity diagnostic. Everything here is a pure
-function of its arguments.
+Bland's rule), a policy-iteration best-response solver, exact policy
+evaluation, and the stationary-distribution ergodicity diagnostic.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -332,24 +332,32 @@ def _check_opponent(game: StochasticGame, player: int, opponent) -> np.ndarray:
 
 def best_response_value(game: StochasticGame, player: int, opponent,
                         tol: float = 1e-6) -> BestResponse:
-    """Optimal value against a fixed opponent policy, with its greedy policy.
+    """Optimal value against a fixed opponent policy, with a policy attaining it.
 
-    Marginalizes the opponent into the rewards and transitions and runs
-    value iteration to a sup-norm step of tol (1 - gamma) / (2 gamma), so
-    the returned v is within tol/2 of the true best-response value.
+    Howard policy iteration on the MDP left by marginalizing the opponent,
+    from the reward-greedy policy: each round solves (I - gamma P_act) v =
+    r_act and switches a state's action only on a gain above float noise,
+    so near-ties cannot cycle. The returned v passes the Bellman-residual
+    certificate max|max_a(r + gamma P v) - v| <= tol (1 - gamma) / 2, which
+    puts it within tol/2 of the optimum; NoConvergence otherwise.
     """
     opp = _check_opponent(game, player, opponent)
     r, kernel = _marginalize(game, player, opp)
     gamma = game.gamma
-    threshold = tol * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(game.n_states)
-    for _ in range(1_000_000):
-        q = r + gamma * np.tensordot(kernel, v, axes=([2], [0]))
-        v_next = q.max(axis=1)
-        if float(np.abs(v_next - v).max()) <= threshold:
-            return BestResponse(v=v_next, policy=q.argmax(axis=1))
-        v = v_next
-    raise NoConvergence("best-response value iteration exhausted its budget")
+    rows, eye = np.arange(game.n_states), np.eye(game.n_states)
+    margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - gamma)
+    act = r.argmax(axis=1)
+    for _ in range(1000):
+        v = np.linalg.solve(eye - gamma * kernel[rows, act], r[rows, act])
+        q = r + gamma * (kernel @ v)
+        best = q.argmax(axis=1)
+        switch = q[rows, best] > q[rows, act] + margin
+        if not switch.any():
+            if float(np.abs(q.max(axis=1) - v).max()) > tol * (1.0 - gamma) / 2.0:
+                raise NoConvergence("best-response Bellman residual exceeds tol (1 - gamma) / 2")
+            return BestResponse(v=v, policy=act)
+        act = np.where(switch, best, act)
+    raise NoConvergence("best-response policy iteration exhausted its budget")
 
 
 def policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:

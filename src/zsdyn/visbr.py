@@ -34,7 +34,7 @@ from .ops import minimax_fixed_point, stationary_distribution
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf")
 
 # run_visbr adds the v_err column when n_states * n_actions_1 * n_actions_2
-# is at most this, since it solves the minimax fixed point for it
+# is at most this, since it solves player 1's minimax fixed point for it
 V_STAR_BUDGET = 4096
 
 
@@ -194,9 +194,9 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
         frozen2 = arr.tolist()
 
     v_star = None
-    if S * n1 * n2 <= V_STAR_BUDGET:
-        v_star = (minimax_fixed_point(game, 1, tol=1e-6).tolist(),
-                  minimax_fixed_point(game, 2, tol=1e-6).tolist())
+    if S * n1 * n2 <= V_STAR_BUDGET:  # zero-sum, so player 2's v* is -v1*
+        v1_star = minimax_fixed_point(game, 1, tol=1e-6)
+        v_star = (v1_star.tolist(), (-v1_star).tolist())
 
     total = config.T * config.K
     u1, u2, ue = (rng.random(total) for rng in (rng1, rng2, rng_env))

@@ -48,11 +48,11 @@ GOLDEN = {
     },
     "stochastic": {
         "manifest.json": "ee8814591b2eb8aae52dd82ae5eb662e9845086cc7623255f19bc3f08a8c9f88",
-        "point_0000.csv": "7cc96b1fae307dc7b6bbe3e5c68025ec75d7d308816f1228af67cc9f3981b8dd",
+        "point_0000.csv": "1e45b5055dd30a59fd858059539c92026491e7731b4f4c25278ca1a85e22eefc",
     },
     "frozen": {
         "index": "de1c819e13c14faaf21b57fa7c951c3fd2dd05c7f9ef7e7c9c5712da152aa5c3",
-        "ng": "0f6448fbce587841a0298f7eb97336bd69dc26681035f14bc4998baf41f1b35f",
+        "ng": "38003c2e3d0d5a62ec22d9b18b45a3c47f4ab8714584279b5db608bae608363e",
         "min_pi": "114a06745e51a29db11383123bd6e193533638c1bb67a9cd7cc4c655279ddbfb",
         "q_inf": "5d4a5ec5d6f38e9e13301fe32e9ac46a62b0267186f758537268914627c56d30",
         "lsum": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",

@@ -1,5 +1,6 @@
 """Operators: smoothed responses, exploration floors, exact solvers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -517,6 +518,103 @@ def test_best_response_rejects_bad_opponent():
         z.best_response_value(sg, 1, np.full((3, 2), 0.5))
     with pytest.raises(z.NotADistribution):
         z.best_response_value(sg, 1, np.full((2, 2), 0.4))
+
+
+def _sparse_sg(rng, n_states, n1, n2, gamma):
+    # cubed uniforms leave some transitions near zero, so chains mix unevenly
+    P = rng.random((n_states, n1, n2, n_states)) ** 3 + 1e-3
+    P /= P.sum(axis=3, keepdims=True)
+    R1 = rng.uniform(-1.0, 1.0, (n_states, n1, n2))
+    return z.validate_stochastic_game(P, R1, gamma=gamma)
+
+
+def _random_rows(rng, n_states, n):
+    rows = rng.random((n_states, n)) + 0.05
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _enumerated_best(sg, player, opp):
+    # the best value over every deterministic policy of `player`, statewise
+    n_own = sg.n_actions_1 if player == 1 else sg.n_actions_2
+    best = np.full(sg.n_states, -np.inf)
+    for acts in itertools.product(range(n_own), repeat=sg.n_states):
+        own = np.eye(n_own)[list(acts)]
+        pair = (own, opp) if player == 1 else (opp, own)
+        best = np.maximum(best, z.policy_value(sg, player, z.validate_joint_policy(*pair, sg)))
+    return best
+
+
+def _bellman_residual(sg, player, opp, v):
+    if player == 1:
+        r = np.einsum("sab,sb->sa", sg.R1, opp)
+        kernel = np.einsum("sabt,sb->sat", sg.transition, opp)
+    else:
+        r = np.einsum("sba,sa->sb", sg.R2, opp)
+        kernel = np.einsum("sabt,sa->sbt", sg.transition, opp)
+    return float(np.abs((r + sg.gamma * kernel @ v).max(axis=1) - v).max())
+
+
+def _played_value(sg, player, opp, policy):
+    n_own = sg.n_actions_1 if player == 1 else sg.n_actions_2
+    own = np.eye(n_own)[policy]
+    pair = (own, opp) if player == 1 else (opp, own)
+    return z.policy_value(sg, player, z.validate_joint_policy(*pair, sg))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+def test_best_response_matches_policy_enumeration(gamma):
+    rng = np.random.default_rng(int(gamma * 100))
+    for _ in range(12):
+        n_states = int(rng.integers(1, 5))
+        n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
+        sg = _sparse_sg(rng, n_states, n1, n2, gamma)
+        for player, n_opp in ((1, n2), (2, n1)):
+            opp = _random_rows(rng, n_states, n_opp)
+            br = z.best_response_value(sg, player, opp)
+            assert np.abs(br.v - _enumerated_best(sg, player, opp)).max() <= 1e-9
+            # the returned policy attains the returned values
+            assert np.abs(_played_value(sg, player, opp, br.policy) - br.v).max() <= 1e-9
+            assert _bellman_residual(sg, player, opp, br.v) <= 1e-6 * (1.0 - gamma) / 2.0
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_best_response_terminates_on_exact_ties(player):
+    rng = np.random.default_rng(67 + player)
+    for gamma in (0.5, 0.9, 0.99):
+        P = rng.random((3, 3, 3, 3)) + 0.05
+        P /= P.sum(axis=3, keepdims=True)
+        R1 = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        # the player's actions 1 and 2 duplicate action 0 in rewards and moves
+        own_axis = 1 if player == 1 else 2
+        for table in (P, R1):
+            view = np.moveaxis(table, own_axis, 0)
+            view[1] = view[0]
+            view[2] = view[0]
+        sg = z.validate_stochastic_game(P, R1, gamma=gamma)
+        opp = _random_rows(rng, 3, 3)
+        br = z.best_response_value(sg, player, opp)
+        assert np.abs(br.v - _enumerated_best(sg, player, opp)).max() <= 1e-9
+    # a game where no action matters at all
+    flat = z.validate_stochastic_game(np.full((2, 2, 2, 2), 0.5), np.zeros((2, 2, 2)),
+                                      gamma=0.99)
+    br = z.best_response_value(flat, player, np.full((2, 2), 0.5))
+    assert np.array_equal(br.v, np.zeros(2))
+
+
+def test_best_response_residual_certificate_honours_tol():
+    rng = np.random.default_rng(71)
+    for tol in (1e-3, 1e-6, 1e-9):
+        for gamma in (0.5, 0.9, 0.99):
+            sg = _random_sg(rng, n_states=4, n1=3, n2=2, gamma=gamma)
+            for player, n_opp in ((1, 2), (2, 3)):
+                opp = _random_rows(rng, 4, n_opp)
+                br = z.best_response_value(sg, player, opp, tol=tol)
+                assert _bellman_residual(sg, player, opp, br.v) <= tol * (1.0 - gamma) / 2.0
+    # a tolerance below float resolution cannot be certified, so it is refused
+    # rather than accepted and ignored
+    sg = _random_sg(rng, n_states=3, gamma=0.9)
+    with pytest.raises(z.NoConvergence):
+        z.best_response_value(sg, 1, _random_rows(rng, 3, 2), tol=1e-30)
 
 
 def test_policy_value_geometric_series():

@@ -256,6 +256,16 @@ def test_v_error_column_appears_only_under_budget(monkeypatch):
     assert "v_err" not in without.series
 
 
+def test_v_err_measures_player_one_fixed_point_and_its_negation():
+    sg = _random_sg(np.random.default_rng(61))
+    rec = z.run_visbr(sg, _config(T=3, K=20, seed=4))
+    v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
+    v1, v2 = rec.final_v
+    # the final row scores the final values against (v1*, -v1*), bit for bit
+    assert rec.metric("v_err")[-1] == max(np.abs(v1 - v_star).max(),
+                                          np.abs(v2 - (-v_star)).max())
+
+
 def test_frozen_opponent_mode():
     rng = np.random.default_rng(41)
     sg = _random_sg(rng, n_states=2, gamma=0.7)
