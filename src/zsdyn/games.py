@@ -398,6 +398,17 @@ _GAME_KEYS = {"matrix": ("type", "R1", "R2"),
               "stochastic": ("type", "transition", "R1", "R2", "gamma", "initial_dist")}
 
 
+def _check_numbers(key: str, value) -> None:
+    # a game document holds numbers, never strings or bools: nested lists
+    # (or arrays) of them in every numeric field, a bare number for gamma
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if key != "gamma" and isinstance(value, (list, tuple)):
+        for item in value:
+            _check_numbers(key, item)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadGameSource(f"game document field {key!r} holds {value!r}, not a number")
+
+
 def _game_from_dict(doc: dict):
     if not isinstance(doc, dict) or "type" not in doc:
         raise DimensionMismatch("game document must be a mapping with a 'type' field")
@@ -412,6 +423,9 @@ def _game_from_dict(doc: dict):
     if unknown:
         raise BadGameSource(f"{kind} game document has unknown keys {unknown}; "
                             f"expected only {list(_GAME_KEYS[kind])}")
+    for key, value in doc.items():
+        if key != "type" and value is not None:
+            _check_numbers(key, value)
     if kind == "matrix":
         return validate_matrix_game(doc["R1"], doc.get("R2"))
     return validate_stochastic_game(doc["transition"], doc["R1"], doc.get("R2"),

@@ -239,6 +239,28 @@ def test_load_game_from_dict_and_file(tmp_path):
         z.load_game({**sg_doc, "initial_dsit": [1.0]})
 
 
+def test_load_game_rejects_strings_and_bools():
+    # documents hold numbers: no string, bool or list-for-gamma is coerced
+    stringly = {"type": "stochastic", "transition": [[[[1.0]]]], "R1": [[["0.5"]]],
+                "gamma": "0.5"}
+    with pytest.raises(z.BadGameSource, match="'R1'"):
+        z.load_game(stringly)
+    with pytest.raises(z.BadGameSource, match="'gamma'"):
+        z.load_game({**stringly, "R1": [[[0.5]]]})
+    with pytest.raises(z.BadGameSource, match="'R1'"):
+        z.load_game({"type": "matrix", "R1": [[True, False], [False, True]]})
+    sg_doc = {"type": "stochastic", "transition": [[[[1.0]]]], "R1": [[[0.5]]], "gamma": 0.5}
+    for key, bad in (("transition", [[[[True]]]]), ("initial_dist", ["1"]),
+                     ("R2", [[[0.5, False]]]), ("gamma", [0.5]), ("gamma", True)):
+        with pytest.raises(z.BadGameSource, match=repr(key)):
+            z.load_game({**sg_doc, key: bad})
+    # numbers of any JSON kind, and arrays from Python, still load
+    assert z.load_game({**sg_doc, "R1": [[[0]]], "initial_dist": [1]}).R1[0, 0, 0] == 0.0
+    assert z.load_game({"type": "matrix", "R1": np.eye(2)}) == z.validate_matrix_game(np.eye(2))
+    # the validators convert numpy input as before
+    assert z.validate_matrix_game(np.eye(2, dtype=np.float32)).R1.dtype == np.float64
+
+
 def test_structural_equality():
     game = z.matching_pennies()
     assert game == z.validate_matrix_game(game.R1)  # notes are not compared
