@@ -86,8 +86,8 @@ def _cmd_oracle(args) -> int:
                          "maximin": value.maximin.tolist(),
                          "minimax": value.minimax.tolist()})
         else:
-            _print_json({"v1": minimax_fixed_point(game, 1).tolist(),
-                         "v2": minimax_fixed_point(game, 2).tolist()})
+            v1 = minimax_fixed_point(game, 1)  # zero-sum: v2 = -v1
+            _print_json({"v1": v1.tolist(), "v2": (-v1).tolist()})
         return 0
     if args.oracle_op == "ng":
         joint = _load_policy(args.policy, game)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
             o.add_argument("--tau", type=float, required=True)
         else:
             o.add_argument("--tol", type=float, default=1e-6,
-                           help="best-response accuracy for stochastic games")
+                           help="stochastic games: ng is certified within tol")
     on = orc.add_parser("nashdist", help="Nash distribution fixed point")
     on.add_argument("--game", required=True)
     on.add_argument("--tau", type=float, required=True)

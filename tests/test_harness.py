@@ -32,6 +32,7 @@ from zsdyn.harness import (
     sweep_point_key,
     trajectory_seed,
 )
+from zsdyn.ops import minimax_fixed_point
 
 MASK = (1 << 64) - 1
 
@@ -678,9 +679,13 @@ def test_cli_stride_with_non_object_run_exits_2(tmp_path, capsys):
     ("builtin:mp", {"pi1": [[0.5, 0.5], [1.0]], "pi2": [0.5, 0.5]}),
     ("builtin:mp", "{not json"),
     ({"type": "matrix", "R1": [[0.5, -0.5], [-0.5, 0.5]], "r2": [[0, 0], [0, 0]]}, None),
+    ({"type": "stochastic", "transition": [[[[1.0]]]], "R1": [[["0.5"]]], "gamma": "0.5"},
+     None),
+    ({"type": "matrix", "R1": [[True, False], [False, True]]}, None),
 ], ids=["game-invalid-json", "matrix-missing-R1", "stochastic-missing-transition",
         "unknown-builtin", "appF-not-int", "appF-negative", "ragged-policy",
-        "policy-invalid-json", "matrix-unknown-key"])
+        "policy-invalid-json", "matrix-unknown-key", "stochastic-string-values",
+        "matrix-bool-values"])
 def test_cli_bad_game_or_policy_exits_2(tmp_path, capsys, game, policy):
     def as_file(name, doc):
         path = tmp_path / name
@@ -716,6 +721,19 @@ def test_cli_oracle_value_stochastic(tmp_path, capsys):
     v2 = np.asarray(doc["v2"])
     assert np.abs(v1).max() <= 1e-5
     assert np.abs(v1 + v2).max() <= 1e-5
+
+
+def test_cli_oracle_value_stochastic_reports_v2_as_minus_v1(tmp_path, capsys):
+    rng = np.random.default_rng(83)
+    P = rng.random((3, 2, 3, 3)) + 0.05
+    P /= P.sum(axis=3, keepdims=True)
+    game = {"type": "stochastic", "transition": P.tolist(),
+            "R1": rng.uniform(-1.0, 1.0, (3, 2, 3)).tolist(), "gamma": 0.8}
+    assert cli_main(["oracle", "value", "--game", write_json(tmp_path / "g.json", game)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # one fixed point, negated for player 2: the values cancel exactly
+    assert np.array_equal(np.add(doc["v1"], doc["v2"]), np.zeros(3))
+    assert doc["v1"] == minimax_fixed_point(load_game(game), 1).tolist()
 
 
 def test_cli_oracle_ng(tmp_path, capsys):
