@@ -404,7 +404,8 @@ def _check_numbers(key: str, value) -> None:
     value = value.tolist() if isinstance(value, np.ndarray) else value
     if key != "gamma" and isinstance(value, (list, tuple)):
         for item in value:
-            _check_numbers(key, item)
+            if type(item) is not float:  # floats, the common leaf, need no call
+                _check_numbers(key, item)
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise BadGameSource(f"game document field {key!r} holds {value!r}, not a number")
 
