@@ -353,7 +353,7 @@ def best_response_value(game: StochasticGame, player: int, opponent,
         best = q.argmax(axis=1)
         switch = q[rows, best] > q[rows, act] + margin
         if not switch.any():
-            if float(np.abs(q.max(axis=1) - v).max()) > tol * (1.0 - gamma) / 2.0:
+            if not float(np.abs(q.max(axis=1) - v).max()) <= tol * (1.0 - gamma) / 2.0:
                 raise NoConvergence("best-response Bellman residual exceeds tol (1 - gamma) / 2")
             return BestResponse(v=v, policy=act)
         act = np.where(switch, best, act)

@@ -610,11 +610,12 @@ def test_best_response_residual_certificate_honours_tol():
                 opp = _random_rows(rng, 4, n_opp)
                 br = z.best_response_value(sg, player, opp, tol=tol)
                 assert _bellman_residual(sg, player, opp, br.v) <= tol * (1.0 - gamma) / 2.0
-    # a tolerance below float resolution cannot be certified, so it is refused
-    # rather than accepted and ignored
+    # a tolerance below float resolution (or NaN) cannot be certified, so it
+    # is refused rather than accepted and ignored
     sg = _random_sg(rng, n_states=3, gamma=0.9)
-    with pytest.raises(z.NoConvergence):
-        z.best_response_value(sg, 1, _random_rows(rng, 3, 2), tol=1e-30)
+    for tol in (1e-30, float("nan")):
+        with pytest.raises(z.NoConvergence):
+            z.best_response_value(sg, 1, _random_rows(rng, 3, 2), tol=tol)
 
 
 def test_policy_value_geometric_series():
