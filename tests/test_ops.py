@@ -533,15 +533,19 @@ def _random_rows(rng, n_states, n):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _played_value(sg, player, opp, policy):
+    # exact value of the deterministic policy (one action per state) of `player`
+    n_own = sg.n_actions_1 if player == 1 else sg.n_actions_2
+    own = np.eye(n_own)[list(policy)]
+    pair = (own, opp) if player == 1 else (opp, own)
+    return z.policy_value(sg, player, z.validate_joint_policy(*pair, sg))
+
+
 def _enumerated_best(sg, player, opp):
     # the best value over every deterministic policy of `player`, statewise
     n_own = sg.n_actions_1 if player == 1 else sg.n_actions_2
-    best = np.full(sg.n_states, -np.inf)
-    for acts in itertools.product(range(n_own), repeat=sg.n_states):
-        own = np.eye(n_own)[list(acts)]
-        pair = (own, opp) if player == 1 else (opp, own)
-        best = np.maximum(best, z.policy_value(sg, player, z.validate_joint_policy(*pair, sg)))
-    return best
+    return np.max([_played_value(sg, player, opp, acts)
+                   for acts in itertools.product(range(n_own), repeat=sg.n_states)], axis=0)
 
 
 def _bellman_residual(sg, player, opp, v):
@@ -552,13 +556,6 @@ def _bellman_residual(sg, player, opp, v):
         r = np.einsum("sba,sa->sb", sg.R2, opp)
         kernel = np.einsum("sabt,sa->sbt", sg.transition, opp)
     return float(np.abs((r + sg.gamma * kernel @ v).max(axis=1) - v).max())
-
-
-def _played_value(sg, player, opp, policy):
-    n_own = sg.n_actions_1 if player == 1 else sg.n_actions_2
-    own = np.eye(n_own)[policy]
-    pair = (own, opp) if player == 1 else (opp, own)
-    return z.policy_value(sg, player, z.validate_joint_policy(*pair, sg))
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
