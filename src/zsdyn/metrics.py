@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotZeroSum
 from .games import JointPolicy, MatrixGame, StochasticGame, validate_joint_policy
-from .ops import _entropy, best_response_value, policy_value, softmax
+from .ops import _best_response, _entropy, _policy_value, softmax
 
 
 def _tau_logsumexp(x: np.ndarray, tau: float) -> float:
@@ -146,13 +146,15 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
     Best responses come from the policy-iteration oracle, whose values pass
     a Bellman-residual certificate that puts each within tol/2 of the
     optimum; achieved values come from an exact linear solve. The result is
-    therefore correct to tol and is clamped to zero from below.
+    therefore correct to tol and is clamped to zero from below. The joint
+    policy is validated once, here, and both players are scored by the
+    oracles' unchecked cores.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
     gap = 0.0
     for player, opponent in ((1, joint.pi2), (2, joint.pi1)):
-        br = best_response_value(game, player, opponent, tol=tol)
-        achieved = policy_value(game, player, joint)
+        br = _best_response(game, player, opponent, tol)
+        achieved = _policy_value(game, player, joint)
         gap += float(game.initial_dist @ br.v) - float(game.initial_dist @ achieved)
     return max(0.0, gap)
 

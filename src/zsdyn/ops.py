@@ -341,7 +341,12 @@ def best_response_value(game: StochasticGame, player: int, opponent,
     certificate max|max_a(r + gamma P v) - v| <= tol (1 - gamma) / 2, which
     puts it within tol/2 of the optimum; NoConvergence otherwise.
     """
-    opp = _check_opponent(game, player, opponent)
+    return _best_response(game, player, _check_opponent(game, player, opponent), tol)
+
+
+def _best_response(game: StochasticGame, player: int, opp: np.ndarray,
+                   tol: float) -> BestResponse:
+    # unchecked core: opp is a float64 (n_states, n_opp) table of distributions
     r, kernel = _marginalize(game, player, opp)
     gamma = game.gamma
     rows, eye = np.arange(game.n_states), np.eye(game.n_states)
@@ -362,7 +367,11 @@ def best_response_value(game: StochasticGame, player: int, opponent,
 
 def policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:
     """Exact discounted value of a fixed joint policy via a linear solve."""
-    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
+    return _policy_value(game, player, validate_joint_policy(joint.pi1, joint.pi2, game))
+
+
+def _policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:
+    # unchecked core: joint is already validated against game
     if player == 1:
         r = np.einsum("sab,sa,sb->s", game.R1, joint.pi1, joint.pi2)
     elif player == 2:

@@ -15,6 +15,9 @@ inner stepsize schedule restarts at k=0 every round.
 
 The explore variant mixes the softmax target with the uniform distribution,
 which floors every policy entry at eps_bar / n_actions.
+
+The list kernel caches each state's softmax target: q moves only at the
+visited state, so only that state's target is recomputed after a step.
 """
 
 from __future__ import annotations
@@ -86,22 +89,31 @@ def init_visbr(game: StochasticGame, config: VisbrConfig) -> VisbrState:
     return VisbrState(players=players, s=s0, t=0, k=0, rngs=rngs)
 
 
-def _advance_inner(q1, q2, pi1, pi2, v1, v2, s, R1, R2, P, gamma, tau, eps,
-                   alpha, beta, u1, u2, ue, frozen2):
+def _targets(q: list, tau: float, eps: float) -> list:
+    # each state's softmax target of q: the cache _advance_inner keeps
+    return [smoothed_policy(row, tau, eps, False) for row in q]
+
+
+def _advance_inner(q1, q2, pi1, pi2, v1, v2, tg1, tg2, s, R1, R2, P, gamma, tau,
+                   eps, alpha, beta, u1, u2, ue, frozen2):
     # One inner iteration on nested-list state; shared by step and run.
-    n_states = len(pi1)
-    for st in range(n_states):
-        policy_step(pi1[st], smoothed_policy(q1[st], tau, eps, False), beta)
+    # tg_i[st] must equal _targets(q_i)[st] on entry. q moves only at s, so
+    # only that state's target is recomputed, from the same q row as before,
+    # which keeps every output byte. With frozen2, tg2 is unused.
+    for st in range(len(pi1)):
+        policy_step(pi1[st], tg1[st], beta)
         if frozen2 is None:
-            policy_step(pi2[st], smoothed_policy(q2[st], tau, eps, False), beta)
+            policy_step(pi2[st], tg2[st], beta)
     a1 = pick_action(pi1[s], u1)
     a2 = pick_action(pi2[s] if frozen2 is None else frozen2[s], u2)
     s_next = pick_action(P[s][a1][a2], ue)
     row1 = q1[s]
     row1[a1] += alpha * (R1[s][a1][a2] + gamma * v1[s_next] - row1[a1])
+    tg1[s] = smoothed_policy(row1, tau, eps, False)
     if frozen2 is None:
         row2 = q2[s]
         row2[a2] += alpha * (R2[s][a2][a1] + gamma * v2[s_next] - row2[a2])
+        tg2[s] = smoothed_policy(row2, tau, eps, False)
     return a1, a2, s_next
 
 
@@ -116,10 +128,11 @@ def inner_step(state: VisbrState, game: StochasticGame, config: VisbrConfig) -> 
     q1, q2 = p1.q.tolist(), p2.q.tolist()
     pi1, pi2 = p1.pi.tolist(), p2.pi.tolist()
     v1, v2 = p1.v.tolist(), p2.v.tolist()
+    tau, eps = config.tau, config.eps_bar
     _, _, s_next = _advance_inner(
-        q1, q2, pi1, pi2, v1, v2, state.s,
-        game.R1.tolist(), game.R2.tolist(), game.transition.tolist(),
-        game.gamma, config.tau, config.eps_bar, alpha, beta,
+        q1, q2, pi1, pi2, v1, v2, _targets(q1, tau, eps), _targets(q2, tau, eps),
+        state.s, game.R1.tolist(), game.R2.tolist(), game.transition.tolist(),
+        game.gamma, tau, eps, alpha, beta,
         state.rngs[0].random(), state.rngs[1].random(), state.rngs[2].random(),
         None)
     players = (LearnerState(q=np.array(q1), pi=np.array(pi1), v=p1.v),
@@ -202,6 +215,10 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     u1, u2, ue = (rng.random(total) for rng in (rng1, rng2, rng_env))
     P, R1, R2 = game.transition.tolist(), game.R1.tolist(), game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
+    # the targets depend on q only, which the end-of-round v update leaves
+    # alone, so the caches carry across rounds
+    tg1 = _targets(q1, tau, eps)
+    tg2 = _targets(q2, tau, eps) if frozen2 is None else None
 
     metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
     index: list[tuple[int, int]] = []
@@ -231,8 +248,8 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     for t in range(config.T):
         for k in range(config.K):
             alpha, beta = sched.rates(k)
-            _, _, s = _advance_inner(q1, q2, pi1, pi2, v1, v2, s, R1, R2, P,
-                                     gamma, tau, eps, alpha, beta,
+            _, _, s = _advance_inner(q1, q2, pi1, pi2, v1, v2, tg1, tg2, s,
+                                     R1, R2, P, gamma, tau, eps, alpha, beta,
                                      u1[step], u2[step], ue[step], frozen2)
             step += 1
             done = k + 1

@@ -150,34 +150,68 @@ def test_single_state_round_matches_matrix_dynamics_bitwise():
             assert np.array_equal(vs.players[i].pi[0], ms.players[i].pi)
 
 
-def test_run_equals_stepping():
-    sg = _random_sg(np.random.default_rng(21), n_states=2)
-    config = _config(T=3, K=7, seed=77, record_stride=1)
+def _recorded_row(sg, state, v_star):
+    # every VISBR metric plus v_err, computed from a stepped state
+    p1, p2 = state.players
+    joint = z.validate_joint_policy(p1.pi, p2.pi, sg)
+    return {"ng": z.nash_gap_stochastic(sg, joint, tol=1e-6),
+            "min_pi": min(float(p.pi.min()) for p in state.players),
+            "q_inf": max(float(np.abs(p.q).max()) for p in state.players),
+            "lsum": float(np.abs(p1.v + p2.v).max()),
+            "v_inf": max(float(np.abs(p.v).max()) for p in state.players),
+            "v_err": max(float(np.abs(p1.v - v_star).max()),
+                         float(np.abs(p2.v + v_star).max()))}
+
+
+def _assert_run_equals_stepping(sg, config):
+    # every recorded row and the final iterates of run_visbr equal the step
+    # API's bitwise; returns the states the trajectory acted in
     rec = z.run_visbr(sg, config)
+    v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
 
     state = z.init_visbr(sg, config)
-    rows = iter(range(1, len(rec.index)))  # row 0 is the initial (0, 0)
-    assert rec.index[0].tolist() == [0, 0]
+    rows = iter(range(len(rec.index)))
+    visited = set()
+
+    def check_row(t, k):
+        row = next(rows)
+        assert rec.index[row].tolist() == [t, k]
+        want = _recorded_row(sg, state, v_star)
+        assert want.keys() == rec.series.keys()
+        for name, value in want.items():
+            assert rec.series[name][row] == value, (name, t, k)
+
+    check_row(0, 0)
     for t in range(config.T):
         for k in range(config.K):
+            visited.add(state.s)
             state = z.inner_step(state, sg, config)
-            row = next(rows)
-            assert rec.index[row].tolist() == [t, k + 1]
-            q_inf = max(float(np.abs(p.q).max()) for p in state.players)
-            min_pi = min(float(p.pi.min()) for p in state.players)
-            assert rec.series["q_inf"][row] == q_inf
-            assert rec.series["min_pi"][row] == min_pi
-            lsum = float(np.abs(state.players[0].v + state.players[1].v).max())
-            assert rec.series["lsum"][row] == lsum
+            check_row(t, k + 1)
         state = z.outer_update(state, sg, config)
-    final_row = next(rows)
-    assert rec.index[final_row].tolist() == [config.T, 0]
+    check_row(config.T, 0)
+    assert next(rows, None) is None
     assert np.array_equal(rec.final_q[0], state.players[0].q)
     assert np.array_equal(rec.final_q[1], state.players[1].q)
     assert np.array_equal(rec.final_v[0], state.players[0].v)
     assert np.array_equal(rec.final_v[1], state.players[1].v)
     assert np.array_equal(rec.final_policy.pi1, state.players[0].pi)
     assert np.array_equal(rec.final_policy.pi2, state.players[1].pi)
+    return visited
+
+
+def test_run_equals_stepping():
+    sg = _random_sg(np.random.default_rng(21), n_states=2)
+    _assert_run_equals_stepping(sg, _config(T=3, K=7, seed=77, record_stride=1))
+
+
+def test_run_equals_stepping_with_cached_targets():
+    # run_visbr keeps each state's softmax target cached across steps and
+    # rounds, inner_step rebuilds the cache from q on every call; with
+    # S=6 and unequal action counts the trajectory acts in several
+    # states, so a stale cached target would show
+    sg = _random_sg(np.random.default_rng(21), n_states=6, n1=3, n2=2)
+    config = _config(T=3, K=7, seed=77, record_stride=1)
+    assert len(_assert_run_equals_stepping(sg, config)) >= 4
 
 
 def test_environment_stream_consumption():
@@ -286,6 +320,9 @@ def test_frozen_opponent_mode():
     assert rec.metric("ng")[-1] != z.nash_gap_stochastic(sg, idle, tol=1e-6)
     with pytest.raises(z.DimensionMismatch):
         z.run_visbr(sg, config, frozen_pi2=np.full((3, 2), 0.5))
+    for row in ([0.5, 0.5 + 1e-9], [np.nan, 0.5]):
+        with pytest.raises(z.NotADistribution):
+            z.run_visbr(sg, config, frozen_pi2=np.array([[0.5, 0.5], row]))
 
 
 def test_run_reports_warnings():
