@@ -79,14 +79,17 @@ def _payoff_pair(R1, R2, ndim: int,
     return r1, r2, zero_sum
 
 
-def _check_distribution(vec: np.ndarray, name: str) -> None:
-    if not np.isfinite(vec).all():
-        raise NotADistribution(f"{name} contains non-finite entries")
-    if vec.min() < 0.0:
-        raise NotADistribution(f"{name} has a negative entry")
-    total = float(vec.sum())
-    if abs(total - 1.0) > DIST_TOL:
-        raise NotADistribution(f"{name} sums to {total}, expected 1 within {DIST_TOL}")
+def _check_distributions(table: np.ndarray, name: str) -> None:
+    """Require each row (last axis) to be finite, non-negative and to sum to 1
+    within DIST_TOL, in one vectorised pass; the error names the first bad row."""
+    rows = table.reshape(-1, table.shape[-1])
+    sums = rows.sum(axis=1)  # a non-finite entry makes its row's sum non-finite
+    bad = (rows < 0.0).any(axis=1) | ~(np.abs(sums - 1.0) <= DIST_TOL)
+    if bad.any():
+        s = int(bad.argmax())
+        where = name if table.ndim == 1 else f"{name} row {s}"
+        raise NotADistribution(f"{where} is not a distribution within {DIST_TOL}: "
+                               f"sum {sums[s]}, smallest entry {rows[s].min()}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
         if p_o.shape != (n_states,):
             raise DimensionMismatch(
                 f"initial_dist must have shape {(n_states,)}, got {p_o.shape}")
-        _check_distribution(p_o, "initial_dist")
+        _check_distributions(p_o, "initial_dist")
 
     return StochasticGame(transition=_frozen(p), R1=_frozen(r1), R2=_frozen(r2),
                           gamma=gamma, initial_dist=_frozen(p_o),
@@ -294,10 +297,8 @@ def validate_joint_policy(pi1, pi2, game=None) -> JointPolicy:
             raise DimensionMismatch(
                 f"policy shapes {a1.shape}, {a2.shape} do not match game "
                 f"requirements {want1}, {want2}")
-    for name, arr in (("pi1", a1), ("pi2", a2)):
-        rows = arr if arr.ndim == 2 else arr[None, :]
-        for s in range(rows.shape[0]):
-            _check_distribution(rows[s], f"{name} row {s}")
+    _check_distributions(a1, "pi1")
+    _check_distributions(a2, "pi2")
     return JointPolicy(pi1=_frozen(a1), pi2=_frozen(a2))
 
 

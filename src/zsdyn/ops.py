@@ -23,7 +23,7 @@ from .errors import (
     NotADistribution,
     NotErgodic,
 )
-from .games import JointPolicy, StochasticGame, validate_joint_policy
+from .games import JointPolicy, StochasticGame, _check_distributions, validate_joint_policy
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,7 @@ def _check_opponent(game: StochasticGame, player: int, opponent) -> np.ndarray:
     if arr.shape != (game.n_states, n_opp):
         raise DimensionMismatch(
             f"opponent policy must have shape {(game.n_states, n_opp)}, got {arr.shape}")
-    for s in range(game.n_states):
-        row = arr[s]
-        if not np.isfinite(row).all() or row.min() < 0.0 or abs(float(row.sum()) - 1.0) > 1e-12:
-            raise NotADistribution(f"opponent policy row {s} is not a distribution")
+    _check_distributions(arr, "opponent policy")
     return arr
 
 

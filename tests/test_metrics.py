@@ -308,34 +308,37 @@ def test_stochastic_gap_nonnegative_on_random_inputs():
 
 
 def _bad_tables(n_states, n):
-    # (policy table, error): wrong shape, a row off by 1e-9, a NaN row
+    # (policy table, error, first bad row): wrong shape, a row off by 1e-9,
+    # a NaN row
     good = np.full((n_states, n), 1.0 / n)
     over = good.copy()
     over[1, -1] += 1e-9
     nan = good.copy()
     nan[0, 0] = np.nan
-    return ((np.full((n_states + 1, n), 1.0 / n), z.DimensionMismatch),
-            (over, z.NotADistribution), (nan, z.NotADistribution))
+    return ((np.full((n_states + 1, n), 1.0 / n), z.DimensionMismatch, None),
+            (over, z.NotADistribution, 1), (nan, z.NotADistribution, 0))
 
 
 @pytest.mark.parametrize("player", [1, 2])
 def test_stochastic_gap_and_oracles_keep_input_guards(player):
     # nash_gap_stochastic validates once and scores with unchecked cores; it
-    # and the public oracles must still refuse each malformed table
+    # and the public oracles must still refuse each malformed table, naming
+    # its first bad row
     rng = np.random.default_rng(151)
     P = rng.random((2, 2, 4, 2)) + 0.05
     P /= P.sum(axis=3, keepdims=True)
     sg = z.validate_stochastic_game(P, rng.uniform(-1.0, 1.0, (2, 2, 4)), gamma=0.7)
     pi1, pi2 = np.full((2, 2), 0.5), np.full((2, 4), 0.25)
-    for bad, error in _bad_tables(2, 2 if player == 1 else 4):
+    for bad, error, row in _bad_tables(2, 2 if player == 1 else 4):
         joint = z.JointPolicy(pi1=bad, pi2=pi2) if player == 1 else z.JointPolicy(pi1=pi1, pi2=bad)
-        with pytest.raises(error):
+        named = None if row is None else f"pi{player} row {row} "
+        with pytest.raises(error, match=named):
             z.nash_gap_stochastic(sg, joint)
         for scored in (1, 2):
-            with pytest.raises(error):
+            with pytest.raises(error, match=named):
                 z.policy_value(sg, scored, joint)
         # the table is the opponent of the other player's best response
-        with pytest.raises(error):
+        with pytest.raises(error, match=None if row is None else f"opponent policy row {row} "):
             z.best_response_value(sg, 3 - player, bad)
 
 
