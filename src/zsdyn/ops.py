@@ -2,8 +2,9 @@
 
 Softmax family, entropy, guaranteed exploration floors, one-step lookahead
 and minimax Bellman operators, the exact matrix-game value (dense simplex,
-Bland's rule), a policy-iteration best-response solver, exact policy
-evaluation, and the stationary-distribution ergodicity diagnostic.
+Bland's rule), one policy-iteration MDP core serving the best-response oracle
+and the Hoffman-Karp minimax fixed point (both certified by their Bellman
+residuals), exact policy evaluation, and the ergodicity diagnostic.
 Everything here is a pure function of its arguments.
 """
 
@@ -275,27 +276,37 @@ def bellman_T(game: StochasticGame, v, player: int) -> np.ndarray:
 
 def minimax_bellman(game: StochasticGame, v, player: int) -> np.ndarray:
     """Per-state game value of the lookahead tensor: a gamma-contraction."""
-    tensor = bellman_T(game, v, player)
-    return np.array([matrix_game_value(tensor[s]).value for s in range(game.n_states)])
+    return np.array([matrix_game_value(X).value for X in bellman_T(game, v, player)])
 
 
 def minimax_fixed_point(game: StochasticGame, player: int, tol: float = 1e-6) -> np.ndarray:
-    """Fixed point of the minimax Bellman operator, accurate to tol/2.
+    """Fixed point v* of `player`'s minimax Bellman operator T, within tol/2.
 
-    Iterates from v = 0 until successive iterates differ by at most
-    tol (1 - gamma) / (2 gamma), which bounds the distance to the true
-    fixed point by tol/2; the players' fixed points then sum to at most
-    tol in sup norm.
+    Hoffman-Karp iteration from the lower bound v = -max|R| / (1 - gamma).
+    A round solves the matrix game of bellman_T(v) at each state, for T v and
+    the player's maximin strategy sigma, and returns v once the certificate
+    max|T v - v| <= tol (1 - gamma) / 2 puts it within tol/2 of v*. Else v
+    becomes what sigma guarantees against the opponent's exact best response,
+    scored with -R_player (so v* depends on R_player alone). v never
+    decreases and the round count does not grow with 1/(1 - gamma); if v
+    stops improving first, tol cannot be certified: NoConvergence.
     """
     gamma = game.gamma
-    threshold = tol * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(game.n_states)
-    for _ in range(1_000_000):
-        v_next = minimax_bellman(game, v, player)
-        if float(np.abs(v_next - v).max()) <= threshold:
-            return v_next
+    reward = -np.swapaxes(game.R1 if player == 1 else game.R2, 1, 2)  # the opponent MDP's
+    bound = float(np.abs(reward).max()) / (1.0 - gamma)  # |v*| <= bound
+    margin = 64 * np.finfo(np.float64).eps * (1.0 / (1.0 - gamma) + bound)
+    v = np.full(game.n_states, -bound) + 0.0  # + 0.0 turns -0.0 into 0.0
+    for _ in range(1000):
+        solved = [matrix_game_value(X) for X in bellman_T(game, v, player)]
+        residual = float(np.abs(np.array([g.value for g in solved]) - v).max())
+        if residual <= tol * (1.0 - gamma) / 2.0:
+            return v
+        sigma = np.array([g.maximin for g in solved])
+        v_next = -_solve_mdp(*_marginalize(game, 3 - player, sigma, reward), gamma)[0]
+        if not float((v_next - v).max()) > margin:
+            break  # v has stopped improving: tol cannot be certified
         v = v_next
-    raise NoConvergence("minimax fixed-point iteration exhausted its budget")
+    raise NoConvergence(f"minimax fixed point: Bellman residual {residual} > tol (1 - gamma) / 2")
 
 
 class BestResponse(NamedTuple):
@@ -303,14 +314,14 @@ class BestResponse(NamedTuple):
     policy: np.ndarray  # deterministic, one action index per state
 
 
-def _marginalize(game: StochasticGame, player: int, opponent: np.ndarray):
-    """Reward table and transition kernel of the MDP faced by `player`
-    when the opponent plays the fixed per-state mixture `opponent`."""
+def _marginalize(game: StochasticGame, player: int, opponent: np.ndarray, reward=None):
+    """Rewards (from R_player unless `reward` is given) and kernel of the MDP
+    faced by `player` when the opponent plays the per-state mixture `opponent`."""
     if player == 1:
-        r = np.einsum("sab,sb->sa", game.R1, opponent)
+        r = np.einsum("sab,sb->sa", game.R1 if reward is None else reward, opponent)
         kernel = np.einsum("sabt,sb->sat", game.transition, opponent)
     elif player == 2:
-        r = np.einsum("sba,sa->sb", game.R2, opponent)
+        r = np.einsum("sba,sa->sb", game.R2 if reward is None else reward, opponent)
         kernel = np.einsum("sabt,sa->sbt", game.transition, opponent)
     else:
         raise ValueError(f"player must be 1 or 2, got {player}")
@@ -344,9 +355,17 @@ def best_response_value(game: StochasticGame, player: int, opponent,
 def _best_response(game: StochasticGame, player: int, opp: np.ndarray,
                    tol: float) -> BestResponse:
     # unchecked core: opp is a float64 (n_states, n_opp) table of distributions
-    r, kernel = _marginalize(game, player, opp)
-    gamma = game.gamma
-    rows, eye = np.arange(game.n_states), np.eye(game.n_states)
+    v, act, residual = _solve_mdp(*_marginalize(game, player, opp), game.gamma)
+    if not residual <= tol * (1.0 - game.gamma) / 2.0:
+        raise NoConvergence("best-response Bellman residual exceeds tol (1 - gamma) / 2")
+    return BestResponse(v=v, policy=act)
+
+
+def _solve_mdp(r: np.ndarray, kernel: np.ndarray, gamma: float):
+    """Howard policy iteration on the MDP (r[s, a], kernel[s, a, t]). Returns the
+    optimal values, a deterministic policy attaining them and the Bellman
+    residual max|max_a(r + gamma P v) - v|."""
+    rows, eye = np.arange(r.shape[0]), np.eye(r.shape[0])
     margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - gamma)
     act = r.argmax(axis=1)
     for _ in range(1000):
@@ -355,11 +374,9 @@ def _best_response(game: StochasticGame, player: int, opp: np.ndarray,
         best = q.argmax(axis=1)
         switch = q[rows, best] > q[rows, act] + margin
         if not switch.any():
-            if not float(np.abs(q.max(axis=1) - v).max()) <= tol * (1.0 - gamma) / 2.0:
-                raise NoConvergence("best-response Bellman residual exceeds tol (1 - gamma) / 2")
-            return BestResponse(v=v, policy=act)
+            return v, act, float(np.abs(q.max(axis=1) - v).max())
         act = np.where(switch, best, act)
-    raise NoConvergence("best-response policy iteration exhausted its budget")
+    raise NoConvergence("policy iteration exhausted its budget")
 
 
 def policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:

@@ -48,7 +48,7 @@ GOLDEN = {
     },
     "stochastic": {
         "manifest.json": "ee8814591b2eb8aae52dd82ae5eb662e9845086cc7623255f19bc3f08a8c9f88",
-        "point_0000.csv": "1e45b5055dd30a59fd858059539c92026491e7731b4f4c25278ca1a85e22eefc",
+        "point_0000.csv": "3d50f544d064f2291d4dc738678b3e2d2e9d65750a976ceaeaecbcb8ce7efa20",
     },
     "frozen": {
         "index": "de1c819e13c14faaf21b57fa7c951c3fd2dd05c7f9ef7e7c9c5712da152aa5c3",
@@ -57,7 +57,7 @@ GOLDEN = {
         "q_inf": "5d4a5ec5d6f38e9e13301fe32e9ac46a62b0267186f758537268914627c56d30",
         "lsum": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",
         "v_inf": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",
-        "v_err": "01ca45edfd3cba40efbeaf15fea1d3d78c0143c808694f7af10f32aed5166725",
+        "v_err": "57c5847a912920fe3fb550a86a51c608c9f606cb4dc8b44205b940df767ba0bb",
     },
 }
 
