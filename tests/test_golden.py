@@ -1,9 +1,11 @@
 """Golden digests: SHA-256 of small sweep outputs, pinned across versions.
 
-Three fixtures cover the three ways the dynamics produce output: a matrix
-sweep through run_experiment, a stochastic sweep through run_experiment
-(with the v_err column), and a frozen-opponent run_visbr record, a mode
-run_experiment cannot reach, pinned through the bytes of its series.
+Four fixtures cover the ways the dynamics produce output: a matrix sweep
+through run_experiment, a matrix sweep over every axis that splits the
+matrix kernel's batch into groups (K, schedule) or varies per row (tau,
+eps_bar), a stochastic sweep through run_experiment (with the v_err
+column), and a frozen-opponent run_visbr record, a mode run_experiment
+cannot reach, pinned through the bytes of its series.
 
 A mismatch means an output byte changed. If the change is intended, copy
 the new digest map from the failure message into GOLDEN and record the
@@ -46,6 +48,25 @@ GOLDEN = {
         "point_0000.csv": "5913670d90058435063332577396fe8e632454c15cc5bcf69b752c85ac7f4535",
         "point_0001.csv": "abfa9e2953f06cdf28d7aba49ae92d86a12206e7b80b5cd9295bd801886babc1",
     },
+    "matrix_grouped": {
+        "manifest.json": "ef4b5c4787e5344c6e3b449b9e7590549fb291aeb919eb82959026ebc732ebf4",
+        "point_0000.csv": "ed9a1c5980db80e8db487676d677549142027f84272df8419bc90d5c6798355b",
+        "point_0001.csv": "a01f345438ad89bdd40ea9f1334d166767e3bc8dc9d946fa6533fd320f749a22",
+        "point_0002.csv": "cadfefdf89824ddf6102f53777d90ff2b7f75be76f85bb2b30481fdd009783c9",
+        "point_0003.csv": "fe9ca5ff0cec87b34e265801313fb144a420ee0841571205d6bc67a682cea215",
+        "point_0004.csv": "a07fc2abece17ff4b72a4994e300b9b878d58505b6a8b6d16be9e1b5a3a62be2",
+        "point_0005.csv": "552c51145e7e6be69d16ee1a4a9de0302d415be9fd9c94becd1c306df1c0a44a",
+        "point_0006.csv": "2df07613679bf9f5802455492f0a68208e78d0f25c5e58671d246fe910b59e42",
+        "point_0007.csv": "59d2339f5ec482b4c0f48a7ca4162afcbaa2f4e162e72208f9eaf19622c58566",
+        "point_0008.csv": "0dd60b865442c7cdff7195021593f15ae14c3ad93c15f5955c41a86174e94313",
+        "point_0009.csv": "4af818a89dd2ab482a93e8df54acbac19b2593534ecee1d98be527d80933a3b8",
+        "point_0010.csv": "54b59603ca4e0358b9d0ebd1d04db7b6e0228a37f21f9bc890bd38adf8cdc821",
+        "point_0011.csv": "3dc32760d5cf5c231ddb4ba39fba3178162e89c0ce72f08908343a94417de9ed",
+        "point_0012.csv": "cd544b2413223de48cc6a00f1beb873cdd59204af146d1226e8708050bf53871",
+        "point_0013.csv": "7d9508620cfc3bf65823b5ce392f36055fd46adc78c6e404abfe319cb5409d5f",
+        "point_0014.csv": "7f1e09b36d951d2ae9e8bb0c1526e14189f1e03aaa281fea49520b29436f4555",
+        "point_0015.csv": "7bb1747bf677c0fdcd3832a2356de8d101bf96064a3751ee40d276b4c4d324d1",
+    },
     "stochastic": {
         "manifest.json": "ee8814591b2eb8aae52dd82ae5eb662e9845086cc7623255f19bc3f08a8c9f88",
         "point_0000.csv": "3d50f544d064f2291d4dc738678b3e2d2e9d65750a976ceaeaecbcb8ce7efa20",
@@ -83,6 +104,23 @@ def test_golden_matrix_sweep(tmp_path, monkeypatch):
         n_trajectories=3, base_seed=2024, sweep={"tau": [0.25, 0.5]},
         out_dir="out")
     _check("matrix", _sweep_digests(cfg))
+
+
+def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch):
+    # two K values (record_stride 10 does not divide 45) and two schedules
+    # give four kernel groups; tau and eps_bar vary within each group
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(
+        kind="matrix", game="builtin:appF:N=5",
+        run={"variant": "explore", "normalize_q_in_softmax": True, "tau": 0.5,
+             "eps_bar": 0.1, "schedule": dict(SCHED), "K": 30, "record_stride": 10},
+        n_trajectories=3, base_seed=31337,
+        sweep={"K": [30, 45],
+               "schedule": [dict(SCHED),
+                            {"kind": "diminishing", "alpha": 4.0, "beta": 1.0, "h": 8.0}],
+               "tau": [0.2, 0.5], "eps_bar": [0.05, 0.3]},
+        out_dir="out")
+    _check("matrix_grouped", _sweep_digests(cfg))
 
 
 def test_golden_stochastic_sweep(tmp_path, monkeypatch):
