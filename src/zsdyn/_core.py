@@ -1,9 +1,9 @@
-"""Inner-loop primitives shared by both dynamics.
+"""Inner-loop primitives of the stochastic-game dynamics.
 
-Plain-float list code: the learning loops run millions of tiny updates on
-vectors of length 2 or 3, where Python lists beat numpy arrays by a wide
-margin. Both the one-step APIs and the batch runners call these same
-functions, so a run is bitwise-identical to iterating steps.
+Plain-float list code for one trajectory's millions of tiny updates on
+vectors of length 2 or 3, where lists beat numpy arrays. inner_step and
+run_visbr share these functions, so a run is bitwise-identical to
+iterating steps; matrix_dyn's batched kernel adds in the same order.
 """
 
 from __future__ import annotations

@@ -45,6 +45,10 @@ MATRIX_CSV_COLUMNS = ("k", "ng_mean", "ng_std", "ngtau_mean", "ngtau_std",
 STOCHASTIC_CSV_COLUMNS = ("t", "k", "ng_mean", "ng_std", "lsum", "min_pi",
                           "q_inf", "v_inf")
 
+# trajectories per matrix-kernel call: larger batches run faster per step
+# but hold more records at once
+_MATRIX_BATCH_TRAJECTORIES = 128
+
 
 def splitmix64(x: int) -> int:
     """One output of the splitmix64 generator seeded at x."""
@@ -272,6 +276,23 @@ class ExperimentBundle:
     out_dir: str | None
 
 
+def _point_records(config: ExperimentConfig, game):
+    # yields (point, its records) in sweep order; the matrix kernel runs
+    # whole points together up to _MATRIX_BATCH_TRAJECTORIES trajectories per
+    # call, while stochastic trajectories run one at a time
+    n = config.n_trajectories
+    per_call = max(1, _MATRIX_BATCH_TRAJECTORIES // n) if config.kind == "matrix" else 1
+    points = config.sweep_points()
+    for first in range(0, len(points), per_call):
+        batch = points[first:first + per_call]
+        configs = [config._run_config(point, trajectory_seed(config.base_seed, point, j))
+                   for point in batch for j in range(n)]
+        records = (run_matrix_dynamics(game, configs) if config.kind == "matrix"
+                   else [run_visbr(game, c) for c in configs])
+        for m, point in enumerate(batch):
+            yield point, records[m * n:(m + 1) * n]
+
+
 def run_experiment(config: ExperimentConfig, *, force: bool = False,
                    quiet: bool = True, keep_records: bool = False) -> ExperimentBundle:
     """Execute every (sweep point, trajectory) run, aggregate, write files.
@@ -294,18 +315,12 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
                 f"{out_dir} already holds {existing[:3]}; pass force to overwrite")
 
     game = load_game(config.game)
-    game_type, runner = ((MatrixGame, run_matrix_dynamics) if config.kind == "matrix"
-                         else (StochasticGame, run_visbr))
-    _require(isinstance(game, game_type),
+    _require(isinstance(game, MatrixGame if config.kind == "matrix" else StochasticGame),
              f"kind {config.kind!r} needs a {config.kind} game source")
     points = []
     warnings_manifest: dict[str, list[str]] = {}
-    for i, point in enumerate(config.sweep_points()):
+    for i, (point, records) in enumerate(_point_records(config, game)):
         label = f"point_{i:04d}"
-        records = []
-        for j in range(config.n_trajectories):
-            run_cfg = config._run_config(point, trajectory_seed(config.base_seed, point, j))
-            records.append(runner(game, run_cfg))
         aggregates = aggregate(records)
         # each distinct warning once, in order of first appearance
         warnings = list(dict.fromkeys(w for rec in records for w in rec.warnings))

@@ -11,24 +11,36 @@ policy pi. One iteration, in this order:
      q[a] += alpha_k (payoff - q[a]).
 
 Neither player sees the opponent's policy, estimate, or action; the realized
-own payoff is the only coupling. run_matrix_dynamics and repeated step_matrix
-calls produce bitwise-identical trajectories because they share one core.
+own payoff is the only coupling.
+
+One kernel serves step and run: each player's q and pi are (B, n) arrays,
+one row per trajectory, with tau, eps_bar and the seed per row.
+run_matrix_dynamics batches the configs that share K, schedule,
+record_stride and normalize_q_in_softmax; step_matrix is the case B=1.
+Sums run left to right, nothing uses a matmul, and exp and log come from
+the C library, so a trajectory's bytes do not depend on its batch and a
+run is bitwise equal to repeated step_matrix calls.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import pick_action, policy_step, smoothed_policy
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .errors import DimensionMismatch
 from .games import (JointPolicy, LearnerState, MatrixGame, TrajectoryRecord,
                     check_zero_sum_game)
-from .metrics import matrix_gaps_lists
+from .metrics import _libm, _row_sum, matrix_gaps
 
 MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
+
+# steps whose uniforms each generator draws at once: bounds the memory of
+# long runs and leaves the stream as one rng.random(K) call would draw it
+_UNIFORM_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,36 +64,42 @@ def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.
     return c1, c2
 
 
-def _setup(game: MatrixGame, config: MatrixRunConfig):
-    # The start of every run as lists: (q1, q2, pi1, pi2) and the generators.
-    check_zero_sum_game(game, MatrixGame)
-    c1, c2 = player_seed_sequences(config.seed)
-    n1, n2 = game.n_actions_1, game.n_actions_2
-    lists = ([0.0] * n1, [0.0] * n2, [1.0 / n1] * n1, [1.0 / n2] * n2)
-    return lists, (np.random.default_rng(c1), np.random.default_rng(c2))
-
-
 def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynamicsState:
     """Uniform policies, zero payoff estimates, per-player generators."""
-    (q1, q2, pi1, pi2), rngs = _setup(game, config)
-    players = (LearnerState(q=np.array(q1), pi=np.array(pi1)),
-               LearnerState(q=np.array(q2), pi=np.array(pi2)))
+    check_zero_sum_game(game, MatrixGame)
+    players = tuple(LearnerState(q=np.zeros(n), pi=np.full(n, 1.0 / n))
+                    for n in (game.n_actions_1, game.n_actions_2))
+    rngs = tuple(map(np.random.default_rng, player_seed_sequences(config.seed)))
     return MatrixDynamicsState(players=players, k=0, rngs=rngs)
 
 
-def _advance(q1, q2, pi1, pi2, R1, R2, tau, eps, norm, alpha, beta, u1, u2):
-    # One full iteration on list state; shared by step and run.
-    t1 = smoothed_policy(q1, tau, eps, norm)
-    t2 = smoothed_policy(q2, tau, eps, norm)
-    policy_step(pi1, t1, beta)
-    policy_step(pi2, t2, beta)
-    a1 = pick_action(pi1, u1)
-    a2 = pick_action(pi2, u2)
-    r1 = R1[a1][a2]
-    r2 = R2[a2][a1]
-    q1[a1] += alpha * (r1 - q1[a1])
-    q2[a2] += alpha * (r2 - q2[a2])
-    return a1, a2, r1, r2
+def _targets(q: np.ndarray, tau: np.ndarray, eps: np.ndarray, normalize: bool) -> np.ndarray:
+    # softmax of q / tau (optionally of the l2-normalized q), eps-mixed with
+    # uniform; tau and eps are (B, 1) columns. A row with zero norm divides
+    # by 1.0 and a row with eps = 0 mixes 0.0 + 1.0 * p, both exact no-ops.
+    if normalize:
+        nrm = np.sqrt(_row_sum(q * q))[:, None]
+        q = q / np.where(nrm > 0.0, nrm, 1.0)
+    e = _libm(math.exp, (q - q.max(axis=1, keepdims=True)) / tau)
+    return eps / q.shape[1] + (1.0 - eps) * (e / _row_sum(e)[:, None])
+
+
+def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
+    # One iteration for a batch. q, pi and u are per-player lists of (B, n)
+    # arrays and (B,) uniforms; q and pi are updated in place. Returns the
+    # actions and the payoffs, each a per-player pair of (B,) arrays.
+    targets = [_targets(qi, tau, eps, normalize) for qi in q]
+    for p, t in zip(pi, targets):
+        p += beta * (t - p)
+    # inverse-CDF sampling: the smallest a with u < pi[0] + ... + pi[a] is
+    # the count of partial sums u passes, since they never decrease
+    a1, a2 = ((ui[:, None] >= np.cumsum(p[:, :-1], axis=1)).sum(axis=1)
+              for p, ui in zip(pi, u))
+    payoffs = (R[0][a1, a2], R[1][a2, a1])
+    rows = np.arange(len(a1))
+    for qi, a, r in zip(q, (a1, a2), payoffs):
+        qi[rows, a] += alpha * (r - qi[rows, a])
+    return (a1, a2), payoffs
 
 
 def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
@@ -92,61 +110,75 @@ def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
             state.players[1].q.shape != (game.n_actions_2,):
         raise DimensionMismatch("state shapes do not match the game")
     alpha, beta = config.schedule.rates(state.k)
-    q1 = state.players[0].q.tolist()
-    q2 = state.players[1].q.tolist()
-    pi1 = state.players[0].pi.tolist()
-    pi2 = state.players[1].pi.tolist()
-    a1, a2, r1, r2 = _advance(
-        q1, q2, pi1, pi2, game.R1.tolist(), game.R2.tolist(),
-        config.tau, config.eps_bar, config.normalize_q_in_softmax,
-        alpha, beta, state.rngs[0].random(), state.rngs[1].random())
-    players = (LearnerState(q=np.array(q1), pi=np.array(pi1)),
-               LearnerState(q=np.array(q2), pi=np.array(pi2)))
+    q = [np.array(p.q, dtype=np.float64)[None] for p in state.players]
+    pi = [np.array(p.pi, dtype=np.float64)[None] for p in state.players]
+    (a1, a2), (r1, r2) = _step(
+        q, pi, (game.R1, game.R2), np.array([[config.tau]]), np.array([[config.eps_bar]]),
+        config.normalize_q_in_softmax, alpha, beta, [np.array([g.random()]) for g in state.rngs])
+    players = tuple(LearnerState(q=qi[0], pi=p[0]) for qi, p in zip(q, pi))
     return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs,
-                               last_actions=(a1, a2), last_payoffs=(r1, r2))
+                               last_actions=(int(a1[0]), int(a2[0])),
+                               last_payoffs=(float(r1[0]), float(r2[0])))
 
 
-def run_matrix_dynamics(game: MatrixGame, config: MatrixRunConfig) -> TrajectoryRecord:
-    """Run K iterations and record metrics every record_stride steps.
+def run_matrix_dynamics(game: MatrixGame,
+                        configs: Sequence[MatrixRunConfig]) -> list[TrajectoryRecord]:
+    """Run each config for K iterations; one record per config, in order.
 
-    Rows carry index (0, k) at every stride multiple plus the final k=K,
-    so stride=K yields exactly one row. Metrics at row k are computed from
-    the policy after k iterations. Convergence-condition violations land
-    in warnings.
+    Configs that share K, schedule, record_stride and
+    normalize_q_in_softmax run as one batch, and a record is the same
+    whatever batch it ran in. Rows carry index (0, k) at every stride
+    multiple plus the final k=K, so stride=K yields exactly one row.
+    Metrics at row k are computed from the policy after k iterations.
+    Convergence-condition violations land in warnings.
     """
-    (q1, q2, pi1, pi2), (rng1, rng2) = _setup(game, config)
-    warnings = matrix_condition_warnings(config, game.a_max)
-    u1, u2 = rng1.random(config.K), rng2.random(config.K)
-    R1, R2 = game.R1.tolist(), game.R2.tolist()
+    check_zero_sum_game(game, MatrixGame)
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = (c.K, c.schedule, c.record_stride, c.normalize_q_in_softmax)
+        groups.setdefault(key, []).append(i)
+    records: list = [None] * len(configs)
+    for members in groups.values():
+        for i, rec in zip(members, _run_batch(game, [configs[i] for i in members])):
+            records[i] = rec
+    return records
 
-    tau, eps, norm = config.tau, config.eps_bar, config.normalize_q_in_softmax
-    sched = config.schedule
-    stride = config.record_stride
 
-    index: list[tuple[int, int]] = []
-    series: dict[str, list] = {name: [] for name in MATRIX_METRICS}
-
-    def record(k: int) -> None:
-        index.append((0, k))
-        ng, ngtau = matrix_gaps_lists(R1, R2, pi1, pi2, tau)
-        series["ng"].append(ng)
-        series["ngtau"].append(ngtau)
-        series["min_pi"].append(min(min(pi1), min(pi2)))
-        series["q_inf"].append(max(max(abs(x) for x in q1), max(abs(x) for x in q2)))
-
-    for k in range(config.K):
-        alpha, beta = sched.rates(k)
-        _advance(q1, q2, pi1, pi2, R1, R2, tau, eps, norm, alpha, beta, u1[k], u2[k])
+def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
+    # configs share K, schedule, record_stride and normalize_q_in_softmax
+    first = configs[0]
+    K, stride = first.K, first.record_stride
+    B = len(configs)
+    tau = np.array([[c.tau] for c in configs])
+    eps = np.array([[c.eps_bar] for c in configs])
+    # generator 2b + i and row 2b + i of u belong to player i of trajectory b
+    rngs = [np.random.default_rng(s) for c in configs for s in player_seed_sequences(c.seed)]
+    u = np.empty((2 * B, _UNIFORM_CHUNK))
+    q = [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)]
+    pi = [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
+    ks, rows = [], []
+    for k in range(K):
+        col = k % _UNIFORM_CHUNK
+        if col == 0:
+            for g, row in zip(rngs, u):
+                g.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
+        alpha, beta = first.schedule.rates(k)
+        _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
+              alpha, beta, (u[0::2, col], u[1::2, col]))
         done = k + 1
-        if done % stride == 0 or done == config.K:
-            record(done)
-
-    return TrajectoryRecord(
-        config_echo=config.to_dict(),
-        index=np.array(index, dtype=np.int64),
-        series={name: np.array(vals) for name, vals in series.items()},
-        final_policy=JointPolicy(pi1=np.array(pi1), pi2=np.array(pi2)),
-        final_q=(np.array(q1), np.array(q2)),
+        if done % stride == 0 or done == K:
+            ks.append((0, done))
+            rows.append((*matrix_gaps(game.R1, game.R2, pi[0], pi[1], tau[:, 0]),
+                         np.minimum(pi[0].min(axis=1), pi[1].min(axis=1)),
+                         np.maximum(np.abs(q[0]).max(axis=1), np.abs(q[1]).max(axis=1))))
+    series = np.array(rows)  # (recorded rows, metric, trajectory)
+    index = np.array(ks, dtype=np.int64)
+    return [TrajectoryRecord(
+        config_echo=c.to_dict(),
+        index=index.copy(),
+        series={name: series[:, m, b].copy() for m, name in enumerate(MATRIX_METRICS)},
+        final_policy=JointPolicy(pi1=pi[0][b].copy(), pi2=pi[1][b].copy()),
+        final_q=(q[0][b].copy(), q[1][b].copy()),
         final_v=None,
-        warnings=warnings,
-    )
+        warnings=matrix_condition_warnings(c, game.a_max),
+    ) for b, c in enumerate(configs)]

@@ -10,9 +10,10 @@ inner maximum is evaluated in closed form,
 attained at the softmax of x, rather than by numerical optimization over
 the simplex.
 
-The module also carries a list form computing both matrix-game gaps at
-once; the dynamics' recording loop calls it to avoid array overhead on
-2x2 and 3x3 games. Unit tests pin it to the public functions.
+The module also carries a batched form of both matrix-game gaps for
+(B, n) policy arrays, which the matrix dynamics' recording loop calls; a
+row's gaps are the same bits in any batch. Unit tests pin it to the
+public functions.
 """
 
 from __future__ import annotations
@@ -160,34 +161,43 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
 
 
 # ---------------------------------------------------------------------------
-# List form for the recording loop
+# Batched form for the recording loop
 # ---------------------------------------------------------------------------
 
-def matrix_gaps_lists(R1, R2, pi1, pi2, tau: float) -> tuple[float, float]:
-    """(nash_gap_matrix, regularized_nash_gap) on nested lists, in one pass.
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    # math.exp or math.log elementwise: np.exp and np.log differ from the C
+    # library in the last bit on some inputs, and their bits depend on the
+    # CPU's SIMD path
+    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    # sums over the last axis, left to right as a loop over floats adds;
+    # np.sum adds pairwise from 8 entries on, which changes the last bits
+    tot = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        tot += a[..., j]
+    return tot
+
+
+def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray,
+                tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nash_gap_matrix, regularized_nash_gap) for a batch of joint policies.
+
+    pi1 and pi2 hold one policy per row and tau one temperature per row.
     Each player's payoff vector x = R_i pi^{-i}, its max and pi^i . x are
     computed once and shared by both gaps: the plain gap uses max(x), the
-    regularized one tau * logsumexp(x / tau) and the entropy of pi^i.
+    regularized one tau * logsumexp(x / tau) and the entropy of pi^i. No
+    result depends on the other rows of the batch.
     """
-    ng = 0.0
-    ngtau = 0.0
+    ng = ngtau = 0.0
     for R, own, opp in ((R1, pi1, pi2), (R2, pi2, pi1)):
-        x = []
-        for row in R:
-            acc = 0.0
-            for r, p in zip(row, opp):
-                acc += r * p
-            x.append(acc)
-        m = max(x)
-        total = 0.0
-        ach = 0.0
-        ent = 0.0
-        for xi, p in zip(x, own):
-            total += math.exp((xi - m) / tau)
-            ach += p * xi
-            if p > 0.0:
-                ent -= p * math.log(p)
+        x = _row_sum(R * opp[:, None, :])
+        m = x.max(axis=1)
+        total = _row_sum(_libm(math.exp, (x - m[:, None]) / tau[:, None]))
+        ach = _row_sum(own * x)
+        # entries with p = 0 add -0.0, which leaves the sum unchanged
+        ent = _row_sum(-(own * _libm(math.log, np.where(own > 0.0, own, 1.0))))
         ng += m - ach
-        ngtau += m + tau * math.log(total) - ach - tau * ent
-    return max(0.0, ng), max(0.0, ngtau)
+        ngtau += m + tau * _libm(math.log, total) - ach - tau * ent
+    return np.where(ng > 0.0, ng, 0.0), np.where(ngtau > 0.0, ngtau, 0.0)

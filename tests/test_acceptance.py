@@ -159,7 +159,7 @@ def test_acceptance_3_boundedness_fuzz():
             "schedule": schedule(),
             "K": int(rng.integers(30, 301)), "record_stride": 1,
             "seed": int(rng.integers(0, 2**63))})
-        rec = run_matrix_dynamics(game, cfg)
+        rec = run_matrix_dynamics(game, [cfg])[0]
         bound = exploration_bound("matrix", variant,
                                   SoftmaxParams(tau, eps_bar),
                                   int(max(n1, n2))).value

@@ -272,7 +272,7 @@ def test_structural_equality():
     config = z.MatrixRunConfig(tau=0.5, K=10, seed=3, record_stride=5,
                                schedule=z.StepsizeSchedule(kind="constant", alpha=0.5,
                                                            beta=0.1))
-    rec = z.run_matrix_dynamics(game, config)
+    rec = z.run_matrix_dynamics(game, [config])[0]
     fields = dict(config_echo=rec.config_echo, index=rec.index, series=rec.series,
                   final_policy=rec.final_policy, final_q=rec.final_q,
                   final_v=rec.final_v, warnings=rec.warnings)

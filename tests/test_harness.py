@@ -489,6 +489,21 @@ def test_run_experiment_reruns_byte_identical(tmp_path):
     assert first == second
 
 
+def test_run_experiment_bytes_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
+    # 6 points of 3 trajectories: a budget of 1 or 4 runs one point per
+    # kernel call, 7 two points per call, 128 all six in one call
+    outputs = []
+    for budget in (1, 4, 7, 128):
+        monkeypatch.setattr("zsdyn.harness._MATRIX_BATCH_TRAJECTORIES", budget)
+        out = tmp_path / str(budget)
+        run_experiment(matrix_config(sweep={"tau": [0.2, 0.3, 0.5], "K": [30, 40]},
+                                     n_trajectories=3, out_dir=str(out)))
+        outputs.append({name: (out / name).read_bytes() for name in os.listdir(out)
+                        if name != "manifest.json"})
+    assert len(outputs[0]) == 6  # point CSVs
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
 def test_run_experiment_derives_trajectory_seeds():
     cfg = matrix_config(sweep={"tau": [0.2, 0.5]}, n_trajectories=3)
     bundle = run_experiment(cfg, keep_records=True)

@@ -1,13 +1,15 @@
 """Matrix-game learning dynamics: stepping, recording, and their invariants."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import zsdyn as z
 from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.metrics import matrix_gaps_lists
+from zsdyn.matrix_dyn import _targets
+from zsdyn.metrics import _row_sum, matrix_gaps
 
 
 def _config(**kw):
@@ -108,7 +110,7 @@ def test_policies_remain_distributions():
 def test_run_equals_stepping_bitwise():
     game = z.tilted_rps(5)
     config = _config(seed=19, K=37, record_stride=1, tau=0.7)
-    rec = z.run_matrix_dynamics(game, config)
+    rec = z.run_matrix_dynamics(game, [config])[0]
 
     state = z.init_matrix_state(game, config)
     for k in range(config.K):
@@ -118,8 +120,9 @@ def test_run_equals_stepping_bitwise():
         q2 = state.players[1].q.tolist()
         pi1 = state.players[0].pi.tolist()
         pi2 = state.players[1].pi.tolist()
-        assert (rec.series["ng"][row], rec.series["ngtau"][row]) == matrix_gaps_lists(
-            game.R1.tolist(), game.R2.tolist(), pi1, pi2, config.tau)
+        ng, ngtau = matrix_gaps(game.R1, game.R2, state.players[0].pi[None],
+                                state.players[1].pi[None], np.array([config.tau]))
+        assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
         assert rec.series["min_pi"][row] == min(min(pi1), min(pi2))
         assert rec.series["q_inf"][row] == max(max(abs(x) for x in q1),
                                                max(abs(x) for x in q2))
@@ -132,17 +135,17 @@ def test_run_equals_stepping_bitwise():
 def test_identical_config_identical_record():
     game = z.matching_pennies()
     config = _config(seed=5, K=64, record_stride=8)
-    assert z.run_matrix_dynamics(game, config) == z.run_matrix_dynamics(game, config)
+    assert z.run_matrix_dynamics(game, [config])[0] == z.run_matrix_dynamics(game, [config])[0]
 
 
 def test_record_row_structure():
     game = z.matching_pennies()
-    rec = z.run_matrix_dynamics(game, _config(K=25, record_stride=10))
+    rec = z.run_matrix_dynamics(game, [_config(K=25, record_stride=10)])[0]
     assert rec.index.tolist() == [[0, 10], [0, 20], [0, 25]]
-    rec = z.run_matrix_dynamics(game, _config(K=20, record_stride=5))
+    rec = z.run_matrix_dynamics(game, [_config(K=20, record_stride=5)])[0]
     assert rec.index.tolist() == [[0, 5], [0, 10], [0, 15], [0, 20]]
     # stride = K gives exactly one row
-    rec = z.run_matrix_dynamics(game, _config(K=30, record_stride=30))
+    rec = z.run_matrix_dynamics(game, [_config(K=30, record_stride=30)])[0]
     assert rec.index.tolist() == [[0, 30]]
     assert set(rec.series) == set(z.MATRIX_METRICS)
 
@@ -165,7 +168,7 @@ def test_recorded_bounds_hold():
             bound = z.exploration_bound("matrix", "explore",
                                         z.SoftmaxParams(tau=config.tau, eps_bar=eps),
                                         game.a_max)
-        rec = z.run_matrix_dynamics(game, config)
+        rec = z.run_matrix_dynamics(game, [config])[0]
         assert (rec.metric("min_pi") >= bound.value).all()
         assert (rec.metric("q_inf") <= 1.0).all()
 
@@ -177,7 +180,7 @@ def test_metrics_computed_from_updated_policy():
     game = z.matching_pennies()
     config = _config(K=1, record_stride=1, tau=1.0,
                      schedule=z.StepsizeSchedule(kind="constant", alpha=1.0, beta=1.0))
-    rec = z.run_matrix_dynamics(game, config)
+    rec = z.run_matrix_dynamics(game, [config])[0]
     assert rec.series["ngtau"][0] == 0.0
     assert rec.series["min_pi"][0] == 0.5
     assert rec.series["q_inf"][0] == 1.0
@@ -219,7 +222,7 @@ def test_information_hiding_replay():
 def test_explore_variant_uses_mixed_target():
     game = z.matching_pennies()
     config = _config(variant="explore", eps_bar=0.3, K=40, seed=13)
-    rec = z.run_matrix_dynamics(game, config)
+    rec = z.run_matrix_dynamics(game, [config])[0]
     assert (rec.metric("min_pi") >= 0.15).all()  # eps_bar / 2
 
 
@@ -234,7 +237,7 @@ def test_step_rejects_bad_inputs():
     with pytest.raises(z.DimensionMismatch):
         z.step_matrix(state, z.rock_paper_scissors(), config)
     with pytest.raises(z.NotZeroSum):
-        z.run_matrix_dynamics(bad, config)
+        z.run_matrix_dynamics(bad, [config])
     # init guards the game like step and run do
     with pytest.raises(z.NotZeroSum):
         z.init_matrix_state(bad, config)
@@ -245,7 +248,7 @@ def test_step_rejects_bad_inputs():
 
 def test_run_reports_condition_warnings():
     game = z.matching_pennies()
-    rec = z.run_matrix_dynamics(game, _config(tau=2.0, K=5))
+    rec = z.run_matrix_dynamics(game, [_config(tau=2.0, K=5)])[0]
     assert any("tau" in w for w in rec.warnings)
     assert rec.config_echo["tau"] == 2.0
 
@@ -254,8 +257,8 @@ def test_normalized_softmax_variant_runs():
     game = z.matching_pennies()
     plain = _config(seed=2, K=60)
     normed = _config(seed=2, K=60, normalize_q_in_softmax=True)
-    a = z.run_matrix_dynamics(game, plain)
-    b = z.run_matrix_dynamics(game, normed)
+    a = z.run_matrix_dynamics(game, [plain])[0]
+    b = z.run_matrix_dynamics(game, [normed])[0]
     assert a.config_echo != b.config_echo
     # both stay within the universal estimate bound
     assert (a.metric("q_inf") <= 1.0).all() and (b.metric("q_inf") <= 1.0).all()
@@ -273,3 +276,42 @@ def test_smoothed_policy_sums_left_to_right():
     q = [1.0] + [1e-8] * 4
     assert math.fsum(x * x for x in q) != 1.0
     assert smoothed_policy(q, 0.5, 0.0, True) == smoothed_policy(q, 0.5, 0.0, False)
+
+
+def test_batched_kernel_sums_left_to_right():
+    # the same traps on rows of 8 entries, where np.sum switches to pairwise
+    # summation: 1 + 7 * 1.04e-16 is 1.0 added in order, but not pairwise
+    q = np.array([[0.0] + [-36.8] * 7])
+    assert np.exp(q).sum() != 1.0
+    assert _row_sum(np.exp(q))[0] == 1.0
+    assert _targets(q, np.array([[1.0]]), np.array([[0.0]]), False)[0, 0] == 1.0
+    # the squared norm is exactly 1.0 in order, so normalizing leaves q as is
+    q = np.array([[1.0] + [1e-8] * 7])
+    assert (q * q).sum() != 1.0
+    tau, eps = np.array([[0.5]]), np.array([[0.0]])
+    assert np.array_equal(_targets(q, tau, eps, True), _targets(q, tau, eps, False))
+
+
+def test_records_do_not_depend_on_the_batch():
+    game = z.validate_matrix_game(np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3)))
+    dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
+    configs = []
+    # K=150 spans three uniform chunks of 64 and is not a multiple of 64
+    for seed, (K, schedule, variant, normalize) in enumerate([
+            (150, None, "plain", False), (150, None, "explore", True),
+            (150, dim, "explore", False), (40, dim, "plain", True),
+            (40, None, "explore", False), (40, None, "plain", False),
+            (150, None, "plain", False), (40, dim, "explore", True)]):
+        kw = dict(seed=seed, K=K, record_stride=7, tau=0.3 + 0.1 * seed, variant=variant,
+                  eps_bar=0.05 * (seed + 1) if variant == "explore" else 0.0,
+                  normalize_q_in_softmax=normalize)
+        if schedule is not None:
+            kw["schedule"] = schedule
+        configs.append(_config(**kw))
+    configs.append(configs[2])  # a duplicate runs twice, with equal records
+    random.Random(11).shuffle(configs)
+    batched = z.run_matrix_dynamics(game, configs)
+    assert len(batched) == len(configs)
+    for config, rec in zip(configs, batched):
+        assert rec == z.run_matrix_dynamics(game, [config])[0]
+        assert rec.config_echo == config.to_dict()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn.metrics import matrix_gaps_lists
+from zsdyn.metrics import matrix_gaps
 
 
 def _random_joint(rng, n1, n2):
@@ -342,22 +342,20 @@ def test_stochastic_gap_and_oracles_keep_input_guards(player):
             z.best_response_value(sg, 3 - player, bad)
 
 
-# --- list form used by the recording loop ------------------------------------
+# --- batched form used by the recording loop ----------------------------------
 
-def test_list_twins_match_array_metrics():
+def test_batched_gaps_match_array_metrics():
     rng = np.random.default_rng(151)
     for _ in range(50):
         n1 = int(rng.integers(2, 5))
         n2 = int(rng.integers(2, 5))
         R1 = rng.uniform(-1.0, 1.0, (n1, n2))
         game = z.validate_matrix_game(R1)
-        joint = _random_joint(rng, n1, n2)
-        tau = float(rng.uniform(0.05, 1.5))
-        r1l = [list(row) for row in game.R1]
-        r2l = [list(row) for row in game.R2]
-        p1l = list(joint.pi1)
-        p2l = list(joint.pi2)
-        ng, ngtau = matrix_gaps_lists(r1l, r2l, p1l, p2l, tau)
-        assert ng == pytest.approx(z.nash_gap_matrix(game, joint), abs=1e-12)
-        assert ngtau == pytest.approx(
-            z.regularized_nash_gap(game, joint, tau), abs=1e-12)
+        joints = [_random_joint(rng, n1, n2) for _ in range(3)]
+        tau = rng.uniform(0.05, 1.5, 3)
+        ng, ngtau = matrix_gaps(game.R1, game.R2, np.array([j.pi1 for j in joints]),
+                                np.array([j.pi2 for j in joints]), tau)
+        for row, joint in enumerate(joints):
+            assert ng[row] == pytest.approx(z.nash_gap_matrix(game, joint), abs=1e-12)
+            assert ngtau[row] == pytest.approx(
+                z.regularized_nash_gap(game, joint, float(tau[row])), abs=1e-12)
