@@ -1,11 +1,13 @@
 """Golden digests: SHA-256 of small sweep outputs, pinned across versions.
 
-Four fixtures cover the ways the dynamics produce output: a matrix sweep
+Six fixtures cover the ways the dynamics produce output: a matrix sweep
 through run_experiment, a matrix sweep over every axis that splits the
 matrix kernel's batch into groups (K, schedule) or varies per row (tau,
 eps_bar), a stochastic sweep through run_experiment (with the v_err
 column), and a frozen-opponent run_visbr record, a mode run_experiment
-cannot reach, pinned through the bytes of its series.
+cannot reach, pinned through the bytes of its series. A larger stochastic
+game with unequal action counts gets both a sweep, recorded at every step,
+and a frozen-opponent record.
 
 A mismatch means an output byte changed. If the change is intended, copy
 the new digest map from the failure message into GOLDEN and record the
@@ -40,6 +42,20 @@ SG3 = {
         [[0.125, -0.75], [-0.5, 0.875]],
     ],
     "gamma": 0.6,
+}
+
+# a fixed 5-state game with 3 actions for player 1 and 2 for player 2, from
+# closed-form dyadic entries: each transition row is a rotation of one of
+# four weight patterns that sum to 16, and R1 takes odd eighths in [-7/8, 7/8]
+_WEIGHTS16 = ((4, 3, 3, 3, 3), (6, 4, 2, 2, 2), (1, 2, 3, 4, 6), (8, 2, 2, 2, 2))
+SG5 = {
+    "type": "stochastic",
+    "transition": [[[[_WEIGHTS16[(s + 2 * a + b) % 4][(j - s - a - b) % 5] / 16
+                      for j in range(5)] for b in range(2)] for a in range(3)]
+                   for s in range(5)],
+    "R1": [[[((3 * s + 5 * a + 7 * b) % 8 - 3.5) / 4 for b in range(2)]
+            for a in range(3)] for s in range(5)],
+    "gamma": 0.75,
 }
 
 GOLDEN = {
@@ -80,6 +96,20 @@ GOLDEN = {
         "v_inf": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",
         "v_err": "57c5847a912920fe3fb550a86a51c608c9f606cb4dc8b44205b940df767ba0bb",
     },
+    "stochastic_3x2": {
+        "manifest.json": "4530fae7ce394a2b5e914bbb5d751dec3f86c6f0fcd80a2051ee5735165bc025",
+        "point_0000.csv": "04581d4217d1d019bee2602b14679bdda34e4c455fcaa9956a76a2baef2ada6b",
+        "point_0001.csv": "beb910fd2b59187692d87c158ab3f2f4bfcce808a53b24eb98351ad2434a36df",
+    },
+    "frozen_3x2": {
+        "index": "fb410c6b6f67fbd05367b6af6a7b56c2a63f098f3885434ea76564224246a66b",
+        "ng": "f84c3b0c446b587a5a7f9a731f4f62b0331ed9ff9ba7674f6268aa191601c722",
+        "min_pi": "e01ee6e7869700ac8cde34dadcc842af764b4e3902e83134f49f1c268ee43ec5",
+        "q_inf": "5fcf5ab8d03280a1c0b6a1e066320488f07e07fc1636117f8ae420bfe44a813a",
+        "lsum": "5fba07879d2e8a79b0fce780b8a7586372d954c39fd7eddb56583ed2f65596b7",
+        "v_inf": "5fba07879d2e8a79b0fce780b8a7586372d954c39fd7eddb56583ed2f65596b7",
+        "v_err": "f767cf74a6862aa0b5bf54958e08f01941e0d558b754a0e943a51329eeaf0185",
+    },
 }
 
 
@@ -87,6 +117,12 @@ def _sweep_digests(cfg: ExperimentConfig) -> dict:
     run_experiment(cfg)
     return {name: hashlib.sha256(open(os.path.join(cfg.out_dir, name), "rb").read()).hexdigest()
             for name in sorted(os.listdir(cfg.out_dir))}
+
+
+def _series_digests(rec) -> dict:
+    arrays = {"index": rec.index, **rec.series}
+    return {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+            for name, arr in arrays.items()}
 
 
 def _check(fixture: str, got: dict) -> None:
@@ -142,8 +178,28 @@ def test_golden_frozen_opponent_record():
                            T=2, K=30, seed=5, variant="explore", eps_bar=0.2,
                            record_stride=10)
     frozen = np.array([[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
-    rec = z.run_visbr(game, config, frozen_pi2=frozen)
-    arrays = {"index": rec.index, **rec.series}
-    got = {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-           for name, arr in arrays.items()}
-    _check("frozen", got)
+    _check("frozen", _series_digests(z.run_visbr(game, config, frozen_pi2=frozen)))
+
+
+def test_golden_stochastic_unequal_actions_sweep(tmp_path, monkeypatch):
+    # eps_bar 0.0 runs the explore variant like the plain one; recording
+    # every step pins each intermediate policy, and the 3x2 action counts
+    # catch a slip between the two players' columns
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(
+        kind="stochastic", game=SG5,
+        run={"variant": "explore", "eps_bar": 0.2, "tau": 0.3,
+             "schedule": dict(SCHED), "T": 2, "K": 25, "record_stride": 1},
+        n_trajectories=2, base_seed=4242, sweep={"eps_bar": [0.0, 0.2]},
+        out_dir="out")
+    _check("stochastic_3x2", _sweep_digests(cfg))
+
+
+def test_golden_frozen_opponent_unequal_actions_record():
+    game = z.load_game(SG5)
+    config = z.VisbrConfig(tau=0.3, schedule=z.StepsizeSchedule.from_dict(SCHED),
+                           T=3, K=20, seed=9, variant="explore", eps_bar=0.1,
+                           record_stride=1)
+    frozen = np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875], [0.375, 0.625],
+                       [1.0, 0.0]])
+    _check("frozen_3x2", _series_digests(z.run_visbr(game, config, frozen_pi2=frozen)))
