@@ -27,13 +27,11 @@ def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> lis
     tot = 0.0
     for e in exps:
         tot += e
-    probs = [e / tot for e in exps]
     if eps_bar > 0.0:
-        n = len(probs)
-        mix = eps_bar / n
+        mix = eps_bar / len(exps)
         keep = 1.0 - eps_bar
-        probs = [mix + keep * p for p in probs]
-    return probs
+        return [mix + keep * (e / tot) for e in exps]
+    return [e / tot for e in exps]
 
 
 def pick_action(pi: list, u: float) -> int:
@@ -46,8 +44,3 @@ def pick_action(pi: list, u: float) -> int:
             return a
     return last
 
-
-def policy_step(pi: list, target: list, beta: float) -> None:
-    """In place: pi += beta (target - pi). beta <= 1 keeps pi a distribution."""
-    for a in range(len(pi)):
-        pi[a] += beta * (target[a] - pi[a])

@@ -54,8 +54,6 @@ class MatrixDynamicsState:
     players: tuple[LearnerState, LearnerState]
     k: int
     rngs: tuple[np.random.Generator, np.random.Generator]
-    last_actions: tuple[int, int] | None = None
-    last_payoffs: tuple[float, float] | None = None
 
 
 def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
@@ -86,8 +84,7 @@ def _targets(q: np.ndarray, tau: np.ndarray, eps: np.ndarray, normalize: bool) -
 
 def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
     # One iteration for a batch. q, pi and u are per-player lists of (B, n)
-    # arrays and (B,) uniforms; q and pi are updated in place. Returns the
-    # actions and the payoffs, each a per-player pair of (B,) arrays.
+    # arrays and (B,) uniforms; q and pi are updated in place.
     targets = [_targets(qi, tau, eps, normalize) for qi in q]
     for p, t in zip(pi, targets):
         p += beta * (t - p)
@@ -99,7 +96,6 @@ def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
     rows = np.arange(len(a1))
     for qi, a, r in zip(q, (a1, a2), payoffs):
         qi[rows, a] += alpha * (r - qi[rows, a])
-    return (a1, a2), payoffs
 
 
 def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
@@ -112,13 +108,10 @@ def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
     alpha, beta = config.schedule.rates(state.k)
     q = [np.array(p.q, dtype=np.float64)[None] for p in state.players]
     pi = [np.array(p.pi, dtype=np.float64)[None] for p in state.players]
-    (a1, a2), (r1, r2) = _step(
-        q, pi, (game.R1, game.R2), np.array([[config.tau]]), np.array([[config.eps_bar]]),
-        config.normalize_q_in_softmax, alpha, beta, [np.array([g.random()]) for g in state.rngs])
+    _step(q, pi, (game.R1, game.R2), np.array([[config.tau]]), np.array([[config.eps_bar]]),
+          config.normalize_q_in_softmax, alpha, beta, [np.array([g.random()]) for g in state.rngs])
     players = tuple(LearnerState(q=qi[0], pi=p[0]) for qi, p in zip(q, pi))
-    return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs,
-                               last_actions=(int(a1[0]), int(a2[0])),
-                               last_payoffs=(float(r1[0]), float(r2[0])))
+    return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs)
 
 
 def run_matrix_dynamics(game: MatrixGame,

@@ -16,8 +16,15 @@ inner stepsize schedule restarts at k=0 every round.
 The explore variant mixes the softmax target with the uniform distribution,
 which floors every policy entry at eps_bar / n_actions.
 
-The list kernel caches each state's softmax target: q moves only at the
-visited state, so only that state's target is recomputed after a step.
+The kernel keeps both players' policies, and each state's softmax target
+of q, as two (S, n1 + n2) float64 arrays pi and tg, player 1's columns
+first; against a frozen opponent they hold player 1's n1 columns only.
+The all-state policy step is the one expression pi += beta (tg - pi): a
+subtract, a multiply and an add per entry, as a list loop would do them.
+Sampling, the TD update of q (nested lists) and the visited state's target
+stay in the list primitives of _core. q moves only at the visited state s,
+so tg[st] equals the target of q[st] at every step once tg[s] is
+recomputed from the updated q[s].
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import pick_action, policy_step, smoothed_policy
+from ._core import pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import BadConfig, DimensionMismatch, NotErgodic
 from .games import (JointPolicy, LearnerState, StochasticGame, TrajectoryRecord,
@@ -68,53 +75,57 @@ def visbr_seed_sequences(seed: int):
 
 
 def _setup(game: StochasticGame, config: VisbrConfig):
-    # The start of every run as lists: (q1, q2, pi1, pi2, v1, v2), the
-    # (player 1, player 2, environment) generators, and S0 drawn from the
-    # environment stream.
+    # The start of every run: zero q1, q2 as nested lists, the uniform
+    # policies as (S, n_i) arrays, the (player 1, player 2, environment)
+    # generators, and S0 drawn from the environment stream.
     check_zero_sum_game(game, StochasticGame)
     rngs = tuple(np.random.default_rng(c) for c in visbr_seed_sequences(config.seed))
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    lists = ([[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)],
-             [[1.0 / n1] * n1 for _ in range(S)], [[1.0 / n2] * n2 for _ in range(S)],
-             [0.0] * S, [0.0] * S)
+    q = ([[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)])
+    pi = (np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2))
     s0 = pick_action(game.initial_dist.tolist(), rngs[2].random())
-    return lists, rngs, s0
+    return q, pi, rngs, s0
 
 
 def init_visbr(game: StochasticGame, config: VisbrConfig) -> VisbrState:
     """Zero values and estimates, uniform policies, S0 drawn from initial_dist."""
-    (q1, q2, pi1, pi2, v1, v2), rngs, s0 = _setup(game, config)
-    players = (LearnerState(q=np.array(q1), pi=np.array(pi1), v=np.array(v1)),
-               LearnerState(q=np.array(q2), pi=np.array(pi2), v=np.array(v2)))
+    q, pi, rngs, s0 = _setup(game, config)
+    players = tuple(LearnerState(q=np.array(qi), pi=p, v=np.zeros(game.n_states))
+                    for qi, p in zip(q, pi))
     return VisbrState(players=players, s=s0, t=0, k=0, rngs=rngs)
 
 
-def _targets(q: list, tau: float, eps: float) -> list:
-    # each state's softmax target of q: the cache _advance_inner keeps
-    return [smoothed_policy(row, tau, eps, False) for row in q]
+def _targets(q1: list, q2: list | None, tau: float, eps: float) -> np.ndarray:
+    # the tg array _advance_inner keeps: each state's softmax targets of q1,
+    # then of q2 unless player 2 is frozen (q2 None)
+    rows = [smoothed_policy(row, tau, eps, False) for row in q1]
+    if q2 is not None:
+        rows = [t + smoothed_policy(row, tau, eps, False) for t, row in zip(rows, q2)]
+    return np.array(rows)
 
 
-def _advance_inner(q1, q2, pi1, pi2, v1, v2, tg1, tg2, s, R1, R2, P, gamma, tau,
-                   eps, alpha, beta, u1, u2, ue, frozen2):
-    # One inner iteration on nested-list state; shared by step and run.
-    # tg_i[st] must equal _targets(q_i)[st] on entry. q moves only at s, so
-    # only that state's target is recomputed, from the same q row as before,
-    # which keeps every output byte. With frozen2, tg2 is unused.
-    for st in range(len(pi1)):
-        policy_step(pi1[st], tg1[st], beta)
-        if frozen2 is None:
-            policy_step(pi2[st], tg2[st], beta)
-    a1 = pick_action(pi1[s], u1)
-    a2 = pick_action(pi2[s] if frozen2 is None else frozen2[s], u2)
+def _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau, eps,
+                   alpha, beta, u1, u2, ue, frozen2):
+    # One inner iteration; shared by step and run. pi and tg are the arrays
+    # of the module docstring (n1 columns with frozen2), q, v, R and P
+    # nested lists. tg[st] must equal the target of q[st] on entry; q moves
+    # only at s, so only tg[s] is recomputed, from the same q row as a
+    # full rebuild would use, which keeps every output byte.
+    pi += beta * (tg - pi)
+    n1 = len(q1[s])
+    here = pi[s].tolist()
+    a1 = pick_action(here[:n1], u1)
+    a2 = pick_action(here[n1:] if frozen2 is None else frozen2[s], u2)
     s_next = pick_action(P[s][a1][a2], ue)
     row1 = q1[s]
     row1[a1] += alpha * (R1[s][a1][a2] + gamma * v1[s_next] - row1[a1])
-    tg1[s] = smoothed_policy(row1, tau, eps, False)
+    target = smoothed_policy(row1, tau, eps, False)
     if frozen2 is None:
         row2 = q2[s]
         row2[a2] += alpha * (R2[s][a2][a1] + gamma * v2[s_next] - row2[a2])
-        tg2[s] = smoothed_policy(row2, tau, eps, False)
-    return a1, a2, s_next
+        target += smoothed_policy(row2, tau, eps, False)
+    tg[s] = target
+    return s_next
 
 
 def inner_step(state: VisbrState, game: StochasticGame, config: VisbrConfig) -> VisbrState:
@@ -126,17 +137,17 @@ def inner_step(state: VisbrState, game: StochasticGame, config: VisbrConfig) -> 
     alpha, beta = config.schedule.rates(state.k)
     p1, p2 = state.players
     q1, q2 = p1.q.tolist(), p2.q.tolist()
-    pi1, pi2 = p1.pi.tolist(), p2.pi.tolist()
-    v1, v2 = p1.v.tolist(), p2.v.tolist()
+    pi = np.concatenate((p1.pi, p2.pi), axis=1, dtype=np.float64)
     tau, eps = config.tau, config.eps_bar
-    _, _, s_next = _advance_inner(
-        q1, q2, pi1, pi2, v1, v2, _targets(q1, tau, eps), _targets(q2, tau, eps),
+    s_next = _advance_inner(
+        q1, q2, pi, _targets(q1, q2, tau, eps), p1.v.tolist(), p2.v.tolist(),
         state.s, game.R1.tolist(), game.R2.tolist(), game.transition.tolist(),
         game.gamma, tau, eps, alpha, beta,
         state.rngs[0].random(), state.rngs[1].random(), state.rngs[2].random(),
         None)
-    players = (LearnerState(q=np.array(q1), pi=np.array(pi1), v=p1.v),
-               LearnerState(q=np.array(q2), pi=np.array(pi2), v=p2.v))
+    n1 = game.n_actions_1
+    players = (LearnerState(q=np.array(q1), pi=pi[:, :n1].copy(), v=p1.v),
+               LearnerState(q=np.array(q2), pi=pi[:, n1:].copy(), v=p2.v))
     return VisbrState(players=players, s=s_next, t=state.t, k=state.k + 1,
                       rngs=state.rngs)
 
@@ -194,8 +205,9 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     (pi1, frozen_pi2). Used to study one-sided learning against a
     stationary opponent.
     """
-    (q1, q2, pi1, pi2, v1, v2), (rng1, rng2, rng_env), s = _setup(game, config)
+    (q1, q2), (pi1, pi2), (rng1, rng2, rng_env), s = _setup(game, config)
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
+    v1, v2 = [0.0] * S, [0.0] * S
     warnings = visbr_condition_warnings(config, game.gamma) + _ergodicity_warning(game)
 
     frozen2 = None
@@ -211,14 +223,15 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
         v1_star = minimax_fixed_point(game, 1, tol=1e-6)
         v_star = (v1_star.tolist(), (-v1_star).tolist())
 
-    total = config.T * config.K
-    u1, u2, ue = (rng.random(total) for rng in (rng1, rng2, rng_env))
+    rates = [config.schedule.rates(k) for k in range(config.K)]
     P, R1, R2 = game.transition.tolist(), game.R1.tolist(), game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
     # the targets depend on q only, which the end-of-round v update leaves
-    # alone, so the caches carry across rounds
-    tg1 = _targets(q1, tau, eps)
-    tg2 = _targets(q2, tau, eps) if frozen2 is None else None
+    # alone, so the cache carries across rounds
+    if frozen2 is None:
+        pi, tg = np.hstack((pi1, pi2)), _targets(q1, q2, tau, eps)
+    else:
+        pi, tg = pi1, _targets(q1, None, tau, eps)
 
     metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
     index: list[tuple[int, int]] = []
@@ -226,10 +239,11 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
 
     def record(t: int, k: int) -> None:
         index.append((t, k))
-        joint = JointPolicy(pi1=np.array(pi1),
-                            pi2=np.array(pi2 if frozen2 is None else frozen2))
+        rows1 = pi[:, :n1].tolist()
+        rows2 = pi[:, n1:].tolist() if frozen2 is None else frozen2
+        joint = JointPolicy(pi1=np.array(rows1), pi2=np.array(rows2))
         series["ng"].append(nash_gap_stochastic(game, joint, tol=1e-6))
-        rows = pi1 + ([] if frozen2 is not None else pi2)
+        rows = rows1 + ([] if frozen2 is not None else rows2)
         series["min_pi"].append(min(min(row) for row in rows))
         q_rows = q1 + ([] if frozen2 is not None else q2)
         series["q_inf"].append(max(max(abs(x) for x in row) for row in q_rows))
@@ -241,30 +255,29 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
             err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
             series["v_err"].append(err1 if frozen2 is not None else max(err1, err2))
 
-    sched = config.schedule
     stride = config.record_stride
     record(0, 0)
-    step = 0
     for t in range(config.T):
-        for k in range(config.K):
-            alpha, beta = sched.rates(k)
-            _, _, s = _advance_inner(q1, q2, pi1, pi2, v1, v2, tg1, tg2, s,
-                                     R1, R2, P, gamma, tau, eps, alpha, beta,
-                                     u1[step], u2[step], ue[step], frozen2)
-            step += 1
+        # K uniforms per generator and round, the same stream as one draw
+        # of T*K; a memoryview hands them out as Python floats one by one
+        draws = zip(rates, *(memoryview(rng.random(config.K)) for rng in (rng1, rng2, rng_env)))
+        for k, ((alpha, beta), u1, u2, ue) in enumerate(draws):
+            s = _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau,
+                               eps, alpha, beta, u1, u2, ue, frozen2)
             done = k + 1
             if done % stride == 0 or done == config.K:
                 record(t, done)
-        v1 = _weighted_rows(pi1, q1)
+        v1 = _weighted_rows(pi[:, :n1].tolist(), q1)
         if frozen2 is None:
-            v2 = _weighted_rows(pi2, q2)
+            v2 = _weighted_rows(pi[:, n1:].tolist(), q2)
     record(config.T, 0)
 
     return TrajectoryRecord(
         config_echo=config.to_dict(),
         index=np.array(index, dtype=np.int64),
         series={name: np.array(vals) for name, vals in series.items()},
-        final_policy=JointPolicy(pi1=np.array(pi1), pi2=np.array(pi2)),
+        final_policy=JointPolicy(pi1=pi[:, :n1].copy(),
+                                 pi2=pi2 if frozen2 is not None else pi[:, n1:].copy()),
         final_q=(np.array(q1), np.array(q2)),
         final_v=(np.array(v1), np.array(v2)),
         warnings=warnings,

@@ -1,5 +1,6 @@
 """Matrix-game learning dynamics: stepping, recording, and their invariants."""
 
+import copy
 import math
 import random
 
@@ -20,6 +21,15 @@ def _config(**kw):
     return z.MatrixRunConfig(**base)
 
 
+def _step_with_play(state, game, config):
+    # step_matrix plus the play of that step, recomputed from copies of the
+    # generators and the post-step policies: (state, actions, payoffs)
+    rngs = copy.deepcopy(state.rngs)
+    state = z.step_matrix(state, game, config)
+    a1, a2 = (pick_action(p.pi.tolist(), g.random()) for p, g in zip(state.players, rngs))
+    return state, (a1, a2), (float(game.R1[a1, a2]), float(game.R2[a2, a1]))
+
+
 def test_init_state():
     game = z.rock_paper_scissors()
     state = z.init_matrix_state(game, _config())
@@ -27,7 +37,9 @@ def test_init_state():
     for player, n in zip(state.players, (3, 3)):
         assert np.array_equal(player.q, np.zeros(n))
         assert np.array_equal(player.pi, np.full(n, 1.0 / 3.0))
-    assert state.last_actions is None and state.last_payoffs is None
+    # nothing is played at init: each generator is at the start of its stream
+    for g, child in zip(state.rngs, z.player_seed_sequences(_config().seed)):
+        assert g.random() == np.random.default_rng(child).random()
 
 
 def test_init_same_seed_is_bit_identical():
@@ -46,12 +58,12 @@ def test_first_step_by_hand():
     # so from the uniform policy player 1 picks action 1 and player 2 action 0
     game = z.matching_pennies()
     config = _config(seed=7, tau=1.0)
-    state = z.step_matrix(z.init_matrix_state(game, config), game, config)
+    state, actions, payoffs = _step_with_play(z.init_matrix_state(game, config), game, config)
 
     assert state.k == 1
-    assert state.last_actions == (1, 0)
+    assert actions == (1, 0)
     # payoffs at (a1=1, a2=0): R1[1,0] = -1, R2[0,1] = 1
-    assert state.last_payoffs == (-1.0, 1.0)
+    assert payoffs == (-1.0, 1.0)
     # softmax target at q=0 is uniform, so the policy update is a no-op
     assert np.array_equal(state.players[0].pi, [0.5, 0.5])
     assert np.array_equal(state.players[1].pi, [0.5, 0.5])
@@ -77,22 +89,21 @@ def test_q_update_touches_one_coordinate_per_step():
     state = z.init_matrix_state(game, config)
     for _ in range(30):
         prev = state
-        state = z.step_matrix(state, game, config)
+        state, actions, _ = _step_with_play(state, game, config)
         for i in range(2):
             moved = np.flatnonzero(state.players[i].q != prev.players[i].q)
             assert len(moved) <= 1
             if len(moved) == 1:
-                assert moved[0] == state.last_actions[i]
+                assert moved[0] == actions[i]
 
 
 def test_full_replacement_alpha_one():
     game = z.matching_pennies()
     config = _config(schedule=z.StepsizeSchedule(kind="constant", alpha=1.0, beta=0.1))
     state = z.init_matrix_state(game, config)
-    state = z.step_matrix(state, game, config)
+    state, actions, payoffs = _step_with_play(state, game, config)
     for i in range(2):
-        a = state.last_actions[i]
-        assert state.players[i].q[a] == state.last_payoffs[i]
+        assert state.players[i].q[actions[i]] == payoffs[i]
 
 
 def test_policies_remain_distributions():
@@ -195,9 +206,9 @@ def test_information_hiding_replay():
     state = z.init_matrix_state(game, config)
     own_actions, own_payoffs, q_series, pi_series = [], [], [], []
     for _ in range(config.K):
-        state = z.step_matrix(state, game, config)
-        own_actions.append(state.last_actions[0])
-        own_payoffs.append(state.last_payoffs[0])
+        state, actions, payoffs = _step_with_play(state, game, config)
+        own_actions.append(actions[0])
+        own_payoffs.append(payoffs[0])
         q_series.append(state.players[0].q.copy())
         pi_series.append(state.players[0].pi.copy())
 
@@ -290,6 +301,24 @@ def test_batched_kernel_sums_left_to_right():
     assert (q * q).sum() != 1.0
     tau, eps = np.array([[0.5]]), np.array([[0.0]])
     assert np.array_equal(_targets(q, tau, eps, True), _targets(q, tau, eps, False))
+
+
+def test_list_and_batched_softmaxes_agree_bitwise():
+    # the stochastic kernel's list softmax and the matrix kernel's batched
+    # one compute the same target; pin them to each other bit for bit,
+    # including zero rows (zero norm) and targets that underflow to 0
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        for i in range(200):
+            scale = (0.0, 1.0, 10.0, 100.0)[i % 4]
+            q = (scale * rng.uniform(-1.0, 1.0, n)).tolist()
+            tau = float(rng.uniform(0.01, 2.0))
+            for eps in (0.0, float(rng.uniform(0.0, 1.0))):
+                for normalize in (False, True):
+                    want = np.array(smoothed_policy(q, tau, eps, normalize))
+                    got = _targets(np.array([q]), np.array([[tau]]), np.array([[eps]]),
+                                   normalize)[0]
+                    assert got.tobytes() == want.tobytes(), (q, tau, eps, normalize)
 
 
 def test_records_do_not_depend_on_the_batch():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
+from zsdyn._core import smoothed_policy
 from zsdyn.visbr import _weighted_rows
 
 
@@ -150,33 +151,50 @@ def test_single_state_round_matches_matrix_dynamics_bitwise():
             assert np.array_equal(vs.players[i].pi[0], ms.players[i].pi)
 
 
-def _recorded_row(sg, state, v_star):
-    # every VISBR metric plus v_err, computed from a stepped state
+def _recorded_row(sg, state, v_star, frozen):
+    # every VISBR metric plus v_err, computed from a stepped state; with a
+    # frozen opponent player 2's v is 0 and only ng looks at player 2
     p1, p2 = state.players
+    learners = state.players if frozen is None else (p1,)
     joint = z.validate_joint_policy(p1.pi, p2.pi, sg)
+    errs = [np.abs(p1.v - v_star).max()] + ([np.abs(p2.v + v_star).max()] if frozen is None else [])
     return {"ng": z.nash_gap_stochastic(sg, joint, tol=1e-6),
-            "min_pi": min(float(p.pi.min()) for p in state.players),
-            "q_inf": max(float(np.abs(p.q).max()) for p in state.players),
+            "min_pi": min(float(p.pi.min()) for p in learners),
+            "q_inf": max(float(np.abs(p.q).max()) for p in learners),
             "lsum": float(np.abs(p1.v + p2.v).max()),
-            "v_inf": max(float(np.abs(p.v).max()) for p in state.players),
-            "v_err": max(float(np.abs(p1.v - v_star).max()),
-                         float(np.abs(p2.v + v_star).max()))}
+            "v_inf": max(float(np.abs(p.v).max()) for p in learners),
+            "v_err": float(max(errs))}
 
 
-def _assert_run_equals_stepping(sg, config):
+def _assert_run_equals_stepping(sg, config, frozen_q2=None):
     # every recorded row and the final iterates of run_visbr equal the step
-    # API's bitwise; returns the states the trajectory acted in
-    rec = z.run_visbr(sg, config)
+    # API's bitwise; returns the states the trajectory acted in. With
+    # frozen_q2, run_visbr plays against frozen_pi2, the targets of those q
+    # rows. The step API has no frozen mode, so player 2 is pinned before
+    # each step to q = frozen_q2, pi = frozen_pi2 and v = 0: a policy equal
+    # to its own target does not move, so it plays frozen_pi2
+    frozen = None
+    if frozen_q2 is not None:
+        frozen = np.array([smoothed_policy(row, config.tau, config.eps_bar, False)
+                           for row in frozen_q2.tolist()])
+    rec = z.run_visbr(sg, config, frozen_pi2=frozen)
     v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
 
-    state = z.init_visbr(sg, config)
+    def pin(state):
+        if frozen is None:
+            return state
+        p2 = z.LearnerState(q=frozen_q2, pi=frozen, v=np.zeros(sg.n_states))
+        return z.VisbrState(players=(state.players[0], p2), s=state.s, t=state.t,
+                            k=state.k, rngs=state.rngs)
+
+    state = pin(z.init_visbr(sg, config))
     rows = iter(range(len(rec.index)))
     visited = set()
 
     def check_row(t, k):
         row = next(rows)
         assert rec.index[row].tolist() == [t, k]
-        want = _recorded_row(sg, state, v_star)
+        want = _recorded_row(sg, state, v_star, frozen)
         assert want.keys() == rec.series.keys()
         for name, value in want.items():
             assert rec.series[name][row] == value, (name, t, k)
@@ -185,17 +203,19 @@ def _assert_run_equals_stepping(sg, config):
     for t in range(config.T):
         for k in range(config.K):
             visited.add(state.s)
-            state = z.inner_step(state, sg, config)
+            state = pin(z.inner_step(state, sg, config))
             check_row(t, k + 1)
-        state = z.outer_update(state, sg, config)
+        state = pin(z.outer_update(state, sg, config))
     check_row(config.T, 0)
     assert next(rows, None) is None
-    assert np.array_equal(rec.final_q[0], state.players[0].q)
-    assert np.array_equal(rec.final_q[1], state.players[1].q)
-    assert np.array_equal(rec.final_v[0], state.players[0].v)
-    assert np.array_equal(rec.final_v[1], state.players[1].v)
-    assert np.array_equal(rec.final_policy.pi1, state.players[0].pi)
-    assert np.array_equal(rec.final_policy.pi2, state.players[1].pi)
+    p1, p2 = state.players
+    if frozen is not None:
+        # player 2 never learned: the start of every run
+        p2 = z.init_visbr(sg, config).players[1]
+    for got, want in ((rec.final_q, (p1.q, p2.q)), (rec.final_v, (p1.v, p2.v)),
+                      ((rec.final_policy.pi1, rec.final_policy.pi2), (p1.pi, p2.pi))):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     return visited
 
 
@@ -212,6 +232,23 @@ def test_run_equals_stepping_with_cached_targets():
     sg = _random_sg(np.random.default_rng(21), n_states=6, n1=3, n2=2)
     config = _config(T=3, K=7, seed=77, record_stride=1)
     assert len(_assert_run_equals_stepping(sg, config)) >= 4
+
+
+def test_run_equals_stepping_on_a_larger_game():
+    # 20 states of 3x3: the all-state policy step moves many rows that the
+    # trajectory does not visit between two visits
+    sg = _random_sg(np.random.default_rng(23), n_states=20, n1=3, n2=3, gamma=0.9)
+    config = _config(T=3, K=40, seed=5, tau=0.2, variant="explore", eps_bar=0.1,
+                     record_stride=1, schedule=_sched(beta=0.05))
+    assert len(_assert_run_equals_stepping(sg, config)) >= 10
+
+
+def test_run_equals_stepping_against_a_frozen_opponent():
+    rng = np.random.default_rng(29)
+    sg = _random_sg(rng, n_states=5, n1=3, n2=2)
+    config = _config(T=3, K=12, seed=41, record_stride=1, schedule=_sched(beta=0.05))
+    frozen_q2 = rng.uniform(-1.0, 1.0, (5, 2))
+    assert len(_assert_run_equals_stepping(sg, config, frozen_q2)) >= 3
 
 
 def test_environment_stream_consumption():
