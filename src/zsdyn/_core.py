@@ -1,9 +1,10 @@
 """Inner-loop primitives of the stochastic-game dynamics.
 
-Plain-float list code for one trajectory's millions of tiny updates on
-vectors of length 2 or 3, where lists beat numpy arrays. inner_step and
-run_visbr share these functions, so a run is bitwise-identical to
-iterating steps; matrix_dyn's batched kernel adds in the same order.
+Plain-float list code for the work at the visited state, on vectors of
+length 2 or 3 where lists beat numpy: sampling, and the softmax target of
+the q row the TD update moved (visbr steps every state's policy in numpy).
+Shared by inner_step and run_visbr; matrix_dyn's batched softmax adds in
+the same order, and a test pins the two softmaxes to each other bitwise.
 """
 
 from __future__ import annotations

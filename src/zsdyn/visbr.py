@@ -16,15 +16,13 @@ inner stepsize schedule restarts at k=0 every round.
 The explore variant mixes the softmax target with the uniform distribution,
 which floors every policy entry at eps_bar / n_actions.
 
-The kernel keeps both players' policies, and each state's softmax target
-of q, as two (S, n1 + n2) float64 arrays pi and tg, player 1's columns
-first; against a frozen opponent they hold player 1's n1 columns only.
-The all-state policy step is the one expression pi += beta (tg - pi): a
-subtract, a multiply and an add per entry, as a list loop would do them.
-Sampling, the TD update of q (nested lists) and the visited state's target
-stay in the list primitives of _core. q moves only at the visited state s,
-so tg[st] equals the target of q[st] at every step once tg[s] is
-recomputed from the updated q[s].
+Both players' policies, and each state's softmax target of q, are two
+(S, n1 + n2) float64 arrays pi and tg, player 1's columns first (n1
+columns only against a frozen opponent). Every state's policy moves in the
+one expression pi += beta (tg - pi), the same three operations per entry
+as a list loop; sampling and the TD update of q stay in _core's list code.
+q moves only at the visited state s, so tg[st] stays the target of q[st]
+once tg[s] is recomputed after each step.
 """
 
 from __future__ import annotations
@@ -223,7 +221,8 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
         v1_star = minimax_fixed_point(game, 1, tol=1e-6)
         v_star = (v1_star.tolist(), (-v1_star).tolist())
 
-    rates = [config.schedule.rates(k) for k in range(config.K)]
+    # beta as a numpy float64, which the array step takes faster than a float
+    rates = [(a, np.float64(b)) for a, b in map(config.schedule.rates, range(config.K))]
     P, R1, R2 = game.transition.tolist(), game.R1.tolist(), game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
     # the targets depend on q only, which the end-of-round v update leaves
