@@ -157,7 +157,9 @@ def _recorded_row(sg, state, v_star, frozen):
     p1, p2 = state.players
     learners = state.players if frozen is None else (p1,)
     joint = z.validate_joint_policy(p1.pi, p2.pi, sg)
-    errs = [np.abs(p1.v - v_star).max()] + ([np.abs(p2.v + v_star).max()] if frozen is None else [])
+    errs = [np.abs(p1.v - v_star).max()]
+    if frozen is None:
+        errs.append(np.abs(p2.v + v_star).max())
     return {"ng": z.nash_gap_stochastic(sg, joint, tol=1e-6),
             "min_pi": min(float(p.pi.min()) for p in learners),
             "q_inf": max(float(np.abs(p.q).max()) for p in learners),
