@@ -87,7 +87,8 @@ def _check_distributions(table: np.ndarray, name: str) -> None:
     bad = (rows < 0.0).any(axis=1) | ~(np.abs(sums - 1.0) <= DIST_TOL)
     if bad.any():
         s = int(bad.argmax())
-        where = name if table.ndim == 1 else f"{name} row {s}"
+        at = ", ".join(str(int(i)) for i in np.unravel_index(s, table.shape[:-1]))
+        where = name if table.ndim == 1 else f"{name} row {at}"
         raise NotADistribution(f"{where} is not a distribution within {DIST_TOL}: "
                                f"sum {sums[s]}, smallest entry {rows[s].min()}")
 

@@ -10,10 +10,10 @@ inner maximum is evaluated in closed form,
 attained at the softmax of x, rather than by numerical optimization over
 the simplex.
 
-The module also carries a batched form of both matrix-game gaps for
-(B, n) policy arrays, which the matrix dynamics' recording loop calls; a
-row's gaps are the same bits in any batch. Unit tests pin it to the
-public functions.
+The module also carries batched forms for the recording loops: both
+matrix-game gaps for (B, n) policy arrays, and the stochastic gap for
+(N, S, n_i) stacks of policy tables. A row's gaps are the same bits in any
+batch. Unit tests pin them to the public functions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotZeroSum
-from .games import JointPolicy, MatrixGame, StochasticGame, validate_joint_policy
+from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
+                    validate_joint_policy)
 from .ops import _best_response, _entropy, _policy_value, softmax
 
 
@@ -147,17 +148,30 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
     Best responses come from the policy-iteration oracle, whose values pass
     a Bellman-residual certificate that puts each within tol/2 of the
     optimum; achieved values come from an exact linear solve. The result is
-    therefore correct to tol and is clamped to zero from below. The joint
-    policy is validated once, here, and both players are scored by the
-    oracles' unchecked cores.
+    therefore correct to tol and is clamped to zero from below. It is the
+    one-row case of stochastic_gaps, which run_visbr calls per chunk of
+    recorded rows, so there a row's error surfaces when its chunk is scored.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
-    gap = 0.0
-    for player, opponent in ((1, joint.pi2), (2, joint.pi1)):
-        br = _best_response(game, player, opponent, tol)
-        achieved = _policy_value(game, player, joint)
-        gap += float(game.initial_dist @ br.v) - float(game.initial_dist @ achieved)
-    return max(0.0, gap)
+    return float(stochastic_gaps(game, joint.pi1[None], joint.pi2[None], tol)[0])
+
+
+def stochastic_gaps(game: StochasticGame, pi1, pi2, tol: float = 1e-6) -> np.ndarray:
+    """nash_gap_stochastic, to the same bits, of each (pi1[n], pi2[n]) of two
+    (N, n_states, n_actions_i) stacks. One pass per player checks every table
+    ("row n, s" names a bad one); NoConvergence if any row's certificate fails."""
+    a1, a2 = (np.asarray(p, dtype=np.float64) for p in (pi1, pi2))
+    if a1.shape[1:] != game.R1.shape[:2] or a2.shape != a1.shape[:1] + game.R2.shape[:2]:
+        raise DimensionMismatch(f"policy stacks {a1.shape}, {a2.shape} do not fit the game")
+    _check_distributions(a1, "pi1")
+    _check_distributions(a2, "pi2")
+    # a (1, S) @ (S, 1) product per row is p_o @ v's dot; a batched V @ p_o is not
+    d, gap = game.initial_dist[:, None], 0.0
+    for player, opponent in ((1, a2), (2, a1)):
+        br = _best_response(game, player, opponent, tol).v
+        achieved = _policy_value(game, player, a1, a2)
+        gap = gap + ((br[:, None] @ d)[:, 0, 0] - (achieved[:, None] @ d)[:, 0, 0])
+    return np.where(gap > 0.0, gap, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def minimax_fixed_point(game: StochasticGame, player: int, tol: float = 1e-6) ->
         if residual <= tol * (1.0 - gamma) / 2.0:
             return v
         sigma = np.array([g.maximin for g in solved])
-        v_next = -_solve_mdp(*_marginalize(game, 3 - player, sigma, reward), gamma)[0]
+        v_next = -_solve_mdp(*_marginalize(game, 3 - player, sigma[None], reward), gamma)[0][0]
         if not float((v_next - v).max()) > margin:
             break  # v has stopped improving: tol cannot be certified
         v = v_next
@@ -315,14 +315,14 @@ class BestResponse(NamedTuple):
 
 
 def _marginalize(game: StochasticGame, player: int, opponent: np.ndarray, reward=None):
-    """Rewards (from R_player unless `reward` is given) and kernel of the MDP
-    faced by `player` when the opponent plays the per-state mixture `opponent`."""
+    """Rewards (N, S, A) (from R_player unless `reward` is given) and kernels
+    (N, S, A, S) of the MDPs `player` faces against each opponent table."""
     if player == 1:
-        r = np.einsum("sab,sb->sa", game.R1 if reward is None else reward, opponent)
-        kernel = np.einsum("sabt,sb->sat", game.transition, opponent)
+        r = np.einsum("sab,nsb->nsa", game.R1 if reward is None else reward, opponent)
+        kernel = np.einsum("sabt,nsb->nsat", game.transition, opponent)
     elif player == 2:
-        r = np.einsum("sba,sa->sb", game.R2 if reward is None else reward, opponent)
-        kernel = np.einsum("sabt,sa->sbt", game.transition, opponent)
+        r = np.einsum("sba,nsa->nsb", game.R2 if reward is None else reward, opponent)
+        kernel = np.einsum("sabt,nsa->nsbt", game.transition, opponent)
     else:
         raise ValueError(f"player must be 1 or 2, got {player}")
     return r, kernel
@@ -349,51 +349,56 @@ def best_response_value(game: StochasticGame, player: int, opponent,
     certificate max|max_a(r + gamma P v) - v| <= tol (1 - gamma) / 2, which
     puts it within tol/2 of the optimum; NoConvergence otherwise.
     """
-    return _best_response(game, player, _check_opponent(game, player, opponent), tol)
+    br = _best_response(game, player, _check_opponent(game, player, opponent)[None], tol)
+    return BestResponse(v=br.v[0], policy=br.policy[0])
 
 
 def _best_response(game: StochasticGame, player: int, opp: np.ndarray,
                    tol: float) -> BestResponse:
-    # unchecked core: opp is a float64 (n_states, n_opp) table of distributions
+    # unchecked core: (N, S) values and policies against an (N, S, n_opp) stack
     v, act, residual = _solve_mdp(*_marginalize(game, player, opp), game.gamma)
-    if not residual <= tol * (1.0 - game.gamma) / 2.0:
+    if not (residual <= tol * (1.0 - game.gamma) / 2.0).all():
         raise NoConvergence("best-response Bellman residual exceeds tol (1 - gamma) / 2")
     return BestResponse(v=v, policy=act)
 
 
 def _solve_mdp(r: np.ndarray, kernel: np.ndarray, gamma: float):
-    """Howard policy iteration on the MDP (r[s, a], kernel[s, a, t]). Returns the
-    optimal values, a deterministic policy attaining them and the Bellman
-    residual max|max_a(r + gamma P v) - v|."""
-    rows, eye = np.arange(r.shape[0]), np.eye(r.shape[0])
-    margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - gamma)
-    act = r.argmax(axis=1)
+    """Howard policy iteration on a stack of MDPs (r[n, s, a], kernel[n, s, a, t]),
+    each row with its own margin; a stable row stays stable, so it gets the same
+    bits in any stack. Returns (N, S) optimal values and policies attaining them
+    and (N,) residuals max|max_a(r + gamma P v) - v|: callers check them, run_visbr
+    once per scored chunk, so a recorded row's NoConvergence surfaces there."""
+    rows, states, eye = np.arange(len(r))[:, None], np.arange(r.shape[1]), np.eye(r.shape[1])
+    margin = 64 * np.finfo(np.float64).eps * (1.0 + np.abs(r).max(axis=(1, 2))) / (1.0 - gamma)
+    act = r.argmax(axis=2)
     for _ in range(1000):
-        v = np.linalg.solve(eye - gamma * kernel[rows, act], r[rows, act])
-        q = r + gamma * (kernel @ v)
-        best = q.argmax(axis=1)
-        switch = q[rows, best] > q[rows, act] + margin
+        at = (rows, states, act)
+        v = np.linalg.solve(eye - gamma * kernel[at], r[at][..., None])[..., 0]
+        q = r + gamma * (kernel @ v[:, None, :, None])[..., 0]
+        best, top = q.argmax(axis=2), q.max(axis=2)
+        switch = top > q[at] + margin[:, None]
         if not switch.any():
-            return v, act, float(np.abs(q.max(axis=1) - v).max())
+            return v, act, np.abs(top - v).max(axis=1)
         act = np.where(switch, best, act)
     raise NoConvergence("policy iteration exhausted its budget")
 
 
 def policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:
     """Exact discounted value of a fixed joint policy via a linear solve."""
-    return _policy_value(game, player, validate_joint_policy(joint.pi1, joint.pi2, game))
+    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
+    return _policy_value(game, player, joint.pi1[None], joint.pi2[None])[0]
 
 
-def _policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:
-    # unchecked core: joint is already validated against game
+def _policy_value(game: StochasticGame, player: int, pi1, pi2) -> np.ndarray:
+    # unchecked core: (N, S) values of the validated (N, S, n_i) stacks pi1, pi2
     if player == 1:
-        r = np.einsum("sab,sa,sb->s", game.R1, joint.pi1, joint.pi2)
+        r = np.einsum("sab,nsa,nsb->ns", game.R1, pi1, pi2)
     elif player == 2:
-        r = np.einsum("sba,sb,sa->s", game.R2, joint.pi2, joint.pi1)
+        r = np.einsum("sba,nsb,nsa->ns", game.R2, pi2, pi1)
     else:
         raise ValueError(f"player must be 1 or 2, got {player}")
-    kernel = np.einsum("sabt,sa,sb->st", game.transition, joint.pi1, joint.pi2)
-    return np.linalg.solve(np.eye(game.n_states) - game.gamma * kernel, r)
+    kernel = np.einsum("sabt,nsa,nsb->nst", game.transition, pi1, pi2)
+    return np.linalg.solve(np.eye(game.n_states) - game.gamma * kernel, r[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

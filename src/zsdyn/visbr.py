@@ -35,11 +35,13 @@ from ._core import pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import BadConfig, DimensionMismatch, NotErgodic
 from .games import (JointPolicy, LearnerState, StochasticGame, TrajectoryRecord,
-                    check_zero_sum_game, uniform_joint_policy)
-from .metrics import nash_gap_stochastic
+                    _check_distributions, check_zero_sum_game, uniform_joint_policy)
+from .metrics import stochastic_gaps
 from .ops import minimax_fixed_point, stationary_distribution
 
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf")
+
+_SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call: bounds the held tables' memory
 
 # run_visbr adds the v_err column when n_states * n_actions_1 * n_actions_2
 # is at most this, since it solves player 1's minimax fixed point for it
@@ -195,7 +197,8 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
     drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
     exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
-    V_STAR_BUDGET.
+    V_STAR_BUDGET. stochastic_gaps scores ng per _SCORE_CHUNK rows (same bytes),
+    so a row's NoConvergence or NotADistribution surfaces at that scoring.
 
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
     learning (its q, pi, v stay put) and min_pi / q_inf then cover player 1
@@ -210,11 +213,12 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
 
     frozen2 = None
     if frozen_pi2 is not None:
-        arr = np.asarray(frozen_pi2, dtype=np.float64)
-        if arr.shape != (S, n2):
+        fixed2 = np.asarray(frozen_pi2, dtype=np.float64)
+        if fixed2.shape != (S, n2):
             raise DimensionMismatch(
-                f"frozen_pi2 must have shape {(S, n2)}, got {arr.shape}")
-        frozen2 = arr.tolist()
+                f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
+        _check_distributions(fixed2, "frozen_pi2")  # before the run, not at the first score
+        frozen2 = fixed2.tolist()
 
     v_star = None
     if S * n1 * n2 <= V_STAR_BUDGET:  # zero-sum, so player 2's v* is -v1*
@@ -235,15 +239,16 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
     index: list[tuple[int, int]] = []
     series: dict[str, list] = {name: [] for name in metric_names}
+    held: list[np.ndarray] = []  # recorded (S, n1 + n2) joint policies, ng not scored yet
 
     def record(t: int, k: int) -> None:
         index.append((t, k))
-        rows1 = pi[:, :n1].tolist()
-        rows2 = pi[:, n1:].tolist() if frozen2 is None else frozen2
-        joint = JointPolicy(pi1=np.array(rows1), pi2=np.array(rows2))
-        series["ng"].append(nash_gap_stochastic(game, joint, tol=1e-6))
-        rows = rows1 + ([] if frozen2 is not None else rows2)
-        series["min_pi"].append(min(min(row) for row in rows))
+        held.append(pi.copy() if frozen2 is None else np.hstack((pi, fixed2)))
+        if len(held) == _SCORE_CHUNK or t == config.T:  # (T, 0) is the last row
+            stack = np.array(held)
+            series["ng"] += stochastic_gaps(game, stack[..., :n1], stack[..., n1:]).tolist()
+            held.clear()
+        series["min_pi"].append(float(pi.min()))  # pi is player 1's alone if frozen
         q_rows = q1 + ([] if frozen2 is not None else q2)
         series["q_inf"].append(max(max(abs(x) for x in row) for row in q_rows))
         series["lsum"].append(max(abs(a + b) for a, b in zip(v1, v2)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn.metrics import matrix_gaps
+from zsdyn.metrics import matrix_gaps, stochastic_gaps
 
 
 def _random_joint(rng, n1, n2):
@@ -340,6 +340,117 @@ def test_stochastic_gap_and_oracles_keep_input_guards(player):
         # the table is the opponent of the other player's best response
         with pytest.raises(error, match=None if row is None else f"opponent policy row {row} "):
             z.best_response_value(sg, 3 - player, bad)
+
+
+# --- stacked stochastic gap ---------------------------------------------------
+
+def _reference_gap(sg, pi1, pi2, tol):
+    # the one-joint-policy scorer as a plain loop: Howard iteration per player
+    # on an (S, A) MDP, two exact solves and p_o @ v as a dot product
+    gap = 0.0
+    for player, opp in ((1, pi2), (2, pi1)):
+        if player == 1:
+            r = np.einsum("sab,sb->sa", sg.R1, opp)
+            kernel = np.einsum("sabt,sb->sat", sg.transition, opp)
+            r_pol = np.einsum("sab,sa,sb->s", sg.R1, pi1, pi2)
+        else:
+            r = np.einsum("sba,sa->sb", sg.R2, opp)
+            kernel = np.einsum("sabt,sa->sbt", sg.transition, opp)
+            r_pol = np.einsum("sba,sb,sa->s", sg.R2, pi2, pi1)
+        rows, eye = np.arange(sg.n_states), np.eye(sg.n_states)
+        margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - sg.gamma)
+        act = r.argmax(axis=1)
+        while True:
+            v = np.linalg.solve(eye - sg.gamma * kernel[rows, act], r[rows, act])
+            q = r + sg.gamma * (kernel @ v)
+            best = q.argmax(axis=1)
+            switch = q[rows, best] > q[rows, act] + margin
+            if not switch.any():
+                break
+            act = np.where(switch, best, act)
+        assert float(np.abs(q.max(axis=1) - v).max()) <= tol * (1.0 - sg.gamma) / 2.0
+        chain = np.einsum("sabt,sa,sb->st", sg.transition, pi1, pi2)
+        achieved = np.linalg.solve(eye - sg.gamma * chain, r_pol)
+        gap += float(sg.initial_dist @ v) - float(sg.initial_dist @ achieved)
+    return max(0.0, gap)
+
+
+def _tied_sg(rng, player):
+    # the player's actions 1 and 2 duplicate action 0 in rewards and moves
+    P = rng.random((3, 3, 3, 3)) + 0.05
+    P /= P.sum(axis=3, keepdims=True)
+    R1 = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    for table in (P, R1):
+        view = np.moveaxis(table, player, 0)
+        view[1] = view[0]
+        view[2] = view[0]
+    return z.validate_stochastic_game(P, R1, gamma=0.9)
+
+
+def _policy_stack(rng, n_rows, n_states, n):
+    # mixed rows with zero entries, deterministic rows and uniform rows
+    stack = rng.random((n_rows, n_states, n)) ** 3
+    stack[rng.random(stack.shape) < 0.25] = 0.0
+    stack[..., 0] += 1e-3
+    stack /= stack.sum(axis=2, keepdims=True)
+    stack[1::5] = np.eye(n)[rng.integers(0, n, (len(stack[1::5]), n_states))]
+    stack[2::5] = 1.0 / n
+    return stack
+
+
+def _stack_games():
+    rng = np.random.default_rng(163)
+    for n_states, n1, n2, gamma in ((3, 2, 2, 0.9), (5, 3, 2, 0.75), (20, 3, 3, 0.9)):
+        P = rng.random((n_states, n1, n2, n_states)) ** 3 + 1e-3
+        P /= P.sum(axis=3, keepdims=True)
+        yield z.validate_stochastic_game(P, rng.uniform(-1.0, 1.0, (n_states, n1, n2)),
+                                         gamma=gamma), True
+    # in the tied games every row's policy iteration stops after one round
+    yield _tied_sg(rng, 1), False
+    yield _tied_sg(rng, 2), False
+
+
+def test_stacked_gap_equals_one_row_gap_bitwise():
+    rng = np.random.default_rng(167)
+    for sg, rounds_vary in _stack_games():
+        pi1 = _policy_stack(rng, 40, sg.n_states, sg.n_actions_1)
+        pi2 = _policy_stack(rng, 40, sg.n_states, sg.n_actions_2)
+        # player 1's best response is the reward-greedy policy in some rows
+        # (one round of policy iteration) and not in others (more rounds)
+        greedy = [np.array_equal(z.best_response_value(sg, 1, p).policy,
+                                 np.einsum("sab,sb->sa", sg.R1, p).argmax(axis=1))
+                  for p in pi2]
+        assert not rounds_vary or (any(greedy) and not all(greedy))
+        gaps = stochastic_gaps(sg, pi1, pi2, tol=1e-6)
+        assert gaps.shape == (40,) and gaps.dtype == np.float64
+        for n in range(40):
+            one = z.nash_gap_stochastic(sg, z.JointPolicy(pi1=pi1[n], pi2=pi2[n]), tol=1e-6)
+            assert np.float64(one).tobytes() == gaps[n].tobytes()
+            ref = _reference_gap(sg, pi1[n], pi2[n], 1e-6)
+            assert np.float64(ref).tobytes() == gaps[n].tobytes()
+        # a sub-stack scores its rows to the same bits
+        assert stochastic_gaps(sg, pi1[7:19], pi2[7:19]).tobytes() == gaps[7:19].tobytes()
+
+
+def test_stacked_gap_refuses_bad_rows_and_tolerances():
+    rng = np.random.default_rng(173)
+    sg = next(_stack_games())[0]
+    pi1 = _policy_stack(rng, 9, 3, 2)
+    pi2 = _policy_stack(rng, 9, 3, 2)
+    for value in (np.nan, 0.5 + 1e-9, -0.25):
+        bad = pi1.copy()
+        bad[4, 1, 0] = value
+        with pytest.raises(z.NotADistribution, match="pi1 row 4, 1 "):
+            stochastic_gaps(sg, bad, pi2)
+        with pytest.raises(z.NotADistribution, match="pi2 row 4, 1 "):
+            stochastic_gaps(sg, pi2, bad)
+    with pytest.raises(z.DimensionMismatch):
+        stochastic_gaps(sg, pi1, pi2[:-1])
+    with pytest.raises(z.DimensionMismatch):
+        stochastic_gaps(sg, pi1[0], pi2[0])
+    for tol in (1e-30, float("nan")):
+        with pytest.raises(z.NoConvergence):
+            stochastic_gaps(sg, pi1, pi2, tol=tol)
 
 
 # --- batched form used by the recording loop ----------------------------------

@@ -31,6 +31,11 @@ def _random_sg(rng, n_states=3, n1=2, n2=2, gamma=0.8):
     return z.validate_stochastic_game(P, R1, gamma=gamma)
 
 
+def _random_rows(rng, n_states, n):
+    rows = rng.random((n_states, n)) + 0.05
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def test_init_state():
     sg = _random_sg(np.random.default_rng(0))
     state = z.init_visbr(sg, _config())
@@ -362,6 +367,27 @@ def test_frozen_opponent_mode():
     for row in ([0.5, 0.5 + 1e-9], [np.nan, 0.5]):
         with pytest.raises(z.NotADistribution):
             z.run_visbr(sg, config, frozen_pi2=np.array([[0.5, 0.5], row]))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_ng_does_not_depend_on_the_score_chunk(monkeypatch, frozen):
+    # 22 recorded rows, scored in chunks of 1, 5 (with a short last chunk) and
+    # 22 rows, give the bytes of scoring them all at once
+    rng = np.random.default_rng(43)
+    sg = _random_sg(rng, n_states=3, n1=2, n2=3)
+    kw = {"frozen_pi2": _random_rows(rng, 3, 3)} if frozen else {}
+    config = _config(T=2, K=10, record_stride=1)
+    monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", 10 ** 6)
+    whole = z.run_visbr(sg, config, **kw)
+    assert len(whole.index) == 22
+    pi2 = kw.get("frozen_pi2", whole.final_policy.pi2)
+    last = z.nash_gap_stochastic(sg, z.JointPolicy(pi1=whole.final_policy.pi1, pi2=pi2))
+    assert whole.metric("ng")[-1] == last
+    for chunk in (1, 5, 22):
+        monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", chunk)
+        rec = z.run_visbr(sg, config, **kw)
+        assert rec.metric("ng").tobytes() == whole.metric("ng").tobytes()
+        assert rec == whole
 
 
 def test_run_reports_warnings():
