@@ -42,6 +42,8 @@ MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
 # long runs and leaves the stream as one rng.random(K) call would draw it
 _UNIFORM_CHUNK = 64
 
+_SCORE_CHUNK = 256  # joint policies per matrix_gaps call, or B if larger: bounds memory
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixDynamicsState:
@@ -149,7 +151,7 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     u = np.empty((2 * B, _UNIFORM_CHUNK))
     q = [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)]
     pi = [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
-    ks, rows = [], []
+    ks, gaps, stats, held = [], [], [], []
     for k in range(K):
         col = k % _UNIFORM_CHUNK
         if col == 0:
@@ -161,10 +163,15 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         done = k + 1
         if done % stride == 0 or done == K:
             ks.append((0, done))
-            rows.append((*matrix_gaps(game.R1, game.R2, pi[0], pi[1], tau[:, 0]),
-                         np.minimum(pi[0].min(axis=1), pi[1].min(axis=1)),
-                         np.maximum(np.abs(q[0]).max(axis=1), np.abs(q[1]).max(axis=1))))
-    series = np.array(rows)  # (recorded rows, metric, trajectory)
+            stats.append((np.minimum(pi[0].min(axis=1), pi[1].min(axis=1)),
+                          np.maximum(np.abs(q[0]).max(axis=1), np.abs(q[1]).max(axis=1))))
+            held.append((pi[0].copy(), pi[1].copy()))
+            if (len(held) + 1) * B > _SCORE_CHUNK or done == K:  # a (rows * B, n) batch
+                p1, p2 = (np.concatenate(p) for p in zip(*held))
+                ng, ngtau = matrix_gaps(game.R1, game.R2, p1, p2, np.tile(tau[:, 0], len(held)))
+                gaps += zip(ng.reshape(-1, B), ngtau.reshape(-1, B))
+                held.clear()
+    series = np.concatenate((np.array(gaps), np.array(stats)), axis=1)  # (row, metric, b)
     index = np.array(ks, dtype=np.int64)
     return [TrajectoryRecord(
         config_echo=c.to_dict(),

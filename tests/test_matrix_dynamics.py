@@ -344,3 +344,21 @@ def test_records_do_not_depend_on_the_batch():
     for config, rec in zip(configs, batched):
         assert rec == z.run_matrix_dynamics(game, [config])[0]
         assert rec.config_echo == config.to_dict()
+
+
+def test_records_do_not_depend_on_the_score_chunk(monkeypatch):
+    # 23 recorded rows of 3 trajectories, scored one row per call (a chunk
+    # smaller than the batch), 2 rows per call with a short last call, or all
+    # at once, give the same bytes
+    game = z.validate_matrix_game(np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3)))
+    configs = [_config(seed=s, K=45, record_stride=2, tau=0.3 + 0.1 * s,
+                       variant="explore", eps_bar=0.1) for s in range(3)]
+    monkeypatch.setattr("zsdyn.matrix_dyn._SCORE_CHUNK", 10 ** 6)
+    whole = z.run_matrix_dynamics(game, configs)
+    assert len(whole[0].index) == 23
+    for chunk in (1, 7, 69):
+        monkeypatch.setattr("zsdyn.matrix_dyn._SCORE_CHUNK", chunk)
+        for rec, ref in zip(z.run_matrix_dynamics(game, configs), whole):
+            for name in ("ng", "ngtau", "min_pi", "q_inf"):
+                assert rec.metric(name).tobytes() == ref.metric(name).tobytes()
+            assert rec == ref
