@@ -12,17 +12,20 @@ the point in the grid, so reordering an axis's value list or adding axes
 elsewhere leaves every trajectory's seed unchanged and points can run in
 parallel in any order.
 
+Each kernel call's points share one statistics pass over stacked arrays;
+a point's statistics are the same bits whichever points share its pass.
 CSV cells use the shortest round-trip decimal representation of each float
 (Python repr), so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar
 
 import numpy as np
@@ -125,15 +128,12 @@ class ExperimentConfig(DictConfig):
         # every sweep point must yield a valid run config once a seed is
         # supplied; swept axes may be absent from the template
         for point in self.sweep_points():
-            self._run_config(point, seed=0)
+            self._run_config(point)
 
-    def _run_config(self, point: dict[str, Any], seed: int):
-        d = dict(self.run)
-        d.update(point)
-        d["seed"] = seed
-        if self.kind == "matrix":
-            return MatrixRunConfig.from_dict(d)
-        return VisbrConfig.from_dict(d)
+    def _run_config(self, point: dict[str, Any]):
+        # the run config at a sweep point, with seed 0
+        cls = MatrixRunConfig if self.kind == "matrix" else VisbrConfig
+        return cls.from_dict({**self.run, **point, "seed": 0})
 
     def sweep_points(self) -> list[dict[str, Any]]:
         """Cross product of axis values; axes in sorted name order."""
@@ -159,30 +159,42 @@ class AggregateSeries:
 
 
 def aggregate(runs: list[TrajectoryRecord]) -> list[AggregateSeries]:
-    """Elementwise statistics over trajectories sharing one index grid."""
-    if not runs:
-        raise GridMismatch("need at least one record to aggregate")
-    first = runs[0]
-    names = list(first.series)
-    for rec in runs[1:]:
-        if not np.array_equal(rec.index, first.index):
-            raise GridMismatch("records disagree on the (t, k) index grid")
-        if list(rec.series) != names:
-            raise GridMismatch(
-                f"records disagree on metrics: {list(rec.series)} vs {names}")
-    out = []
-    for name in names:
-        values = np.stack([rec.series[name] for rec in runs])
-        out.append(AggregateSeries(
-            name=name,
-            index=first.index.copy(),
-            mean=values.mean(axis=0),
-            std=values.std(axis=0),
-            median=np.median(values, axis=0),
-            min=values.min(axis=0),
-            max=values.max(axis=0),
-            n=len(runs),
-        ))
+    """Elementwise statistics over trajectories sharing one index grid; the
+    one-point case of run_experiment's pass over a kernel call's points."""
+    return _aggregate_points([runs])[0]
+
+
+def _aggregate_points(points: list[list[TrajectoryRecord]]) -> list[list[AggregateSeries]]:
+    # aggregate() of each point. The points of one index grid, metric list
+    # and trajectory count form a (point, metric, trajectory, row) stack,
+    # reduced over trajectories at once. Trajectories just before rows make
+    # numpy add as for one point's (trajectory, row) stack, pairwise when
+    # there is one row; another order moves bits from 8 trajectories on.
+    groups: dict[tuple, list[int]] = {}
+    for p, runs in enumerate(points):
+        if not runs:
+            raise GridMismatch("need at least one record to aggregate")
+        first = runs[0]
+        names = tuple(first.series)
+        for rec in runs[1:]:
+            if not np.array_equal(rec.index, first.index):
+                raise GridMismatch("records disagree on the (t, k) index grid")
+            if tuple(rec.series) != names:
+                raise GridMismatch(
+                    f"records disagree on metrics: {list(rec.series)} vs {list(names)}")
+        if names:
+            groups.setdefault((first.index.tobytes(), names, len(runs)), []).append(p)
+    out: list[list[AggregateSeries]] = [[] for _ in points]
+    for (_, names, n), members in groups.items():
+        values = np.stack([points[p][j].series[name] for p in members
+                           for name in names for j in range(n)])
+        values = values.reshape(len(members), len(names), n, *values.shape[1:])
+        stats = (values.mean(axis=2), values.std(axis=2), np.median(values, axis=2),
+                 values.min(axis=2), values.max(axis=2))
+        for g, p in enumerate(members):
+            index = points[p][0].index
+            out[p] = [AggregateSeries(name, index.copy(), *(s[g, m] for s in stats), n)
+                      for m, name in enumerate(names)]
     return out
 
 
@@ -210,21 +222,26 @@ def rate_fit(series: AggregateSeries, k_min: int, stat: str = "mean") -> float:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _atomic_write(path: str, data: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+_WORST_CASE = {"min_pi": "min", "q_inf": "max", "v_inf": "max"}
 
 
 def _csv_text(kind: str, aggregates: list[AggregateSeries]) -> str:
-    """Fixed-schema CSV: mean/std for the gap metrics, worst case for the
-    bound metrics (min over trajectories for min_pi, max for q_inf and
-    v_inf), mean for the drift diagnostics (lsum, v_err)."""
+    """Fixed-schema CSV, a column at a time: the t and k index, then mean/std
+    for the gap metrics, worst case for the bound metrics (min over
+    trajectories for min_pi, max for q_inf and v_inf), mean for the drift
+    diagnostics (lsum, v_err), each as repr(float(x))."""
     by_name = {s.name: s for s in aggregates}
     index = aggregates[0].index
     if kind == "matrix":
@@ -233,26 +250,16 @@ def _csv_text(kind: str, aggregates: list[AggregateSeries]) -> str:
         columns = list(STOCHASTIC_CSV_COLUMNS)
         if "v_err" in by_name:
             columns.append("v_err")
-    lines = [",".join(columns)]
-    for row in range(index.shape[0]):
-        cells = []
-        for col in columns:
-            if col == "t":
-                cells.append(str(int(index[row, 0])))
-            elif col == "k":
-                cells.append(str(int(index[row, 1])))
-            elif col.endswith("_mean"):
-                cells.append(_fmt(by_name[col[:-5]].mean[row]))
-            elif col.endswith("_std"):
-                cells.append(_fmt(by_name[col[:-4]].std[row]))
-            elif col == "min_pi":
-                cells.append(_fmt(by_name[col].min[row]))
-            elif col in ("q_inf", "v_inf"):
-                cells.append(_fmt(by_name[col].max[row]))
-            else:  # lsum, v_err
-                cells.append(_fmt(by_name[col].mean[row]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = [map(str, index[:, ("t", "k").index(c)].tolist())
+             for c in columns if c in ("t", "k")]
+    for col in columns[len(cells):]:
+        if col.endswith(("_mean", "_std")):
+            name, _, stat = col.rpartition("_")
+        else:
+            name, stat = col, _WORST_CASE.get(col, "mean")
+        values = np.asarray(getattr(by_name[name], stat), dtype=np.float64)
+        cells.append(map(repr, values.tolist()))
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -276,21 +283,25 @@ class ExperimentBundle:
     out_dir: str | None
 
 
-def _point_records(config: ExperimentConfig, game):
-    # yields (point, its records) in sweep order; the matrix kernel runs
-    # whole points together up to _MATRIX_BATCH_TRAJECTORIES trajectories per
-    # call, while stochastic trajectories run one at a time
+def _point_results(config: ExperimentConfig, game):
+    # yields (point, its records, their aggregates) in sweep order; the
+    # matrix kernel runs whole points together up to
+    # _MATRIX_BATCH_TRAJECTORIES trajectories per call, while stochastic
+    # trajectories run one at a time. Each call's points share one
+    # statistics pass.
     n = config.n_trajectories
     per_call = max(1, _MATRIX_BATCH_TRAJECTORIES // n) if config.kind == "matrix" else 1
     points = config.sweep_points()
     for first in range(0, len(points), per_call):
         batch = points[first:first + per_call]
-        configs = [config._run_config(point, trajectory_seed(config.base_seed, point, j))
-                   for point in batch for j in range(n)]
+        # one validated config per point; its trajectories differ by seed only
+        templates = [config._run_config(point) for point in batch]
+        configs = [replace(c, seed=trajectory_seed(config.base_seed, point, j))
+                   for point, c in zip(batch, templates) for j in range(n)]
         records = (run_matrix_dynamics(game, configs) if config.kind == "matrix"
                    else [run_visbr(game, c) for c in configs])
-        for m, point in enumerate(batch):
-            yield point, records[m * n:(m + 1) * n]
+        per_point = [records[m * n:(m + 1) * n] for m in range(len(batch))]
+        yield from zip(batch, per_point, _aggregate_points(per_point))
 
 
 def run_experiment(config: ExperimentConfig, *, force: bool = False,
@@ -319,9 +330,8 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
              f"kind {config.kind!r} needs a {config.kind} game source")
     points = []
     warnings_manifest: dict[str, list[str]] = {}
-    for i, (point, records) in enumerate(_point_records(config, game)):
+    for i, (point, records, aggregates) in enumerate(_point_results(config, game)):
         label = f"point_{i:04d}"
-        aggregates = aggregate(records)
         # each distinct warning once, in order of first appearance
         warnings = list(dict.fromkeys(w for rec in records for w in rec.warnings))
         if not quiet:

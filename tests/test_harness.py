@@ -1,6 +1,7 @@
 """Experiment harness: seeding, sweeps, aggregation, output files, CLI."""
 
 import hashlib
+import itertools
 import json
 import os
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from zsdyn.cli import main as cli_main
+from zsdyn.config import MatrixRunConfig
 from zsdyn.errors import (
     BadConfig,
     GridMismatch,
@@ -25,6 +27,9 @@ from zsdyn.harness import (
     STOCHASTIC_CSV_COLUMNS,
     AggregateSeries,
     ExperimentConfig,
+    _aggregate_points,
+    _atomic_write,
+    _csv_text,
     aggregate,
     rate_fit,
     run_experiment,
@@ -32,6 +37,7 @@ from zsdyn.harness import (
     sweep_point_key,
     trajectory_seed,
 )
+from zsdyn.matrix_dyn import run_matrix_dynamics
 from zsdyn.ops import minimax_fixed_point
 
 MASK = (1 << 64) - 1
@@ -361,6 +367,68 @@ def test_aggregate_rejects_empty_and_bad_mode():
                   mode="both")
 
 
+def per_point_statistics(runs):
+    # the statistics of one point computed on their own: one (trajectory,
+    # row) stack per metric, reduced over the trajectory axis
+    out = []
+    for name in runs[0].series:
+        values = np.stack([rec.series[name] for rec in runs])
+        out.append((name, runs[0].index, values.mean(axis=0), values.std(axis=0),
+                    np.median(values, axis=0), values.min(axis=0), values.max(axis=0),
+                    len(runs)))
+    return out
+
+
+def assert_same_bits(got, want):
+    # got: AggregateSeries list; want: the same fields as tuples
+    assert [s.name for s in got] == [w[0] for w in want]
+    for series, expected in zip(got, want):
+        fields = (series.index, series.mean, series.std, series.median,
+                  series.min, series.max)
+        for field, other in zip(fields, expected[1:7]):
+            assert field.dtype == other.dtype and field.shape == other.shape
+            assert field.tobytes() == other.tobytes()
+        assert series.n == expected[7]
+
+
+# one kernel call holds each matrix sweep (128 trajectories at most); its
+# index grids differ by K, and K=7 and K=10 give one row each, where numpy
+# sums 8 or more trajectories pairwise
+MIXED_GRID_SWEEPS = [
+    *(dict(kind="matrix", game="builtin:mp", run=matrix_template(record_stride=10),
+           sweep={"tau": [0.2, 0.3, 0.5], "K": [7, 10, 25, 30]}, n_trajectories=n)
+      for n in (1, 3, 5, 9)),
+    dict(kind="stochastic", game=SG_MP, run=sg_template(),
+         sweep={"eps_bar": [0.1, 0.2], "K": [4, 10]}, n_trajectories=3),
+]
+
+
+@pytest.mark.parametrize("sweep", MIXED_GRID_SWEEPS,
+                         ids=["matrix-n1", "matrix-n3", "matrix-n5", "matrix-n9", "stochastic"])
+def test_point_aggregates_do_not_depend_on_the_points_sharing_a_pass(sweep):
+    bundle = run_experiment(ExperimentConfig(base_seed=8, **sweep), keep_records=True)
+    assert len({p.aggregates[0].index.tobytes() for p in bundle.points}) > 1
+    for point in bundle.points:
+        want = per_point_statistics(point.records)
+        assert_same_bits(point.aggregates, want)
+        assert_same_bits(aggregate(list(point.records)), want)
+
+
+def test_aggregate_points_mixes_grids_of_one_kernel_call():
+    # one run_matrix_dynamics call over configs that differ in K and
+    # record_stride, cut into points of 9 trajectories
+    game = load_game("builtin:rps")
+    configs = [MatrixRunConfig.from_dict(
+        {"variant": "explore", "tau": tau, "eps_bar": 0.1, "schedule": CONST_SCHED,
+         "K": K, "record_stride": stride, "seed": 9 * i + j})
+        for i, (tau, K, stride) in enumerate(itertools.product(
+            (0.2, 0.4), (12, 20), (1, 4, 20))) for j in range(9)]
+    records = run_matrix_dynamics(game, configs)
+    points = [records[m:m + 9] for m in range(0, len(records), 9)]
+    for got, runs in zip(_aggregate_points(points), points):
+        assert_same_bits(got, per_point_statistics(runs))
+
+
 # ---------------------------------------------------------------------------
 # Rate fitting
 # ---------------------------------------------------------------------------
@@ -490,18 +558,70 @@ def test_run_experiment_reruns_byte_identical(tmp_path):
 
 
 def test_run_experiment_bytes_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
-    # 6 points of 3 trajectories: a budget of 1 or 4 runs one point per
-    # kernel call, 7 two points per call, 128 all six in one call
+    # 9 points of 3 trajectories on three index grids (K=7 gives one row): a
+    # budget of 1 or 4 runs one point per kernel call, 7 two points per
+    # call, 128 all nine in one call and one statistics pass per grid
     outputs = []
     for budget in (1, 4, 7, 128):
         monkeypatch.setattr("zsdyn.harness._MATRIX_BATCH_TRAJECTORIES", budget)
         out = tmp_path / str(budget)
-        run_experiment(matrix_config(sweep={"tau": [0.2, 0.3, 0.5], "K": [30, 40]},
+        run_experiment(matrix_config(run=matrix_template(record_stride=10),
+                                     sweep={"tau": [0.2, 0.3, 0.5], "K": [7, 30, 40]},
                                      n_trajectories=3, out_dir=str(out)))
         outputs.append({name: (out / name).read_bytes() for name in os.listdir(out)
                         if name != "manifest.json"})
-    assert len(outputs[0]) == 6  # point CSVs
+    assert len(outputs[0]) == 9  # point CSVs
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "point_0000.csv"
+
+    def fail(src, dst):
+        assert os.path.exists(src)
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        _atomic_write(str(target), "k\n1\n")
+    assert os.listdir(tmp_path) == []
+
+
+# one cell of each kind: signed zero, the smallest subnormal, a large
+# integer-valued float, a rounding residue, a repeating fraction and nan
+CELL_VALUES = (-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, float("nan"))
+
+
+def hand_built_series(names, index):
+    values = np.array(CELL_VALUES)
+    return [AggregateSeries(name=name, index=np.array(index, dtype=np.int64),
+                            mean=np.roll(values, m), std=np.roll(values[::-1], m),
+                            median=np.full(6, 7.0), min=np.roll(values, m + 2),
+                            max=np.roll(values, m + 4), n=2)
+            for m, name in enumerate(names)]
+
+
+def test_csv_cells_are_the_repr_of_each_float():
+    matrix = hand_built_series(("ng", "ngtau", "min_pi", "q_inf"),
+                               [[0, 1], [0, 2], [0, 10], [0, 99], [0, 1000], [0, 10 ** 12]])
+    assert _csv_text("matrix", matrix) == (
+        "k,ng_mean,ng_std,ngtau_mean,ngtau_std,min_pi,q_inf\n"
+        "1,-0.0,nan,nan,-0.0,1e+16,nan\n"
+        "2,5e-324,0.3333333333333333,-0.0,nan,0.30000000000000004,-0.0\n"
+        "10,1e+16,0.30000000000000004,5e-324,0.3333333333333333,0.3333333333333333,5e-324\n"
+        "99,0.30000000000000004,1e+16,1e+16,0.30000000000000004,nan,1e+16\n"
+        "1000,0.3333333333333333,5e-324,0.30000000000000004,1e+16,-0.0,0.30000000000000004\n"
+        "1000000000000,nan,-0.0,0.3333333333333333,5e-324,5e-324,0.3333333333333333\n")
+    stochastic = hand_built_series(("ng", "lsum", "min_pi", "q_inf", "v_inf", "v_err"),
+                                   [[0, 0], [0, 5], [1, 0], [1, 5], [2, 0], [12, 3]])
+    assert _csv_text("stochastic", stochastic) == (
+        "t,k,ng_mean,ng_std,lsum,min_pi,q_inf,v_inf,v_err\n"
+        "0,0,-0.0,nan,nan,1e+16,nan,0.3333333333333333,5e-324\n"
+        "0,5,5e-324,0.3333333333333333,-0.0,0.30000000000000004,-0.0,nan,1e+16\n"
+        "1,0,1e+16,0.30000000000000004,5e-324,0.3333333333333333,5e-324,-0.0,0.30000000000000004\n"
+        "1,5,0.30000000000000004,1e+16,1e+16,nan,1e+16,5e-324,0.3333333333333333\n"
+        "2,0,0.3333333333333333,5e-324,0.30000000000000004,-0.0,0.30000000000000004,1e+16,nan\n"
+        "12,3,nan,-0.0,0.3333333333333333,5e-324,0.3333333333333333,0.30000000000000004,-0.0\n")
 
 
 def test_run_experiment_derives_trajectory_seeds():
