@@ -13,7 +13,7 @@ the simplex.
 The module also carries batched forms for the recording loops: both
 matrix-game gaps for (B, n) policy arrays, and the stochastic gap for
 (N, S, n_i) stacks of policy tables. A row's gaps are the same bits in any
-batch. Unit tests pin them to the public functions.
+batch, and the public gap functions are the one-row cases.
 """
 
 from __future__ import annotations
@@ -26,43 +26,25 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotZeroSum
 from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
                     validate_joint_policy)
-from .ops import _best_response, _entropy, _policy_value, softmax
-
-
-def _tau_logsumexp(x: np.ndarray, tau: float) -> float:
-    m = float(x.max())
-    return m + tau * math.log(float(np.exp((x - m) / tau).sum()))
+from .ops import _best_response, _policy_value, softmax
 
 
 def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
     """Sum over players of the best pure-deviation improvement.
 
     Zero exactly at a Nash equilibrium; tiny negative float residue is
-    clamped to zero.
+    clamped to zero. The one-row case of matrix_gaps.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
-    x1 = game.R1 @ joint.pi2
-    x2 = game.R2 @ joint.pi1
-    gap = (float(x1.max()) - float(joint.pi1 @ x1)) + (float(x2.max()) - float(joint.pi2 @ x2))
-    return max(0.0, gap)
+    # tau enters only the regularized gap, which is dropped
+    return float(matrix_gaps(game.R1, game.R2, joint.pi1[None], joint.pi2[None],
+                             np.ones(1))[0][0])
 
 
 def regularized_nash_gap(game: MatrixGame, joint: JointPolicy, tau: float) -> float:
     """Entropy-regularized Nash gap; zero exactly at the Nash distribution."""
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    gap = _vx_terms(game.R1, game.R2, joint.pi1, joint.pi2, tau)
-    return max(0.0, gap)
-
-
-def _vx_terms(X1: np.ndarray, X2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray,
-              tau: float) -> float:
-    x1 = X1 @ pi2
-    x2 = X2 @ pi1
-    term1 = _tau_logsumexp(x1, tau) - (float(pi1 @ x1) + tau * _entropy(pi1))
-    term2 = _tau_logsumexp(x2, tau) - (float(pi2 @ x2) + tau * _entropy(pi2))
-    return term1 + term2
+    return generalized_gap_vx(game.R1, game.R2, joint, tau)
 
 
 def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
@@ -70,7 +52,9 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
 
     X1 and X2 need not be antisymmetric counterparts of each other; with
     X2 = -X1^T this coincides with regularized_nash_gap on that game. Also
-    serves as the per-state inner-loop policy diagnostic.
+    serves as the per-state inner-loop policy diagnostic. The one-row case
+    of matrix_gaps: each player's term is >= 0 by Gibbs' inequality, so its
+    clamp to zero only removes float residue.
     """
     a1 = np.asarray(X1, dtype=np.float64)
     a2 = np.asarray(X2, dtype=np.float64)
@@ -83,7 +67,7 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
     pi2 = np.asarray(joint.pi2, dtype=np.float64)
     if pi1.shape != (a1.shape[0],) or pi2.shape != (a1.shape[1],):
         raise DimensionMismatch("policy shapes do not match the matrices")
-    return _vx_terms(a1, a2, pi1, pi2, tau)
+    return float(matrix_gaps(a1, a2, pi1[None], pi2[None], np.array([tau]))[1][0])
 
 
 # ---------------------------------------------------------------------------
