@@ -1,15 +1,18 @@
-"""Inner-loop primitives of the stochastic-game dynamics.
+"""Float-order-sensitive primitives of both kernels and the smoothing oracles.
 
-Plain-float list code for the work at the visited state, on vectors of
-length 2 or 3 where lists beat numpy: sampling, and the softmax target of
-the q row the TD update moved (visbr steps every state's policy in numpy).
-Shared by inner_step and run_visbr; matrix_dyn's batched softmax adds in
-the same order, and a test pins the two softmaxes to each other bitwise.
+List code for the stochastic kernel's work at the visited state, on vectors
+of length 2 or 3 where lists beat numpy (sampling, smoothed_policy), and
+batched code on (B, n) rows for the matrix kernel, the matrix gaps and the
+oracles (_targets, _entropy: ops.softmax, softmax_explore and entropy are
+their one-row cases). Both sum left to right and take exp and log from the C
+library; a test pins the list and batched softmaxes to each other bitwise.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> list:
@@ -45,3 +48,35 @@ def pick_action(pi: list, u: float) -> int:
             return a
     return last
 
+
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    # math.exp or math.log elementwise: np.exp and np.log differ from the C
+    # library in the last bit on some inputs, and their bits depend on the
+    # CPU's SIMD path
+    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    # sums over the last axis, left to right as a loop over floats adds;
+    # np.sum adds pairwise from 8 entries on, which changes the last bits
+    tot = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        tot += a[..., j]
+    return tot
+
+
+def _targets(q: np.ndarray, tau, eps, normalize: bool) -> np.ndarray:
+    # smoothed_policy of each row of the (B, n) array q; tau and eps are
+    # (B, 1) columns or scalars. A row with zero norm divides by 1.0 and a
+    # row with eps = 0 mixes 0.0 + 1.0 * p, both exact no-ops.
+    if normalize:
+        nrm = np.sqrt(_row_sum(q * q))[:, None]
+        q = q / np.where(nrm > 0.0, nrm, 1.0)
+    e = _libm(math.exp, (q - q.max(axis=1, keepdims=True)) / tau)
+    return eps / q.shape[1] + (1.0 - eps) * (e / _row_sum(e)[:, None])
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    # Shannon entropy of each row of p, 0 log 0 = 0: a p = 0 entry adds -0.0, and
+    # the sum starts at 0.0, so a point mass gets 0.0, not -0.0
+    return _row_sum(-(p * _libm(math.log, np.where(p > 0.0, p, 1.0))))

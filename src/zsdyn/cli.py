@@ -171,10 +171,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_experiment(args)
-    except ZsdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZsdynError, OSError, ValueError) as exc:  # ValueError: a bad numeric argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

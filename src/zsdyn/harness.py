@@ -309,7 +309,8 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
     """Execute every (sweep point, trajectory) run, aggregate, write files.
 
     Writes point_NNNN.csv per sweep point plus manifest.json when out_dir
-    is set; refuses to overwrite existing outputs unless force is given.
+    is set; refuses to overwrite existing outputs unless force is given,
+    and then deletes the point CSVs this run does not write.
     keep_records retains the raw per-trajectory records on each PointResult
     (memory permitting) for library callers.
     """
@@ -358,6 +359,8 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
         "game_hash": game_hash(game),
     }
     if out_dir is not None:
+        for name in set(existing) - {"manifest.json"} - {f"{p.label}.csv" for p in points}:
+            os.remove(os.path.join(out_dir, name))
         _atomic_write(manifest_path,
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ExperimentBundle(config=config, points=points, manifest=manifest,

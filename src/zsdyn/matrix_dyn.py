@@ -24,17 +24,17 @@ run is bitwise equal to repeated step_matrix calls.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import _targets
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .errors import DimensionMismatch
 from .games import (JointPolicy, LearnerState, MatrixGame, TrajectoryRecord,
                     check_zero_sum_game)
-from .metrics import _libm, _row_sum, matrix_gaps
+from .metrics import matrix_gaps
 
 MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
 
@@ -71,17 +71,6 @@ def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynami
                     for n in (game.n_actions_1, game.n_actions_2))
     rngs = tuple(map(np.random.default_rng, player_seed_sequences(config.seed)))
     return MatrixDynamicsState(players=players, k=0, rngs=rngs)
-
-
-def _targets(q: np.ndarray, tau: np.ndarray, eps: np.ndarray, normalize: bool) -> np.ndarray:
-    # softmax of q / tau (optionally of the l2-normalized q), eps-mixed with
-    # uniform; tau and eps are (B, 1) columns. A row with zero norm divides
-    # by 1.0 and a row with eps = 0 mixes 0.0 + 1.0 * p, both exact no-ops.
-    if normalize:
-        nrm = np.sqrt(_row_sum(q * q))[:, None]
-        q = q / np.where(nrm > 0.0, nrm, 1.0)
-    e = _libm(math.exp, (q - q.max(axis=1, keepdims=True)) / tau)
-    return eps / q.shape[1] + (1.0 - eps) * (e / _row_sum(e)[:, None])
 
 
 def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
@@ -172,6 +161,9 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
                 gaps += zip(ng.reshape(-1, B), ngtau.reshape(-1, B))
                 held.clear()
     series = np.concatenate((np.array(gaps), np.array(stats)), axis=1)  # (row, metric, b)
+    # the warnings read only tau and the schedule the batch shares
+    warnings = {t: matrix_condition_warnings(c, game.a_max)
+                for t, c in {c.tau: c for c in configs}.items()}
     index = np.array(ks, dtype=np.int64)
     return [TrajectoryRecord(
         config_echo=c.to_dict(),
@@ -180,5 +172,5 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         final_policy=JointPolicy(pi1=pi[0][b].copy(), pi2=pi[1][b].copy()),
         final_q=(q[0][b].copy(), q[1][b].copy()),
         final_v=None,
-        warnings=matrix_condition_warnings(c, game.a_max),
+        warnings=warnings[c.tau],
     ) for b, c in enumerate(configs)]

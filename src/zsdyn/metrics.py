@@ -13,7 +13,9 @@ the simplex.
 The module also carries batched forms for the recording loops: both
 matrix-game gaps for (B, n) policy arrays, and the stochastic gap for
 (N, S, n_i) stacks of policy tables. A row's gaps are the same bits in any
-batch, and the public gap functions are the one-row cases.
+batch, and the public gap functions are the one-row cases. The softmax,
+entropy, libm exp and log, and left-to-right sums come from _core, so the
+Nash distribution's softmax reply is the matrix kernel's.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import _entropy, _libm, _row_sum, _targets
 from .errors import DimensionMismatch, NoConvergence, NotZeroSum
 from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
                     validate_joint_policy)
-from .ops import _best_response, _policy_value, softmax
+from .ops import SoftmaxParams, _best_response, _policy_value
 
 
 def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
@@ -61,8 +64,7 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
     if a1.ndim != 2 or a2.ndim != 2 or a2.shape != (a1.shape[1], a1.shape[0]):
         raise DimensionMismatch(
             f"X1 and X2 must be transposed-compatible matrices, got {a1.shape}, {a2.shape}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    SoftmaxParams(tau)  # checks tau
     pi1 = np.asarray(joint.pi1, dtype=np.float64)
     pi2 = np.asarray(joint.pi2, dtype=np.float64)
     if pi1.shape != (a1.shape[0],) or pi2.shape != (a1.shape[1],):
@@ -82,12 +84,6 @@ class NashDistribution:
     residual: float
 
 
-def _qre_residual(game: MatrixGame, pi1: np.ndarray, pi2: np.ndarray, tau: float) -> float:
-    r1 = float(np.abs(pi1 - softmax(game.R1 @ pi2, tau)).max())
-    r2 = float(np.abs(pi2 - softmax(game.R2 @ pi1, tau)).max())
-    return max(r1, r2)
-
-
 def nash_distribution(game: MatrixGame, tau: float, tol: float = 1e-10,
                       damping: float = 0.5, max_iters: int = 100_000) -> NashDistribution:
     """Damped simultaneous fixed-point iteration for the Nash distribution.
@@ -99,21 +95,24 @@ def nash_distribution(game: MatrixGame, tau: float, tol: float = 1e-10,
     """
     if not game.zero_sum:
         raise NotZeroSum("nash_distribution requires a zero-sum game")
+    SoftmaxParams(tau)  # checks tau
     if not (0.0 < damping <= 1.0):
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if not (tol >= 0.0 and max_iters >= 1):
+        raise ValueError(f"need tol >= 0 and max_iters >= 1, got {tol}, {max_iters}")
     eta = damping
     while True:
-        pi1 = np.full(game.n_actions_1, 1.0 / game.n_actions_1)
-        pi2 = np.full(game.n_actions_2, 1.0 / game.n_actions_2)
+        pi = [np.full(n, 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
         for _ in range(max_iters):
-            residual = _qre_residual(game, pi1, pi2, tau)
+            # each player's payoff vector x = R_i pi^{-i} as matrix_gaps computes
+            # it, and its softmax reply, serve the residual and the step
+            targets = [_targets(_row_sum(R * opp)[None], tau, 0.0, False)[0]
+                       for R, opp in ((game.R1, pi[1]), (game.R2, pi[0]))]
+            residual = max(float(np.abs(p - t).max()) for p, t in zip(pi, targets))
             if residual <= tol:
-                joint = validate_joint_policy(pi1 / pi1.sum(), pi2 / pi2.sum(), game)
+                joint = validate_joint_policy(*(p / p.sum() for p in pi), game)
                 return NashDistribution(joint=joint, residual=residual)
-            target1 = softmax(game.R1 @ pi2, tau)
-            target2 = softmax(game.R2 @ pi1, tau)
-            pi1 = (1.0 - eta) * pi1 + eta * target1
-            pi2 = (1.0 - eta) * pi2 + eta * target2
+            pi = [(1.0 - eta) * p + eta * t for p, t in zip(pi, targets)]
         if eta <= 1.0 / 16.0 + 1e-15:
             raise NoConvergence(
                 f"Nash-distribution iteration missed tol={tol} within {max_iters} "
@@ -162,22 +161,6 @@ def stochastic_gaps(game: StochasticGame, pi1, pi2, tol: float = 1e-6) -> np.nda
 # Batched form for the recording loop
 # ---------------------------------------------------------------------------
 
-def _libm(fn, a: np.ndarray) -> np.ndarray:
-    # math.exp or math.log elementwise: np.exp and np.log differ from the C
-    # library in the last bit on some inputs, and their bits depend on the
-    # CPU's SIMD path
-    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    # sums over the last axis, left to right as a loop over floats adds;
-    # np.sum adds pairwise from 8 entries on, which changes the last bits
-    tot = 0.0 + a[..., 0]
-    for j in range(1, a.shape[-1]):
-        tot += a[..., j]
-    return tot
-
-
 def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray,
                 tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nash_gap_matrix, regularized_nash_gap) for a batch of joint policies.
@@ -194,8 +177,6 @@ def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray
         m = x.max(axis=1)
         total = _row_sum(_libm(math.exp, (x - m[:, None]) / tau[:, None]))
         ach = _row_sum(own * x)
-        # entries with p = 0 add -0.0, which leaves the sum unchanged
-        ent = _row_sum(-(own * _libm(math.log, np.where(own > 0.0, own, 1.0))))
         ng += m - ach
-        ngtau += m + tau * _libm(math.log, total) - ach - tau * ent
+        ngtau += m + tau * _libm(math.log, total) - ach - tau * _entropy(own)
     return np.where(ng > 0.0, ng, 0.0), np.where(ngtau > 0.0, ngtau, 0.0)

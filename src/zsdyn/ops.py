@@ -1,9 +1,10 @@
 """Stateless mathematical operators.
 
-Softmax family, entropy, guaranteed exploration floors, one-step lookahead
-and minimax Bellman operators, the exact matrix-game value (dense simplex,
-Bland's rule), one policy-iteration MDP core serving the best-response oracle
-and the Hoffman-Karp minimax fixed point (both certified by their Bellman
+Softmax family and entropy (validated one-row cases of _core's batched
+primitives), guaranteed exploration floors, one-step lookahead and minimax
+Bellman operators, the exact matrix-game value (dense simplex, Bland's
+rule), one policy-iteration MDP core serving the best-response oracle and
+the Hoffman-Karp minimax fixed point (both certified by their Bellman
 residuals), exact policy evaluation, and the ergodicity diagnostic.
 Everything here is a pure function of its arguments.
 """
@@ -16,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._core import _entropy, _targets
 from .errors import (
     DimensionMismatch,
     MissingGamma,
@@ -51,18 +53,9 @@ def softmax(q, tau: float) -> np.ndarray:
     Subtracts the max before exponentiation, so temperatures down to 1e-4
     underflow harmlessly instead of overflowing. Output sums to 1 with every
     entry >= 1/((n-1) exp(2 max|q| / tau) + 1) when that floor is
-    representable.
+    representable. The one-row case of the matrix kernel's softmax.
     """
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    arr = np.asarray(q, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatch(f"q must be a non-empty vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput("softmax input contains non-finite entries")
-    z = (arr - arr.max()) / tau
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax_explore(q, SoftmaxParams(tau))
 
 
 def softmax_explore(q, params: SoftmaxParams) -> np.ndarray:
@@ -70,15 +63,12 @@ def softmax_explore(q, params: SoftmaxParams) -> np.ndarray:
 
     Every entry is >= eps_bar / n.
     """
-    base = softmax(q, params.tau)
-    n = base.shape[0]
-    return params.eps_bar / n + (1.0 - params.eps_bar) * base
-
-
-def _entropy(arr: np.ndarray) -> float:
-    # unchecked core: arr is a float64 vector already known to be a distribution
-    mask = arr > 0.0
-    return float(-(arr[mask] * np.log(arr[mask])).sum()) + 0.0
+    arr = np.asarray(q, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DimensionMismatch(f"q must be a non-empty vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("softmax input contains non-finite entries")
+    return _targets(arr[None], params.tau, params.eps_bar, False)[0]
 
 
 def entropy(mu) -> float:
@@ -90,7 +80,7 @@ def entropy(mu) -> float:
         raise NotADistribution("entropy input has a negative or non-finite entry")
     if abs(float(arr.sum()) - 1.0) > 1e-12:
         raise NotADistribution(f"entropy input sums to {float(arr.sum())}")
-    return _entropy(arr)
+    return float(_entropy(arr[None])[0])
 
 
 @dataclass(frozen=True)

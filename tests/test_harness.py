@@ -545,6 +545,15 @@ def test_run_experiment_refuses_overwrite(tmp_path):
     run_experiment(cfg, force=True)
 
 
+def test_forced_rerun_removes_csvs_of_points_it_does_not_write(tmp_path):
+    run_experiment(matrix_config(sweep={"tau": [0.2, 0.3, 0.5]}, out_dir=str(tmp_path)))
+    assert len(os.listdir(tmp_path)) == 4
+    run_experiment(matrix_config(out_dir=str(tmp_path)), force=True)
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "point_0000.csv"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["warnings"]) == ["point_0000"]
+
+
 def test_run_experiment_reruns_byte_identical(tmp_path):
     cfg = matrix_config(sweep={"tau": [0.2, 0.5]}, out_dir=str(tmp_path),
                         n_trajectories=3)
@@ -835,6 +844,19 @@ def test_cli_bad_game_or_policy_exits_2(tmp_path, capsys, game, policy):
         argv = ["oracle", "ng", "--game", game,
                 "--policy", as_file("policy.json", policy)]
     assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nashdist", "--tau", "0"],
+    ["nashdist", "--tau", "0.3", "--damping", "2"],
+    ["ngtau", "--tau", "-1"],
+], ids=["nashdist-tau-0", "nashdist-damping-2", "ngtau-tau-negative"])
+def test_cli_bad_numeric_argument_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "ngtau":
+        argv = argv + ["--policy", write_json(tmp_path / "policy.json",
+                                              {"pi1": [1 / 3] * 3, "pi2": [1 / 3] * 3})]
+    assert cli_main(["oracle", argv[0], "--game", "builtin:rps"] + argv[1:]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.matrix_dyn import _targets
-from zsdyn.metrics import _row_sum, matrix_gaps
+from zsdyn._core import _entropy, _row_sum, _targets, pick_action, smoothed_policy
+from zsdyn.config import matrix_condition_warnings
+from zsdyn.metrics import matrix_gaps
 
 
 def _config(**kw):
@@ -304,9 +304,10 @@ def test_batched_kernel_sums_left_to_right():
 
 
 def test_list_and_batched_softmaxes_agree_bitwise():
-    # the stochastic kernel's list softmax and the matrix kernel's batched
-    # one compute the same target; pin them to each other bit for bit,
-    # including zero rows (zero norm) and targets that underflow to 0
+    # the stochastic kernel's list softmax, the matrix kernel's batched one
+    # and the public softmax oracles compute the same target; pin them to
+    # each other bit for bit, including zero rows (zero norm) and targets
+    # that underflow to 0
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         for i in range(200):
@@ -315,10 +316,31 @@ def test_list_and_batched_softmaxes_agree_bitwise():
             tau = float(rng.uniform(0.01, 2.0))
             for eps in (0.0, float(rng.uniform(0.0, 1.0))):
                 for normalize in (False, True):
-                    want = np.array(smoothed_policy(q, tau, eps, normalize))
+                    want = np.array(smoothed_policy(q, tau, eps, normalize)).tobytes()
                     got = _targets(np.array([q]), np.array([[tau]]), np.array([[eps]]),
                                    normalize)[0]
-                    assert got.tobytes() == want.tobytes(), (q, tau, eps, normalize)
+                    assert got.tobytes() == want, (q, tau, eps, normalize)
+                    if normalize:
+                        continue
+                    got = z.softmax_explore(q, z.SoftmaxParams(tau=tau, eps_bar=eps))
+                    assert got.tobytes() == want, (q, tau, eps)
+                    if eps == 0.0:
+                        assert z.softmax(q, tau).tobytes() == want, (q, tau)
+
+
+def test_entropy_is_the_batched_entropy_row():
+    # z.entropy, each row of the batched entropy and a left-to-right loop
+    # over math.log agree bit for bit, zero entries included
+    rng = np.random.default_rng(19)
+    p = rng.dirichlet(np.ones(9), 300) * (rng.random((300, 9)) < 0.8)
+    p = p / p.sum(axis=1, keepdims=True)
+    batched = _entropy(p)
+    for row, h in zip(p, batched):
+        want = 0.0
+        for x in row.tolist():
+            if x > 0.0:
+                want += -(x * math.log(x))
+        assert z.entropy(row) == h == want
 
 
 def test_records_do_not_depend_on_the_batch():
@@ -344,6 +366,7 @@ def test_records_do_not_depend_on_the_batch():
     for config, rec in zip(configs, batched):
         assert rec == z.run_matrix_dynamics(game, [config])[0]
         assert rec.config_echo == config.to_dict()
+        assert rec.warnings == matrix_condition_warnings(config, game.a_max)
 
 
 def test_records_do_not_depend_on_the_score_chunk(monkeypatch):

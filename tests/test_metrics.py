@@ -222,6 +222,17 @@ def test_nash_distribution_requires_zero_sum():
         z.nash_distribution(game, 0.5)
 
 
+@pytest.mark.parametrize("kw", [{"tau": 0.0}, {"tau": math.nan}, {"damping": 2.0},
+                                {"tol": math.nan}, {"tol": -1.0}, {"max_iters": 0}],
+                         ids=["tau-0", "tau-nan", "damping-2", "tol-nan", "tol-negative",
+                              "max-iters-0"])
+def test_nash_distribution_rejects_bad_arguments_up_front(kw):
+    # max_iters=2000 bounds the run should a check be missing
+    args = {"tau": 0.3, "max_iters": 2000, **kw}
+    with pytest.raises(ValueError):
+        z.nash_distribution(z.rock_paper_scissors(), **args)
+
+
 def test_nash_distribution_asymmetric_2x2():
     # unique interior fixed point, found independently by dense grid refinement
     game = z.validate_matrix_game([[0.8, -0.4], [-0.6, 0.2]])
