@@ -12,8 +12,9 @@ the point in the grid, so reordering an axis's value list or adding axes
 elsewhere leaves every trajectory's seed unchanged and points can run in
 parallel in any order.
 
-Each kernel call's points share one statistics pass over stacked arrays;
-a point's statistics are the same bits whichever points share its pass.
+A kernel call runs several matrix points or one stochastic point, and its
+points share one statistics pass over stacked arrays; a point's
+statistics are the same bits whichever points share its pass.
 CSV cells use the shortest round-trip decimal representation of each float
 (Python repr), so identical runs produce byte-identical files.
 """
@@ -68,9 +69,13 @@ def sweep_point_key(point: dict[str, Any]) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
 
 
+def _point_seed(base_seed: int, point: dict[str, Any]) -> int:
+    return splitmix64(base_seed ^ sweep_point_key(point))
+
+
 def trajectory_seed(base_seed: int, point: dict[str, Any], j: int) -> int:
     """Seed for trajectory j at the given sweep point."""
-    return splitmix64(splitmix64(base_seed ^ sweep_point_key(point)) ^ j)
+    return splitmix64(_point_seed(base_seed, point) ^ j)
 
 
 @dataclass(frozen=True)
@@ -286,9 +291,9 @@ class ExperimentBundle:
 def _point_results(config: ExperimentConfig, game):
     # yields (point, its records, their aggregates) in sweep order; the
     # matrix kernel runs whole points together up to
-    # _MATRIX_BATCH_TRAJECTORIES trajectories per call, while stochastic
-    # trajectories run one at a time. Each call's points share one
-    # statistics pass.
+    # _MATRIX_BATCH_TRAJECTORIES trajectories per call, while run_visbr runs
+    # one point per call, which bounds the records held and shares its v*.
+    # Each call's points share one statistics pass; each key is hashed once.
     n = config.n_trajectories
     per_call = max(1, _MATRIX_BATCH_TRAJECTORIES // n) if config.kind == "matrix" else 1
     points = config.sweep_points()
@@ -296,10 +301,11 @@ def _point_results(config: ExperimentConfig, game):
         batch = points[first:first + per_call]
         # one validated config per point; its trajectories differ by seed only
         templates = [config._run_config(point) for point in batch]
-        configs = [replace(c, seed=trajectory_seed(config.base_seed, point, j))
-                   for point, c in zip(batch, templates) for j in range(n)]
+        keys = [_point_seed(config.base_seed, point) for point in batch]
+        configs = [replace(c, seed=splitmix64(key ^ j))
+                   for key, c in zip(keys, templates) for j in range(n)]
         records = (run_matrix_dynamics(game, configs) if config.kind == "matrix"
-                   else [run_visbr(game, c) for c in configs])
+                   else run_visbr(game, configs))
         per_point = [records[m * n:(m + 1) * n] for m in range(len(batch))]
         yield from zip(batch, per_point, _aggregate_points(per_point))
 

@@ -90,8 +90,8 @@ def nash_distribution(game: MatrixGame, tau: float, tol: float = 1e-10,
 
     pi^i <- (1 - eta) pi^i + eta softmax(R_i pi^{-i} / tau), from uniform.
     The iteration is not globally contractive for small tau, so on
-    NoConvergence the damping is halved automatically down to 1/16 before
-    the error surfaces.
+    NoConvergence the damping is halved down to 1/256 (from the default,
+    up to eight rounds of max_iters iterations) before the error surfaces.
     """
     if not game.zero_sum:
         raise NotZeroSum("nash_distribution requires a zero-sum game")
@@ -113,7 +113,7 @@ def nash_distribution(game: MatrixGame, tau: float, tol: float = 1e-10,
                 joint = validate_joint_policy(*(p / p.sum() for p in pi), game)
                 return NashDistribution(joint=joint, residual=residual)
             pi = [(1.0 - eta) * p + eta * t for p, t in zip(pi, targets)]
-        if eta <= 1.0 / 16.0 + 1e-15:
+        if eta <= 1.0 / 256.0 + 1e-15:
             raise NoConvergence(
                 f"Nash-distribution iteration missed tol={tol} within {max_iters} "
                 f"iterations even at damping {eta}")

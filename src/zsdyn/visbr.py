@@ -22,11 +22,14 @@ columns only against a frozen opponent). Every state's policy moves in the
 one expression pi += beta (tg - pi), the same three operations per entry
 as a list loop; sampling and the TD update of q stay in _core's list code.
 q moves only at the visited state s, so tg[st] stays the target of q[st]
-once tg[s] is recomputed after each step.
+once tg[s] is recomputed after each step. run_visbr takes a sequence of
+configs, as run_matrix_dynamics does, and runs their trajectories one after
+another on the v* and game tables it builds once per call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +44,7 @@ from .ops import minimax_fixed_point, stationary_distribution
 
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf")
 
-_SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call: bounds the held tables' memory
+_SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call and reduction: bounds held memory
 
 # run_visbr adds the v_err column when n_states * n_actions_1 * n_actions_2
 # is at most this, since it solves player 1's minimax fixed point for it
@@ -78,7 +81,6 @@ def _setup(game: StochasticGame, config: VisbrConfig):
     # The start of every run: zero q1, q2 as nested lists, the uniform
     # policies as (S, n_i) arrays, the (player 1, player 2, environment)
     # generators, and S0 drawn from the environment stream.
-    check_zero_sum_game(game, StochasticGame)
     rngs = tuple(np.random.default_rng(c) for c in visbr_seed_sequences(config.seed))
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
     q = ([[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)])
@@ -89,6 +91,7 @@ def _setup(game: StochasticGame, config: VisbrConfig):
 
 def init_visbr(game: StochasticGame, config: VisbrConfig) -> VisbrState:
     """Zero values and estimates, uniform policies, S0 drawn from initial_dist."""
+    check_zero_sum_game(game, StochasticGame)
     q, pi, rngs, s0 = _setup(game, config)
     players = tuple(LearnerState(q=np.array(qi), pi=p, v=np.zeros(game.n_states))
                     for qi, p in zip(q, pi))
@@ -187,18 +190,33 @@ def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
     return ()
 
 
-def run_visbr(game: StochasticGame, config: VisbrConfig, *,
-              frozen_pi2: np.ndarray | None = None) -> TrajectoryRecord:
-    """Run T outer rounds of K inner steps and record metrics.
+def _v_stats(v1: list, v2: list, v_star, frozen: bool) -> tuple:
+    # lsum, v_inf and v_err (with v_star) of the v every row of a round shares
+    stats = (max(abs(a + b) for a, b in zip(v1, v2)),
+             max(abs(x) for x in (v1 if frozen else v1 + v2)))
+    if v_star is not None:
+        err1 = max(abs(a - b) for a, b in zip(v1, v_star[0]))
+        err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
+        stats += (err1 if frozen else max(err1, err2),)
+    return stats
 
+
+def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
+              frozen_pi2: np.ndarray | None = None) -> list[TrajectoryRecord]:
+    """Run T outer rounds of K inner steps per config; one record each, in order.
+
+    The game and frozen_pi2 checks, the ergodicity warning, v* and the list
+    tables of the game are built once per call; each trajectory then runs
+    on its own, so a record is the same whichever configs share its call.
     Rows carry index (t, k): every stride multiple within a round, each
     round's final (t, K), the initial point (0, 0), and the final (T, 0)
     written after the last outer update. Metrics: stochastic Nash gap (best
     responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
     drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
     exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
-    V_STAR_BUDGET. stochastic_gaps scores ng per _SCORE_CHUNK rows (same bytes),
-    so a row's NoConvergence or NotADistribution surfaces at that scoring.
+    V_STAR_BUDGET. ng, min_pi and q_inf are taken per _SCORE_CHUNK rows
+    (same bytes), so a row's NoConvergence or NotADistribution surfaces at
+    that scoring.
 
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
     learning (its q, pi, v stay put) and min_pi / q_inf then cover player 1
@@ -206,12 +224,9 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
     (pi1, frozen_pi2). Used to study one-sided learning against a
     stationary opponent.
     """
-    (q1, q2), (pi1, pi2), (rng1, rng2, rng_env), s = _setup(game, config)
+    check_zero_sum_game(game, StochasticGame)
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    v1, v2 = [0.0] * S, [0.0] * S
-    warnings = visbr_condition_warnings(config, game.gamma) + _ergodicity_warning(game)
-
-    frozen2 = None
+    fixed2 = frozen2 = None
     if frozen_pi2 is not None:
         fixed2 = np.asarray(frozen_pi2, dtype=np.float64)
         if fixed2.shape != (S, n2):
@@ -219,15 +234,23 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
                 f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
         _check_distributions(fixed2, "frozen_pi2")  # before the run, not at the first score
         frozen2 = fixed2.tolist()
-
+    ergodicity = _ergodicity_warning(game)
     v_star = None
     if S * n1 * n2 <= V_STAR_BUDGET:  # zero-sum, so player 2's v* is -v1*
         v1_star = minimax_fixed_point(game, 1, tol=1e-6)
         v_star = (v1_star.tolist(), (-v1_star).tolist())
+    tables = (game.transition.tolist(), game.R1.tolist(), game.R2.tolist())
+    return [_trajectory(game, c, *tables, fixed2, frozen2, v_star, ergodicity)
+            for c in configs]
 
+
+def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
+    # one run_visbr trajectory on the tables and v* that its call shares
+    (q1, q2), (pi1, pi2), (rng1, rng2, rng_env), s = _setup(game, config)
+    n1, frozen = game.n_actions_1, frozen2 is not None
+    v1 = v2 = [0.0] * game.n_states
     # beta as a numpy float64, which the array step takes faster than a float
     rates = [(a, np.float64(b)) for a, b in map(config.schedule.rates, range(config.K))]
-    P, R1, R2 = game.transition.tolist(), game.R1.tolist(), game.R2.tolist()
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
     # the targets depend on q only, which the end-of-round v update leaves
     # alone, so the cache carries across rounds
@@ -235,29 +258,22 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
         pi, tg = np.hstack((pi1, pi2)), _targets(q1, q2, tau, eps)
     else:
         pi, tg = pi1, _targets(q1, None, tau, eps)
-
-    metric_names = VISBR_METRICS + (("v_err",) if v_star is not None else ())
-    index: list[tuple[int, int]] = []
-    series: dict[str, list] = {name: [] for name in metric_names}
-    held: list[np.ndarray] = []  # recorded (S, n1 + n2) joint policies, ng not scored yet
+    q_rows = q1 if frozen else q1 + q2  # the row lists, which the TD update edits in place
+    index, ng, min_pi, q_inf, v_rows = [], [], [], [], []
+    held, held_q = [], []  # recorded (S, n1 + n2) joint policies and flat q, not reduced yet
+    stats = _v_stats(v1, v2, v_star, frozen)
 
     def record(t: int, k: int) -> None:
         index.append((t, k))
-        held.append(pi.copy() if frozen2 is None else np.hstack((pi, fixed2)))
+        v_rows.append(stats)
+        held.append(np.hstack((pi, fixed2)) if frozen else pi.copy())
+        held_q.append([x for row in q_rows for x in row])
         if len(held) == _SCORE_CHUNK or t == config.T:  # (T, 0) is the last row
             stack = np.array(held)
-            series["ng"] += stochastic_gaps(game, stack[..., :n1], stack[..., n1:]).tolist()
-            held.clear()
-        series["min_pi"].append(float(pi.min()))  # pi is player 1's alone if frozen
-        q_rows = q1 + ([] if frozen2 is not None else q2)
-        series["q_inf"].append(max(max(abs(x) for x in row) for row in q_rows))
-        series["lsum"].append(max(abs(a + b) for a, b in zip(v1, v2)))
-        v_all = v1 + ([] if frozen2 is not None else v2)
-        series["v_inf"].append(max(abs(x) for x in v_all))
-        if v_star is not None:
-            err1 = max(abs(a - b) for a, b in zip(v1, v_star[0]))
-            err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
-            series["v_err"].append(err1 if frozen2 is not None else max(err1, err2))
+            ng.extend(stochastic_gaps(game, stack[..., :n1], stack[..., n1:]).tolist())
+            min_pi.extend(stack[..., :n1 if frozen else None].min(axis=(1, 2)).tolist())
+            q_inf.extend(np.abs(held_q).max(axis=1).tolist())
+            del held[:], held_q[:]
 
     stride = config.record_stride
     record(0, 0)
@@ -274,15 +290,18 @@ def run_visbr(game: StochasticGame, config: VisbrConfig, *,
         v1 = _weighted_rows(pi[:, :n1].tolist(), q1)
         if frozen2 is None:
             v2 = _weighted_rows(pi[:, n1:].tolist(), q2)
+        stats = _v_stats(v1, v2, v_star, frozen)
     record(config.T, 0)
 
+    # zip stops before v_err when the rows carry none
+    columns = zip(VISBR_METRICS + ("v_err",), (ng, min_pi, q_inf, *zip(*v_rows)))
     return TrajectoryRecord(
         config_echo=config.to_dict(),
         index=np.array(index, dtype=np.int64),
-        series={name: np.array(vals) for name, vals in series.items()},
+        series={name: np.array(col) for name, col in columns},
         final_policy=JointPolicy(pi1=pi[:, :n1].copy(),
                                  pi2=pi2 if frozen2 is not None else pi[:, n1:].copy()),
         final_q=(np.array(q1), np.array(q2)),
         final_v=(np.array(v1), np.array(v2)),
-        warnings=warnings,
+        warnings=visbr_condition_warnings(config, game.gamma) + ergodicity,
     )

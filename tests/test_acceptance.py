@@ -181,7 +181,7 @@ def test_acceptance_3_boundedness_fuzz():
             "schedule": schedule(),
             "T": int(rng.integers(2, 5)), "K": int(rng.integers(40, 151)),
             "record_stride": 1, "seed": int(rng.integers(0, 2**63))})
-        rec = run_visbr(game, cfg)
+        [rec] = run_visbr(game, [cfg])
         bound = exploration_bound("stochastic", variant,
                                   SoftmaxParams(tau, eps_bar),
                                   int(max(n1, n2)), gamma=gamma).value
@@ -274,10 +274,9 @@ def test_acceptance_6_visbr_progress():
     game = progress_fixture()
     ng0, ngT, lsum1, lsumT = [], [], [], []
     all_warnings = set()
-    for j in range(20):
-        cfg = VisbrConfig.from_dict(
-            dict(PROGRESS_RUN, seed=trajectory_seed(4242, {}, j)))
-        rec = run_visbr(game, cfg)
+    cfgs = [VisbrConfig.from_dict(dict(PROGRESS_RUN, seed=trajectory_seed(4242, {}, j)))
+            for j in range(20)]
+    for rec in run_visbr(game, cfgs):
         all_warnings.update(rec.warnings)
         rows = row_lookup(rec)
         ng = rec.metric("ng")
@@ -302,10 +301,9 @@ def test_acceptance_7_rationality_against_frozen_opponent():
     best = float(game.initial_dist
                  @ best_response_value(game, 1, frozen, tol=1e-8).v)
     gaps = []
-    for j in range(20):
-        cfg = VisbrConfig.from_dict(
-            dict(PROGRESS_RUN, seed=trajectory_seed(612, {}, j)))
-        rec = run_visbr(game, cfg, frozen_pi2=frozen)
+    cfgs = [VisbrConfig.from_dict(dict(PROGRESS_RUN, seed=trajectory_seed(612, {}, j)))
+            for j in range(20)]
+    for rec in run_visbr(game, cfgs, frozen_pi2=frozen):
         joint = validate_joint_policy(rec.final_policy.pi1, frozen, game)
         got = float(game.initial_dist @ policy_value(game, 1, joint))
         gaps.append(best - got)

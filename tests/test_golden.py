@@ -178,7 +178,7 @@ def test_golden_frozen_opponent_record():
                            T=2, K=30, seed=5, variant="explore", eps_bar=0.2,
                            record_stride=10)
     frozen = np.array([[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
-    _check("frozen", _series_digests(z.run_visbr(game, config, frozen_pi2=frozen)))
+    _check("frozen", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))
 
 
 def test_golden_stochastic_unequal_actions_sweep(tmp_path, monkeypatch):
@@ -202,4 +202,4 @@ def test_golden_frozen_opponent_unequal_actions_record():
                            record_stride=1)
     frozen = np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875], [0.375, 0.625],
                        [1.0, 0.0]])
-    _check("frozen_3x2", _series_digests(z.run_visbr(game, config, frozen_pi2=frozen)))
+    _check("frozen_3x2", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))

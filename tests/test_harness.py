@@ -633,14 +633,28 @@ def test_csv_cells_are_the_repr_of_each_float():
         "12,3,nan,-0.0,0.3333333333333333,5e-324,0.3333333333333333,0.30000000000000004,-0.0\n")
 
 
-def test_run_experiment_derives_trajectory_seeds():
-    cfg = matrix_config(sweep={"tau": [0.2, 0.5]}, n_trajectories=3)
-    bundle = run_experiment(cfg, keep_records=True)
-    for point_result in bundle.points:
-        assert len(point_result.records) == 3
-        for j, rec in enumerate(point_result.records):
-            expected = trajectory_seed(cfg.base_seed, point_result.point, j)
-            assert rec.config_echo["seed"] == expected
+def test_run_experiment_derives_trajectory_seeds(monkeypatch):
+    # each point's key is hashed once, and trajectory j's seed is still
+    # trajectory_seed(base_seed, point, j), for both kernels
+    sweep = {"tau": [0.2, 0.5], "K": [4, 6]}
+    hashed = []
+
+    def key(point):
+        hashed.append(point)
+        return sweep_point_key(point)
+    for cfg in (matrix_config(sweep=sweep, n_trajectories=3),
+                ExperimentConfig(kind="stochastic", game=SG_MP, run=sg_template(),
+                                 n_trajectories=3, base_seed=5, sweep=sweep)):
+        hashed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr("zsdyn.harness.sweep_point_key", key)
+            bundle = run_experiment(cfg, keep_records=True)
+        assert hashed == cfg.sweep_points()
+        for point_result in bundle.points:
+            assert len(point_result.records) == 3
+            for j, rec in enumerate(point_result.records):
+                expected = trajectory_seed(cfg.base_seed, point_result.point, j)
+                assert rec.config_echo["seed"] == expected
 
 
 def test_run_experiment_discards_records_by_default():

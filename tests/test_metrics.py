@@ -214,6 +214,19 @@ def test_nash_distribution_fixed_point_property():
     assert z.regularized_nash_gap(game, nd.joint, 0.2) <= 1e-6
 
 
+def test_nash_distribution_halves_damping_below_one_sixteenth():
+    # this 4x5 game at tau 0.083 misses tol within 20,000 iterations at
+    # damping 1/16 and converges at 1/32, which a floor of 1/16 never tries
+    game = z.validate_matrix_game(np.random.default_rng(237).uniform(-1, 1, (4, 5)))
+    tau = 0.083
+    nd = z.nash_distribution(game, tau, damping=1 / 16, max_iters=20_000)
+    assert nd.residual <= 1e-10
+    s1 = z.softmax(game.R1 @ nd.joint.pi2, tau)
+    s2 = z.softmax(game.R2 @ nd.joint.pi1, tau)
+    assert float(np.abs(s1 - nd.joint.pi1).max()) <= 1e-9
+    assert float(np.abs(s2 - nd.joint.pi2).max()) <= 1e-9
+
+
 def test_nash_distribution_requires_zero_sum():
     game = z.validate_matrix_game([[0.5, -0.5], [-0.5, -0.5]],
                                   [[0.0, 0.0], [0.0, 0.0]],

@@ -184,7 +184,7 @@ def _assert_run_equals_stepping(sg, config, frozen_q2=None):
     if frozen_q2 is not None:
         frozen = np.array([smoothed_policy(row, config.tau, config.eps_bar, False)
                            for row in frozen_q2.tolist()])
-    rec = z.run_visbr(sg, config, frozen_pi2=frozen)
+    [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen)
     v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
 
     def pin(state):
@@ -277,17 +277,18 @@ def test_environment_stream_consumption():
 
 def test_record_row_structure():
     sg = _mp_sg()
-    rec = z.run_visbr(sg, _config(T=3, K=50, record_stride=25))
-    assert rec.index.tolist() == [[0, 0], [0, 25], [0, 50], [1, 25], [1, 50],
-                                  [2, 25], [2, 50], [3, 0]]
-    rec = z.run_visbr(sg, _config(T=2, K=5, record_stride=9))
-    assert rec.index.tolist() == [[0, 0], [0, 5], [1, 5], [2, 0]]
-    assert set(rec.series) == set(z.VISBR_METRICS) | {"v_err"}
+    long, short = z.run_visbr(sg, [_config(T=3, K=50, record_stride=25),
+                                   _config(T=2, K=5, record_stride=9)])
+    assert long.index.tolist() == [[0, 0], [0, 25], [0, 50], [1, 25], [1, 50],
+                                   [2, 25], [2, 50], [3, 0]]
+    assert short.index.tolist() == [[0, 0], [0, 5], [1, 5], [2, 0]]
+    for rec in (long, short):
+        assert set(rec.series) == set(z.VISBR_METRICS) | {"v_err"}
 
 
 def test_initial_row_metrics():
     sg = _mp_sg()
-    rec = z.run_visbr(sg, _config(T=1, K=5))
+    [rec] = z.run_visbr(sg, [_config(T=1, K=5)])
     assert rec.series["lsum"][0] == 0.0
     assert rec.series["v_inf"][0] == 0.0
     assert rec.series["q_inf"][0] == 0.0
@@ -297,7 +298,8 @@ def test_initial_row_metrics():
 def test_identical_config_identical_record():
     sg = _random_sg(np.random.default_rng(33), n_states=2)
     config = _config(T=2, K=20, seed=99, record_stride=5)
-    assert z.run_visbr(sg, config) == z.run_visbr(sg, config)
+    first, second = z.run_visbr(sg, [config, config])
+    assert first == second == z.run_visbr(sg, [config])[0]
 
 
 def test_iterate_bounds_on_random_runs():
@@ -312,7 +314,7 @@ def test_iterate_bounds_on_random_runs():
             eps = float(rng.uniform(0.05, 0.3))
             config = _config(T=3, K=40, seed=trial, tau=float(rng.uniform(0.2, 1.0)),
                              variant="explore", eps_bar=eps)
-        rec = z.run_visbr(sg, config)
+        [rec] = z.run_visbr(sg, [config])
         assert (rec.metric("q_inf") <= cap).all()
         assert (rec.metric("v_inf") <= cap).all()
         if config.variant == "explore":
@@ -325,18 +327,18 @@ def test_iterate_bounds_on_random_runs():
 
 def test_v_error_column_appears_only_under_budget(monkeypatch):
     sg = _mp_sg()
-    with_err = z.run_visbr(sg, _config(T=1, K=5))
+    [with_err] = z.run_visbr(sg, [_config(T=1, K=5)])
     assert "v_err" in with_err.series
     # v* for matching pennies is 0, so v_err equals v_inf throughout
     assert np.allclose(with_err.metric("v_err"), with_err.metric("v_inf"), atol=1e-6)
     monkeypatch.setattr("zsdyn.visbr.V_STAR_BUDGET", 0)
-    without = z.run_visbr(sg, _config(T=1, K=5))
+    [without] = z.run_visbr(sg, [_config(T=1, K=5)])
     assert "v_err" not in without.series
 
 
 def test_v_err_measures_player_one_fixed_point_and_its_negation():
     sg = _random_sg(np.random.default_rng(61))
-    rec = z.run_visbr(sg, _config(T=3, K=20, seed=4))
+    [rec] = z.run_visbr(sg, [_config(T=3, K=20, seed=4)])
     v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
     v1, v2 = rec.final_v
     # the final row scores the final values against (v1*, -v1*), bit for bit
@@ -350,7 +352,7 @@ def test_frozen_opponent_mode():
     frozen = rng.random((2, 2)) + 0.2
     frozen /= frozen.sum(axis=1, keepdims=True)
     config = _config(T=2, K=30, seed=8)
-    rec = z.run_visbr(sg, config, frozen_pi2=frozen)
+    [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen)
     # player 2 never learns in this mode
     assert np.array_equal(rec.final_q[1], np.zeros((2, 2)))
     assert np.array_equal(rec.final_policy.pi2, np.full((2, 2), 0.5))
@@ -363,36 +365,85 @@ def test_frozen_opponent_mode():
     idle = z.validate_joint_policy(rec.final_policy.pi1, rec.final_policy.pi2, sg)
     assert rec.metric("ng")[-1] != z.nash_gap_stochastic(sg, idle, tol=1e-6)
     with pytest.raises(z.DimensionMismatch):
-        z.run_visbr(sg, config, frozen_pi2=np.full((3, 2), 0.5))
+        z.run_visbr(sg, [config], frozen_pi2=np.full((3, 2), 0.5))
     for row in ([0.5, 0.5 + 1e-9], [np.nan, 0.5]):
         with pytest.raises(z.NotADistribution):
-            z.run_visbr(sg, config, frozen_pi2=np.array([[0.5, 0.5], row]))
+            z.run_visbr(sg, [config], frozen_pi2=np.array([[0.5, 0.5], row]))
 
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_ng_does_not_depend_on_the_score_chunk(monkeypatch, frozen):
-    # 22 recorded rows, scored in chunks of 1, 5 (with a short last chunk) and
-    # 22 rows, give the bytes of scoring them all at once
+    # 22 recorded rows, scored and reduced in chunks of 1, 3 and 5 (with a
+    # short last chunk) and 22 rows, give the bytes of one chunk per run;
+    # the second config records 9 rows, a multiple of the chunk of 3
     rng = np.random.default_rng(43)
     sg = _random_sg(rng, n_states=3, n1=2, n2=3)
     kw = {"frozen_pi2": _random_rows(rng, 3, 3)} if frozen else {}
-    config = _config(T=2, K=10, record_stride=1)
+    configs = [_config(T=2, K=10, record_stride=1), _config(T=1, K=21, record_stride=3)]
     monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", 10 ** 6)
-    whole = z.run_visbr(sg, config, **kw)
-    assert len(whole.index) == 22
-    pi2 = kw.get("frozen_pi2", whole.final_policy.pi2)
-    last = z.nash_gap_stochastic(sg, z.JointPolicy(pi1=whole.final_policy.pi1, pi2=pi2))
-    assert whole.metric("ng")[-1] == last
-    for chunk in (1, 5, 22):
+    whole = z.run_visbr(sg, configs, **kw)
+    assert [len(rec.index) for rec in whole] == [22, 9]
+    pi2 = kw.get("frozen_pi2", whole[0].final_policy.pi2)
+    last = z.nash_gap_stochastic(sg, z.JointPolicy(pi1=whole[0].final_policy.pi1, pi2=pi2))
+    assert whole[0].metric("ng")[-1] == last
+    for chunk in (1, 3, 5, 22):
         monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", chunk)
-        rec = z.run_visbr(sg, config, **kw)
-        assert rec.metric("ng").tobytes() == whole.metric("ng").tobytes()
-        assert rec == whole
+        recs = z.run_visbr(sg, configs, **kw)
+        for rec, want in zip(recs, whole):
+            for name in want.series:
+                assert rec.metric(name).tobytes() == want.metric(name).tobytes(), name
+            assert rec == want
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_sequence_call_equals_one_config_calls(frozen):
+    # configs that differ in every field a sweep may vary give, in one
+    # call, the records of one call each, field for field
+    rng = np.random.default_rng(47)
+    sg = _random_sg(rng, n_states=4, n1=3, n2=2)
+    kw = {"frozen_pi2": _random_rows(rng, 4, 2)} if frozen else {}
+    configs = [_config(T=2, K=10, seed=3, record_stride=1),
+               _config(T=3, K=7, seed=11, tau=0.2, record_stride=2),
+               _config(T=1, K=15, seed=3, tau=0.8, variant="explore", eps_bar=0.3,
+                       record_stride=15),
+               _config(T=2, K=10, seed=3, record_stride=1)]
+    recs = z.run_visbr(sg, configs, **kw)
+    assert len(recs) == len(configs) and recs[0] == recs[3]
+    for rec, config in zip(recs, configs):
+        [alone] = z.run_visbr(sg, [config], **kw)
+        assert rec.config_echo == alone.config_echo == config.to_dict()
+        assert rec.index.tobytes() == alone.index.tobytes()
+        assert list(rec.series) == list(alone.series)
+        for name in alone.series:
+            assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
+        for got, want in ((rec.final_policy.pi1, alone.final_policy.pi1),
+                          (rec.final_policy.pi2, alone.final_policy.pi2),
+                          *zip(rec.final_q, alone.final_q), *zip(rec.final_v, alone.final_v)):
+            assert got.tobytes() == want.tobytes()
+        assert rec.warnings == alone.warnings
+    assert z.run_visbr(sg, [], **kw) == []
+
+
+def test_one_fixed_point_and_ergodicity_check_per_call(monkeypatch):
+    sg = _random_sg(np.random.default_rng(53))
+    calls = {"minimax_fixed_point": 0, "stationary_distribution": 0}
+    for name in calls:
+        real = getattr(z.visbr, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(z.visbr, name, counting)
+    recs = z.run_visbr(sg, [_config(seed=j) for j in range(5)])
+    assert len(recs) == 5 and all("v_err" in rec.series for rec in recs)
+    assert calls == {"minimax_fixed_point": 1, "stationary_distribution": 1}
+    z.run_visbr(sg, [_config(seed=9)], frozen_pi2=np.full((3, 2), 0.5))
+    assert calls == {"minimax_fixed_point": 2, "stationary_distribution": 2}
 
 
 def test_run_reports_warnings():
     sg = _mp_sg(gamma=0.5)
-    rec = z.run_visbr(sg, _config(tau=5.0, T=1, K=3))
+    [rec] = z.run_visbr(sg, [_config(tau=5.0, T=1, K=3)])
     assert any("1/(1-gamma)" in w for w in rec.warnings)
 
     # a reducible chain triggers the ergodicity note
@@ -400,7 +451,7 @@ def test_run_reports_warnings():
     P[0, 0, 0, 0] = 1.0
     P[1, 0, 0, 1] = 1.0
     stuck = z.validate_stochastic_game(P, np.zeros((2, 1, 1)), gamma=0.5)
-    rec = z.run_visbr(stuck, _config(T=1, K=3))
+    [rec] = z.run_visbr(stuck, [_config(T=1, K=3)])
     assert any("ergodicity" in w for w in rec.warnings)
 
 
@@ -410,6 +461,6 @@ def test_rejects_non_zero_sum_game():
     R2 = np.zeros((1, 2, 2))
     bad = z.validate_stochastic_game(P, R1, R2, gamma=0.5, require_zero_sum=False)
     with pytest.raises(z.NotZeroSum):
-        z.run_visbr(bad, _config())
+        z.run_visbr(bad, [_config()])
     with pytest.raises(z.NotZeroSum):
         z.init_visbr(bad, _config())
