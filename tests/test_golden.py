@@ -1,9 +1,9 @@
 """Golden digests: SHA-256 of small sweep outputs, pinned across versions.
 
-Six fixtures cover the ways the dynamics produce output: a matrix sweep
+Seven fixtures cover the ways the dynamics produce output: a matrix sweep
 through run_experiment, a matrix sweep over every axis that splits the
 matrix kernel's batch into groups (K, schedule) or varies per row (tau,
-eps_bar), a stochastic sweep through run_experiment (with the v_err
+eps_bar), a matrix sweep on a game with unequal action counts, a stochastic sweep through run_experiment (with the v_err
 column), and a frozen-opponent run_visbr record, a mode run_experiment
 cannot reach, pinned through the bytes of its series. A larger stochastic
 game with unequal action counts gets both a sweep, recorded at every step,
@@ -24,6 +24,11 @@ import zsdyn as z
 from zsdyn.harness import ExperimentConfig, run_experiment
 
 SCHED = {"kind": "constant", "alpha": 0.5, "beta": 0.1}
+
+# a fixed 3x2 matrix game from closed-form dyadic entries: R1 takes odd
+# eighths in [-7/8, 7/8], and R2 is the zero-sum complement
+MG32 = {"type": "matrix",
+        "R1": [[((3 * a + 5 * b) % 8 - 3.5) / 4 for b in range(2)] for a in range(3)]}
 
 # a fixed 3-state 2x2 zero-sum game with dense transitions
 SG3 = {
@@ -82,6 +87,11 @@ GOLDEN = {
         "point_0013.csv": "7d9508620cfc3bf65823b5ce392f36055fd46adc78c6e404abfe319cb5409d5f",
         "point_0014.csv": "7f1e09b36d951d2ae9e8bb0c1526e14189f1e03aaa281fea49520b29436f4555",
         "point_0015.csv": "7bb1747bf677c0fdcd3832a2356de8d101bf96064a3751ee40d276b4c4d324d1",
+    },
+    "matrix_3x2": {
+        "manifest.json": "861e1fdd9e204419b16e8aafaa91fba96c9d41cbb7f181d911e503132e0588a4",
+        "point_0000.csv": "353ac973df9d060b6cc140af7f5cf3bcd1bd3df649aabf05364fba76a007a3f4",
+        "point_0001.csv": "df165993a0c842c7eb02d2792f5d6750a46a947b5d0be26b68b005797c7ff9b8",
     },
     "stochastic": {
         "manifest.json": "ee8814591b2eb8aae52dd82ae5eb662e9845086cc7623255f19bc3f08a8c9f88",
@@ -157,6 +167,20 @@ def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch):
                "tau": [0.2, 0.5], "eps_bar": [0.05, 0.3]},
         out_dir="out")
     _check("matrix_grouped", _sweep_digests(cfg))
+
+
+def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch):
+    # the 3x2 action counts keep each player's rows apart in the kernel and
+    # catch a slip between the two players' columns; K=90 spans two
+    # uniform chunks of 64
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(
+        kind="matrix", game=MG32,
+        run={"variant": "explore", "normalize_q_in_softmax": True, "eps_bar": 0.1,
+             "tau": 0.5, "schedule": dict(SCHED), "K": 90, "record_stride": 15},
+        n_trajectories=3, base_seed=808, sweep={"tau": [0.25, 0.5]},
+        out_dir="out")
+    _check("matrix_3x2", _sweep_digests(cfg))
 
 
 def test_golden_stochastic_sweep(tmp_path, monkeypatch):
