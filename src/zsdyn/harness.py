@@ -131,14 +131,12 @@ class ExperimentConfig(DictConfig):
                  f"sweep cross product has {total} points, above the cap "
                  f"{self.sweep_cap}")
         # every sweep point must yield a valid run config once a seed is
-        # supplied; swept axes may be absent from the template
-        for point in self.sweep_points():
-            self._run_config(point)
-
-    def _run_config(self, point: dict[str, Any]):
-        # the run config at a sweep point, with seed 0
+        # supplied; swept axes may be absent from the template. The configs,
+        # seed 0 and in sweep order, are kept outside the fields, so to_dict,
+        # == and the manifest do not see them
         cls = MatrixRunConfig if self.kind == "matrix" else VisbrConfig
-        return cls.from_dict({**self.run, **point, "seed": 0})
+        object.__setattr__(self, "_run_configs", [cls.from_dict({**self.run, **point, "seed": 0})
+                                                 for point in self.sweep_points()])
 
     def sweep_points(self) -> list[dict[str, Any]]:
         """Cross product of axis values; axes in sorted name order."""
@@ -300,7 +298,7 @@ def _point_results(config: ExperimentConfig, game):
     for first in range(0, len(points), per_call):
         batch = points[first:first + per_call]
         # one validated config per point; its trajectories differ by seed only
-        templates = [config._run_config(point) for point in batch]
+        templates = config._run_configs[first:first + per_call]
         keys = [_point_seed(config.base_seed, point) for point in batch]
         configs = [replace(c, seed=splitmix64(key ^ j))
                    for key, c in zip(keys, templates) for j in range(n)]

@@ -13,8 +13,10 @@ policy pi. One iteration, in this order:
 Neither player sees the opponent's policy, estimate, or action; the realized
 own payoff is the only coupling.
 
-One kernel serves step and run: each player's q and pi are (B, n) arrays,
-one row per trajectory, with tau, eps_bar and the seed per row.
+One kernel serves step and run on B trajectories. Row i*B + b belongs to
+player i of trajectory b, with its own tau, eps_bar and generator: a square
+game keeps q and pi each as one (2B, n) stack, so every update runs once per
+step, and any other game as one (B, n_i) stack per player.
 run_matrix_dynamics batches the configs that share K, schedule,
 record_stride and normalize_q_in_softmax; step_matrix is the case B=1.
 Sums run left to right, nothing uses a matmul, and exp and log come from
@@ -73,20 +75,34 @@ def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynami
     return MatrixDynamicsState(players=players, k=0, rngs=rngs)
 
 
+def _stacks(game: MatrixGame, rows) -> list:
+    # the kernel's layout of player 1's and player 2's (B, ...) arrays: one
+    # stack of both when the action counts match, else one per player
+    return [np.concatenate(rows)] if game.n_actions_1 == game.n_actions_2 else list(rows)
+
+
+def _players(stacks: list, B: int) -> list:
+    # each player's (B, n_i) view of the stacks, valid while they update in place
+    return [s[j:j + B] for s in stacks for j in range(0, len(s), B)]
+
+
 def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
-    # One iteration for a batch. q, pi and u are per-player lists of (B, n)
-    # arrays and (B,) uniforms; q and pi are updated in place.
-    targets = [_targets(qi, tau, eps, normalize) for qi in q]
-    for p, t in zip(pi, targets):
-        p += beta * (t - p)
-    # inverse-CDF sampling: the smallest a with u < pi[0] + ... + pi[a] is
-    # the count of partial sums u passes, since they never decrease
-    a1, a2 = ((ui[:, None] >= np.cumsum(p[:, :-1], axis=1)).sum(axis=1)
-              for p, ui in zip(pi, u))
-    payoffs = (R[0][a1, a2], R[1][a2, a1])
-    rows = np.arange(len(a1))
-    for qi, a, r in zip(q, (a1, a2), payoffs):
-        qi[rows, a] += alpha * (r - qi[rows, a])
+    # One iteration for a batch, in place on q and pi: lists of stacks whose
+    # rows hold player 1's B trajectories, then player 2's, in one (2B, n)
+    # stack for a square game, else a (B, n_i) stack per player. tau and eps
+    # are (rows, 1) columns and u (rows,) uniforms, one of each per stack.
+    a = []
+    for qs, ps, t, e, us in zip(q, pi, tau, eps, u):
+        ps += beta * (_targets(qs, t, e, normalize) - ps)
+        # inverse-CDF sampling: the smallest a with u < pi[0] + ... + pi[a]
+        # is the count of partial sums u passes, since they never decrease
+        a.append((us[:, None] >= np.cumsum(ps[:, :-1], axis=1)).sum(axis=1))
+    a = np.concatenate(a)  # player 1's B actions, then player 2's
+    B, m = len(a) // 2, len(q[0])
+    r = np.concatenate((R[0][a[:B], a[B:]], R[1][a[B:], a[:B]]))
+    rows = np.arange(m)
+    for j, qs in zip(range(0, 2 * B, m), q):
+        qs[rows, a[j:j + m]] += alpha * (r[j:j + m] - qs[rows, a[j:j + m]])
 
 
 def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
@@ -97,11 +113,12 @@ def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
             state.players[1].q.shape != (game.n_actions_2,):
         raise DimensionMismatch("state shapes do not match the game")
     alpha, beta = config.schedule.rates(state.k)
-    q = [np.array(p.q, dtype=np.float64)[None] for p in state.players]
-    pi = [np.array(p.pi, dtype=np.float64)[None] for p in state.players]
-    _step(q, pi, (game.R1, game.R2), np.array([[config.tau]]), np.array([[config.eps_bar]]),
-          config.normalize_q_in_softmax, alpha, beta, [np.array([g.random()]) for g in state.rngs])
-    players = tuple(LearnerState(q=qi[0], pi=p[0]) for qi, p in zip(q, pi))
+    q = _stacks(game, [np.array(p.q, dtype=np.float64)[None] for p in state.players])
+    pi = _stacks(game, [np.array(p.pi, dtype=np.float64)[None] for p in state.players])
+    tau, eps = (_stacks(game, [np.array([[x]])] * 2) for x in (config.tau, config.eps_bar))
+    _step(q, pi, (game.R1, game.R2), tau, eps, config.normalize_q_in_softmax, alpha, beta,
+          _stacks(game, [np.array([g.random()]) for g in state.rngs]))
+    players = tuple(LearnerState(qi[0], p[0]) for qi, p in zip(_players(q, 1), _players(pi, 1)))
     return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs)
 
 
@@ -133,31 +150,35 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     first = configs[0]
     K, stride = first.K, first.record_stride
     B = len(configs)
-    tau = np.array([[c.tau] for c in configs])
-    eps = np.array([[c.eps_bar] for c in configs])
-    # generator 2b + i and row 2b + i of u belong to player i of trajectory b
-    rngs = [np.random.default_rng(s) for c in configs for s in player_seed_sequences(c.seed)]
+    tau = _stacks(game, [np.array([[c.tau] for c in configs])] * 2)
+    eps = _stacks(game, [np.array([[c.eps_bar] for c in configs])] * 2)
+    # generator i*B + b and row i*B + b of u belong to player i of trajectory b
+    seeds = [player_seed_sequences(c.seed) for c in configs]
+    rngs = [np.random.default_rng(s[i]) for i in range(2) for s in seeds]
     u = np.empty((2 * B, _UNIFORM_CHUNK))
-    q = [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)]
-    pi = [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
+    q = _stacks(game, [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)])
+    pi = _stacks(game, [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)])
+    (q1, q2), (pi1, pi2) = _players(q, B), _players(pi, B)
     ks, gaps, stats, held = [], [], [], []
     for k in range(K):
         col = k % _UNIFORM_CHUNK
         if col == 0:
             for g, row in zip(rngs, u):
                 g.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
+            us = _stacks(game, (u[:B], u[B:]))
         alpha, beta = first.schedule.rates(k)
         _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
-              alpha, beta, (u[0::2, col], u[1::2, col]))
+              alpha, beta, [x[:, col] for x in us])
         done = k + 1
         if done % stride == 0 or done == K:
             ks.append((0, done))
-            stats.append((np.minimum(pi[0].min(axis=1), pi[1].min(axis=1)),
-                          np.maximum(np.abs(q[0]).max(axis=1), np.abs(q[1]).max(axis=1))))
-            held.append((pi[0].copy(), pi[1].copy()))
+            stats.append((np.minimum(pi1.min(axis=1), pi2.min(axis=1)),
+                          np.maximum(np.abs(q1).max(axis=1), np.abs(q2).max(axis=1))))
+            held.append((pi1.copy(), pi2.copy()))
             if (len(held) + 1) * B > _SCORE_CHUNK or done == K:  # a (rows * B, n) batch
                 p1, p2 = (np.concatenate(p) for p in zip(*held))
-                ng, ngtau = matrix_gaps(game.R1, game.R2, p1, p2, np.tile(tau[:, 0], len(held)))
+                ng, ngtau = matrix_gaps(game.R1, game.R2, p1, p2,
+                                        np.tile(tau[0][:B, 0], len(held)))
                 gaps += zip(ng.reshape(-1, B), ngtau.reshape(-1, B))
                 held.clear()
     series = np.concatenate((np.array(gaps), np.array(stats)), axis=1)  # (row, metric, b)
@@ -169,8 +190,8 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         config_echo=c.to_dict(),
         index=index.copy(),
         series={name: series[:, m, b].copy() for m, name in enumerate(MATRIX_METRICS)},
-        final_policy=JointPolicy(pi1=pi[0][b].copy(), pi2=pi[1][b].copy()),
-        final_q=(q[0][b].copy(), q[1][b].copy()),
+        final_policy=JointPolicy(pi1=pi1[b].copy(), pi2=pi2[b].copy()),
+        final_q=(q1[b].copy(), q2[b].copy()),
         final_v=None,
         warnings=warnings[c.tau],
     ) for b, c in enumerate(configs)]

@@ -1,5 +1,6 @@
 """Experiment harness: seeding, sweeps, aggregation, output files, CLI."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -229,6 +230,21 @@ def test_experiment_config_allows_axis_only_in_sweep():
 
 def test_experiment_config_dict_roundtrip():
     cfg = matrix_config(sweep={"tau": [0.1, 0.2]}, out_dir="results")
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_sweep_point_run_configs_are_built_once(monkeypatch):
+    # the configs that validation builds are the ones run_experiment runs,
+    # and keeping them changes neither to_dict nor ==
+    built = []
+    from_dict = MatrixRunConfig.from_dict.__func__
+    monkeypatch.setattr(MatrixRunConfig, "from_dict",
+                        classmethod(lambda cls, d: built.append(d) or from_dict(cls, d)))
+    cfg = matrix_config(sweep={"tau": [0.1, 0.2], "K": [10, 20]})
+    assert len(built) == 4
+    bundle = run_experiment(cfg)
+    assert len(built) == 4 and len(bundle.points) == 4
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(cfg)]
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 

@@ -118,29 +118,39 @@ def test_policies_remain_distributions():
             assert float(player.pi.min()) >= 0.0
 
 
-def test_run_equals_stepping_bitwise():
-    game = z.tilted_rps(5)
-    config = _config(seed=19, K=37, record_stride=1, tau=0.7)
-    rec = z.run_matrix_dynamics(game, [config])[0]
+def _uniform_game(shape, seed):
+    return z.validate_matrix_game(np.random.default_rng(seed).uniform(-1.0, 1.0, shape))
 
-    state = z.init_matrix_state(game, config)
-    for k in range(config.K):
-        state = z.step_matrix(state, game, config)
-        row = k  # row k corresponds to iteration k+1
-        q1 = state.players[0].q.tolist()
-        q2 = state.players[1].q.tolist()
-        pi1 = state.players[0].pi.tolist()
-        pi2 = state.players[1].pi.tolist()
-        ng, ngtau = matrix_gaps(game.R1, game.R2, state.players[0].pi[None],
-                                state.players[1].pi[None], np.array([config.tau]))
-        assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
-        assert rec.series["min_pi"][row] == min(min(pi1), min(pi2))
-        assert rec.series["q_inf"][row] == max(max(abs(x) for x in q1),
-                                               max(abs(x) for x in q2))
-    assert np.array_equal(rec.final_policy.pi1, state.players[0].pi)
-    assert np.array_equal(rec.final_policy.pi2, state.players[1].pi)
-    assert np.array_equal(rec.final_q[0], state.players[0].q)
-    assert np.array_equal(rec.final_q[1], state.players[1].q)
+
+# a 2x3 game, which the kernel keeps as one stack of rows per player, and a
+# square game, whose players share one stack
+LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
+
+
+def test_run_equals_stepping_bitwise():
+    # the square tilted_rps(5) and a 2x3 game cover both kernel layouts
+    for game in (z.tilted_rps(5), _uniform_game((2, 3), 3)):
+        config = _config(seed=19, K=37, record_stride=1, tau=0.7)
+        rec = z.run_matrix_dynamics(game, [config])[0]
+
+        state = z.init_matrix_state(game, config)
+        for k in range(config.K):
+            state = z.step_matrix(state, game, config)
+            row = k  # row k corresponds to iteration k+1
+            q1 = state.players[0].q.tolist()
+            q2 = state.players[1].q.tolist()
+            pi1 = state.players[0].pi.tolist()
+            pi2 = state.players[1].pi.tolist()
+            ng, ngtau = matrix_gaps(game.R1, game.R2, state.players[0].pi[None],
+                                    state.players[1].pi[None], np.array([config.tau]))
+            assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
+            assert rec.series["min_pi"][row] == min(min(pi1), min(pi2))
+            assert rec.series["q_inf"][row] == max(max(abs(x) for x in q1),
+                                                   max(abs(x) for x in q2))
+        assert np.array_equal(rec.final_policy.pi1, state.players[0].pi)
+        assert np.array_equal(rec.final_policy.pi2, state.players[1].pi)
+        assert np.array_equal(rec.final_q[0], state.players[0].q)
+        assert np.array_equal(rec.final_q[1], state.players[1].q)
 
 
 def test_identical_config_identical_record():
@@ -343,8 +353,9 @@ def test_entropy_is_the_batched_entropy_row():
         assert z.entropy(row) == h == want
 
 
-def test_records_do_not_depend_on_the_batch():
-    game = z.validate_matrix_game(np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3)))
+@LAYOUTS
+def test_records_do_not_depend_on_the_batch(shape):
+    game = _uniform_game(shape, 5)
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
     configs = []
     # K=150 spans three uniform chunks of 64 and is not a multiple of 64
@@ -369,11 +380,12 @@ def test_records_do_not_depend_on_the_batch():
         assert rec.warnings == matrix_condition_warnings(config, game.a_max)
 
 
-def test_records_do_not_depend_on_the_score_chunk(monkeypatch):
+@LAYOUTS
+def test_records_do_not_depend_on_the_score_chunk(monkeypatch, shape):
     # 23 recorded rows of 3 trajectories, scored one row per call (a chunk
     # smaller than the batch), 2 rows per call with a short last call, or all
     # at once, give the same bytes
-    game = z.validate_matrix_game(np.random.default_rng(7).uniform(-1.0, 1.0, (2, 3)))
+    game = _uniform_game(shape, 7)
     configs = [_config(seed=s, K=45, record_stride=2, tau=0.3 + 0.1 * s,
                        variant="explore", eps_bar=0.1) for s in range(3)]
     monkeypatch.setattr("zsdyn.matrix_dyn._SCORE_CHUNK", 10 ** 6)
