@@ -84,8 +84,8 @@ class ExperimentConfig(DictConfig):
 
     run is a run-config dict without the seed field; seeds are derived per
     trajectory. sweep maps axis names to value lists; the run executes at
-    every point of the cross product. Both are copied once validated, so
-    later edits to the caller's dicts do not reach the config.
+    every point of the cross product. Both are copied, and every point's run
+    config is built, at construction: edits made later are never run.
     """
 
     label: ClassVar[str] = "experiment config"

@@ -81,9 +81,9 @@ def _stacks(game: MatrixGame, rows) -> list:
     return [np.concatenate(rows)] if game.n_actions_1 == game.n_actions_2 else list(rows)
 
 
-def _players(stacks: list, B: int) -> list:
-    # each player's (B, n_i) view of the stacks, valid while they update in place
-    return [s[j:j + B] for s in stacks for j in range(0, len(s), B)]
+def _split(stacks: list, rows: int) -> list:
+    # consecutive `rows`-row views of each stack, valid while it updates in place
+    return [s[j:j + rows] for s in stacks for j in range(0, len(s), rows)]
 
 
 def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
@@ -118,7 +118,7 @@ def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
     tau, eps = (_stacks(game, [np.array([[x]])] * 2) for x in (config.tau, config.eps_bar))
     _step(q, pi, (game.R1, game.R2), tau, eps, config.normalize_q_in_softmax, alpha, beta,
           _stacks(game, [np.array([g.random()]) for g in state.rngs]))
-    players = tuple(LearnerState(qi[0], p[0]) for qi, p in zip(_players(q, 1), _players(pi, 1)))
+    players = tuple(LearnerState(qi[0], p[0]) for qi, p in zip(_split(q, 1), _split(pi, 1)))
     return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs)
 
 
@@ -158,14 +158,14 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     u = np.empty((2 * B, _UNIFORM_CHUNK))
     q = _stacks(game, [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)])
     pi = _stacks(game, [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)])
-    (q1, q2), (pi1, pi2) = _players(q, B), _players(pi, B)
+    (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
+    us = _split([u], len(q[0]))  # each stack's rows of u
     ks, gaps, stats, held = [], [], [], []
     for k in range(K):
         col = k % _UNIFORM_CHUNK
         if col == 0:
             for g, row in zip(rngs, u):
                 g.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
-            us = _stacks(game, (u[:B], u[B:]))
         alpha, beta = first.schedule.rates(k)
         _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
               alpha, beta, [x[:, col] for x in us])
