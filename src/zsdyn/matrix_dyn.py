@@ -101,8 +101,8 @@ def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
     B, m = len(a) // 2, len(q[0])
     r = np.concatenate((R[0][a[:B], a[B:]], R[1][a[B:], a[:B]]))
     rows = np.arange(m)
-    for j, qs in zip(range(0, 2 * B, m), q):
-        qs[rows, a[j:j + m]] += alpha * (r[j:j + m] - qs[rows, a[j:j + m]])
+    for qs, ai, ri in zip(q, _split([a], m), _split([r], m)):
+        qs[rows, ai] += alpha * (ri - qs[rows, ai])
 
 
 def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
