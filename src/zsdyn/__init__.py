@@ -14,7 +14,7 @@ from .errors import (BadConfig, BadDiscount, BadGameSource, BadTransitionRow,
                      DimensionMismatch, GridMismatch, MissingGamma, NoConvergence,
                      NonFiniteInput, NonPositiveValues, NotADistribution, NotErgodic,
                      NotZeroSum, OutputExists, PayoffOutOfRange, ZsdynError)
-from .games import (JointPolicy, LearnerState, MatrixGame, StochasticGame,
+from .games import (JointPolicy, MatrixGame, StochasticGame,
                     TrajectoryRecord, game_hash, load_game, matching_pennies,
                     rock_paper_scissors, tilted_rps, uniform_joint_policy,
                     validate_joint_policy, validate_matrix_game,
@@ -22,8 +22,7 @@ from .games import (JointPolicy, LearnerState, MatrixGame, StochasticGame,
 from .harness import (AggregateSeries, ExperimentBundle, ExperimentConfig,
                       PointResult, aggregate, rate_fit, run_experiment,
                       splitmix64, sweep_point_key, trajectory_seed)
-from .matrix_dyn import (MATRIX_METRICS, MatrixDynamicsState, init_matrix_state,
-                         player_seed_sequences, run_matrix_dynamics, step_matrix)
+from .matrix_dyn import MATRIX_METRICS, player_seed_sequences, run_matrix_dynamics
 from .metrics import (NashDistribution, generalized_gap_vx, nash_distribution,
                       nash_gap_matrix, nash_gap_stochastic, regularized_nash_gap)
 from .ops import (BestResponse, ExplorationBound, GameValue, SoftmaxParams,
@@ -31,8 +30,7 @@ from .ops import (BestResponse, ExplorationBound, GameValue, SoftmaxParams,
                   induced_chain, matrix_game_value, minimax_bellman,
                   minimax_fixed_point, policy_value, softmax, softmax_explore,
                   stationary_distribution)
-from .visbr import (VISBR_METRICS, VisbrState, init_visbr, inner_step,
-                    outer_update, run_visbr, visbr_seed_sequences)
+from .visbr import VISBR_METRICS, run_visbr, visbr_seed_sequences
 
 __version__ = "0.1.0"
 

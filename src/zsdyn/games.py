@@ -263,7 +263,7 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
 
 
 # ---------------------------------------------------------------------------
-# Policies and learner iterates
+# Policies
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -308,15 +308,6 @@ def uniform_joint_policy(game) -> JointPolicy:
     shape1, shape2 = _policy_shapes(game)
     return JointPolicy(pi1=_frozen(np.full(shape1, 1.0 / game.n_actions_1)),
                        pi2=_frozen(np.full(shape2, 1.0 / game.n_actions_2)))
-
-
-@dataclass(frozen=True, eq=False)
-class LearnerState:
-    """One player's iterates: q-values, policy, and (VI runs only) values."""
-
-    q: np.ndarray
-    pi: np.ndarray
-    v: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -13,29 +13,25 @@ policy pi. One iteration, in this order:
 Neither player sees the opponent's policy, estimate, or action; the realized
 own payoff is the only coupling.
 
-One kernel serves step and run on B trajectories. Row i*B + b belongs to
-player i of trajectory b, with its own tau, eps_bar and generator: a square
-game keeps q and pi each as one (2B, n) stack, so every update runs once per
-step, and any other game as one (B, n_i) stack per player.
-run_matrix_dynamics batches the configs that share K, schedule,
-record_stride and normalize_q_in_softmax; step_matrix is the case B=1.
-Sums run left to right, nothing uses a matmul, and exp and log come from
-the C library, so a trajectory's bytes do not depend on its batch and a
-run is bitwise equal to repeated step_matrix calls.
+One kernel runs B trajectories. Row i*B + b belongs to player i of
+trajectory b, with its own tau, eps_bar and generator: a square game keeps
+q and pi each as one (2B, n) stack, so every update runs once per step, and
+any other game as one (B, n_i) stack per player. run_matrix_dynamics
+batches the configs that share K, schedule, record_stride and
+normalize_q_in_softmax. Sums run left to right, nothing uses a matmul, and
+exp and log come from the C library, so a trajectory's bytes do not depend
+on its batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._core import _targets
 from .config import MatrixRunConfig, matrix_condition_warnings
-from .errors import DimensionMismatch
-from .games import (JointPolicy, LearnerState, MatrixGame, TrajectoryRecord,
-                    check_zero_sum_game)
+from .games import JointPolicy, MatrixGame, TrajectoryRecord, check_zero_sum_game
 from .metrics import matrix_gaps
 
 MATRIX_METRICS = ("ng", "ngtau", "min_pi", "q_inf")
@@ -47,32 +43,10 @@ _UNIFORM_CHUNK = 64
 _SCORE_CHUNK = 256  # joint policies per matrix_gaps call, or B if larger: bounds memory
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixDynamicsState:
-    """Snapshot of both learners plus the shared iteration counter.
-
-    The generator objects are carried by reference and advance in place as
-    steps are taken; snapshotting a state does not freeze the randomness.
-    """
-
-    players: tuple[LearnerState, LearnerState]
-    k: int
-    rngs: tuple[np.random.Generator, np.random.Generator]
-
-
 def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
     """Per-player child seeds; player i consumes one uniform per iteration."""
     c1, c2 = np.random.SeedSequence(seed).spawn(2)
     return c1, c2
-
-
-def init_matrix_state(game: MatrixGame, config: MatrixRunConfig) -> MatrixDynamicsState:
-    """Uniform policies, zero payoff estimates, per-player generators."""
-    check_zero_sum_game(game, MatrixGame)
-    players = tuple(LearnerState(q=np.zeros(n), pi=np.full(n, 1.0 / n))
-                    for n in (game.n_actions_1, game.n_actions_2))
-    rngs = tuple(map(np.random.default_rng, player_seed_sequences(config.seed)))
-    return MatrixDynamicsState(players=players, k=0, rngs=rngs)
 
 
 def _stacks(game: MatrixGame, rows) -> list:
@@ -105,23 +79,6 @@ def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
         qs[rows, ai] += alpha * (ri - qs[rows, ai])
 
 
-def step_matrix(state: MatrixDynamicsState, game: MatrixGame,
-                config: MatrixRunConfig) -> MatrixDynamicsState:
-    """Advance one iteration; returns the new state, generators advanced in place."""
-    check_zero_sum_game(game, MatrixGame)
-    if state.players[0].q.shape != (game.n_actions_1,) or \
-            state.players[1].q.shape != (game.n_actions_2,):
-        raise DimensionMismatch("state shapes do not match the game")
-    alpha, beta = config.schedule.rates(state.k)
-    q = _stacks(game, [np.array(p.q, dtype=np.float64)[None] for p in state.players])
-    pi = _stacks(game, [np.array(p.pi, dtype=np.float64)[None] for p in state.players])
-    tau, eps = (_stacks(game, [np.array([[x]])] * 2) for x in (config.tau, config.eps_bar))
-    _step(q, pi, (game.R1, game.R2), tau, eps, config.normalize_q_in_softmax, alpha, beta,
-          _stacks(game, [np.array([g.random()]) for g in state.rngs]))
-    players = tuple(LearnerState(qi[0], p[0]) for qi, p in zip(_split(q, 1), _split(pi, 1)))
-    return MatrixDynamicsState(players=players, k=state.k + 1, rngs=state.rngs)
-
-
 def run_matrix_dynamics(game: MatrixGame,
                         configs: Sequence[MatrixRunConfig]) -> list[TrajectoryRecord]:
     """Run each config for K iterations; one record per config, in order.
@@ -131,6 +88,8 @@ def run_matrix_dynamics(game: MatrixGame,
     whatever batch it ran in. Rows carry index (0, k) at every stride
     multiple plus the final k=K, so stride=K yields exactly one row.
     Metrics at row k are computed from the policy after k iterations.
+    The iterates do not depend on K or record_stride, so a config with K=k
+    ends where the same config with a larger K stands after k iterations.
     Convergence-condition violations land in warnings.
     """
     check_zero_sum_game(game, MatrixGame)

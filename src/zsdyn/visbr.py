@@ -30,14 +30,13 @@ another on the v* and game tables it builds once per call.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._core import pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
-from .errors import BadConfig, DimensionMismatch, NotErgodic
-from .games import (JointPolicy, LearnerState, StochasticGame, TrajectoryRecord,
+from .errors import DimensionMismatch, NotErgodic
+from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
                     _check_distributions, check_zero_sum_game, uniform_joint_policy)
 from .metrics import stochastic_gaps
 from .ops import minimax_fixed_point, stationary_distribution
@@ -51,22 +50,6 @@ _SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call and reduction: boun
 V_STAR_BUDGET = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class VisbrState:
-    """Both learners, the shared environment state, and the loop counters.
-
-    players[i].q has shape (n_states, n_actions_i), .pi likewise, .v is the
-    frozen outer value vector of shape (n_states,). Generator objects are
-    carried by reference and advance in place.
-    """
-
-    players: tuple[LearnerState, LearnerState]
-    s: int
-    t: int
-    k: int
-    rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator]
-
-
 def visbr_seed_sequences(seed: int):
     """Child seeds (player 1, player 2, environment).
 
@@ -75,27 +58,6 @@ def visbr_seed_sequences(seed: int):
     """
     ss = np.random.SeedSequence(seed)
     return tuple(ss.spawn(3))
-
-
-def _setup(game: StochasticGame, config: VisbrConfig):
-    # The start of every run: zero q1, q2 as nested lists, the uniform
-    # policies as (S, n_i) arrays, the (player 1, player 2, environment)
-    # generators, and S0 drawn from the environment stream.
-    rngs = tuple(np.random.default_rng(c) for c in visbr_seed_sequences(config.seed))
-    S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    q = ([[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)])
-    pi = (np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2))
-    s0 = pick_action(game.initial_dist.tolist(), rngs[2].random())
-    return q, pi, rngs, s0
-
-
-def init_visbr(game: StochasticGame, config: VisbrConfig) -> VisbrState:
-    """Zero values and estimates, uniform policies, S0 drawn from initial_dist."""
-    check_zero_sum_game(game, StochasticGame)
-    q, pi, rngs, s0 = _setup(game, config)
-    players = tuple(LearnerState(q=np.array(qi), pi=p, v=np.zeros(game.n_states))
-                    for qi, p in zip(q, pi))
-    return VisbrState(players=players, s=s0, t=0, k=0, rngs=rngs)
 
 
 def _targets(q1: list, q2: list | None, tau: float, eps: float) -> np.ndarray:
@@ -109,11 +71,11 @@ def _targets(q1: list, q2: list | None, tau: float, eps: float) -> np.ndarray:
 
 def _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau, eps,
                    alpha, beta, u1, u2, ue, frozen2):
-    # One inner iteration; shared by step and run. pi and tg are the arrays
-    # of the module docstring (n1 columns with frozen2), q, v, R and P
-    # nested lists. tg[st] must equal the target of q[st] on entry; q moves
-    # only at s, so only tg[s] is recomputed, from the same q row as a
-    # full rebuild would use, which keeps every output byte.
+    # One inner iteration. pi and tg are the arrays of the module docstring
+    # (n1 columns with frozen2), q, v, R and P nested lists. tg[st] must
+    # equal the target of q[st] on entry; q moves only at s, so only tg[s]
+    # is recomputed, from the same q row as a full rebuild would use, which
+    # keeps every output byte.
     pi += beta * (tg - pi)
     n1 = len(q1[s])
     here = pi[s].tolist()
@@ -131,30 +93,6 @@ def _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau, eps,
     return s_next
 
 
-def inner_step(state: VisbrState, game: StochasticGame, config: VisbrConfig) -> VisbrState:
-    """One inner iteration: policies move at every state, play happens at s."""
-    check_zero_sum_game(game, StochasticGame)
-    if state.k >= config.K:
-        raise BadConfig(f"inner loop is complete (k={state.k}, K={config.K}); "
-                        "call outer_update")
-    alpha, beta = config.schedule.rates(state.k)
-    p1, p2 = state.players
-    q1, q2 = p1.q.tolist(), p2.q.tolist()
-    pi = np.concatenate((p1.pi, p2.pi), axis=1, dtype=np.float64)
-    tau, eps = config.tau, config.eps_bar
-    s_next = _advance_inner(
-        q1, q2, pi, _targets(q1, q2, tau, eps), p1.v.tolist(), p2.v.tolist(),
-        state.s, game.R1.tolist(), game.R2.tolist(), game.transition.tolist(),
-        game.gamma, tau, eps, alpha, beta,
-        state.rngs[0].random(), state.rngs[1].random(), state.rngs[2].random(),
-        None)
-    n1 = game.n_actions_1
-    players = (LearnerState(q=np.array(q1), pi=pi[:, :n1].copy(), v=p1.v),
-               LearnerState(q=np.array(q2), pi=pi[:, n1:].copy(), v=p2.v))
-    return VisbrState(players=players, s=s_next, t=state.t, k=state.k + 1,
-                      rngs=state.rngs)
-
-
 def _weighted_rows(pi: list, q: list) -> list:
     # v(s) = sum_a pi(a|s) q(s,a), accumulated in action order.
     out = []
@@ -164,20 +102,6 @@ def _weighted_rows(pi: list, q: list) -> list:
             acc += p * x
         out.append(acc)
     return out
-
-
-def outer_update(state: VisbrState, game: StochasticGame,
-                 config: VisbrConfig) -> VisbrState:
-    """Refresh v from the current policy and q; everything else carries over."""
-    check_zero_sum_game(game, StochasticGame)
-    if state.k != config.K:
-        raise BadConfig(f"outer_update requires k == K ({config.K}), got k={state.k}")
-    players = tuple(
-        LearnerState(q=p.q, pi=p.pi,
-                     v=np.array(_weighted_rows(p.pi.tolist(), p.q.tolist())))
-        for p in state.players)
-    return VisbrState(players=players, s=state.s, t=state.t + 1, k=0,
-                      rngs=state.rngs)
 
 
 def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
@@ -210,7 +134,9 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
     on its own, so a record is the same whichever configs share its call.
     Rows carry index (t, k): every stride multiple within a round, each
     round's final (t, K), the initial point (0, 0), and the final (T, 0)
-    written after the last outer update. Metrics: stochastic Nash gap (best
+    written after the last outer update. The iterates do not depend on T,
+    so a config with T=t records the first rows of the same config with a
+    larger T, then its own final (t, 0). Metrics: stochastic Nash gap (best
     responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
     drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
     exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
@@ -245,10 +171,16 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
 
 
 def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
-    # one run_visbr trajectory on the tables and v* that its call shares
-    (q1, q2), (pi1, pi2), (rng1, rng2, rng_env), s = _setup(game, config)
-    n1, frozen = game.n_actions_1, frozen2 is not None
-    v1 = v2 = [0.0] * game.n_states
+    # one run_visbr trajectory on the tables and v* that its call shares. It
+    # starts from zero q as nested lists, uniform policies and v = 0, with
+    # S0 drawn from the environment stream.
+    rng1, rng2, rng_env = map(np.random.default_rng, visbr_seed_sequences(config.seed))
+    S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
+    q1, q2 = [[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)]
+    pi1, pi2 = np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2)
+    s = pick_action(game.initial_dist.tolist(), rng_env.random())
+    frozen = frozen2 is not None
+    v1 = v2 = [0.0] * S
     # beta as a numpy float64, which the array step takes faster than a float
     rates = [(a, np.float64(b)) for a, b in map(config.schedule.rates, range(config.K))]
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar

@@ -1,8 +1,9 @@
-"""Matrix-game learning dynamics: stepping, recording, and their invariants."""
+"""Matrix-game learning dynamics: the kernel against a reference loop,
+recording, and their invariants."""
 
-import copy
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,101 +22,135 @@ def _config(**kw):
     return z.MatrixRunConfig(**base)
 
 
-def _step_with_play(state, game, config):
-    # step_matrix plus the play of that step, recomputed from copies of the
-    # generators and the post-step policies: (state, actions, payoffs)
-    rngs = copy.deepcopy(state.rngs)
-    state = z.step_matrix(state, game, config)
-    a1, a2 = (pick_action(p.pi.tolist(), g.random()) for p, g in zip(state.players, rngs))
-    return state, (a1, a2), (float(game.R1[a1, a2]), float(game.R2[a2, a1]))
+def _truncations(game, config):
+    # one record per step, from one call over config at K=1..config.K: the
+    # iterates do not depend on K, so record k's finals are the iterates
+    # after step k and its one row is row k of a stride-1 run
+    return z.run_matrix_dynamics(game, [replace(config, K=k, record_stride=k)
+                                        for k in range(1, config.K + 1)])
+
+
+def _iterates(rec):
+    return (*rec.final_q, rec.final_policy.pi1, rec.final_policy.pi2)
+
+
+def _plays(game, config, steps):
+    # each step's actions and payoffs, recomputed from the post-step
+    # policies and each player's uniforms: [((a1, a2), (r1, r2)), ...]
+    u = [np.random.default_rng(c).random(config.K)
+         for c in z.player_seed_sequences(config.seed)]
+    out = []
+    for k, (_, _, pi1, pi2) in enumerate(steps):
+        a1, a2 = pick_action(pi1.tolist(), u[0][k]), pick_action(pi2.tolist(), u[1][k])
+        out.append(((a1, a2), (float(game.R1[a1, a2]), float(game.R2[a2, a1]))))
+    return out
+
+
+def _reference_steps(game, config):
+    # The iteration of the matrix_dyn docstring on plain lists, one
+    # trajectory a step at a time: (q1, q2, pi1, pi2) after each step. It
+    # shares only _core's list primitives and the seed helper with the
+    # kernel, so it checks the kernel's stacks, batches and uniform chunks
+    # from outside.
+    rngs = [np.random.default_rng(c) for c in z.player_seed_sequences(config.seed)]
+    R = (game.R1.tolist(), game.R2.tolist())
+    ns = (game.n_actions_1, game.n_actions_2)
+    q = [[0.0] * n for n in ns]
+    pi = [[1.0 / n] * n for n in ns]
+    out = []
+    for k in range(config.K):
+        alpha, beta = config.schedule.rates(k)
+        for i in range(2):
+            target = smoothed_policy(q[i], config.tau, config.eps_bar,
+                                     config.normalize_q_in_softmax)
+            pi[i] = [p + beta * (g - p) for p, g in zip(pi[i], target)]
+        a1, a2 = (pick_action(pi[i], rngs[i].random()) for i in range(2))
+        for row, a, payoff in ((q[0], a1, R[0][a1][a2]), (q[1], a2, R[1][a2][a1])):
+            row[a] += alpha * (payoff - row[a])
+        out.append(tuple(np.array(x) for x in (*q, *pi)))
+    return out
 
 
 def test_init_state():
+    # a run starts from q = 0, uniform policies and each player's seed
+    # child at the start of its stream: the first step keeps pi uniform,
+    # the target of q = 0, and moves q by alpha * payoff at the action
+    # that the stream's first uniform picks
     game = z.rock_paper_scissors()
-    state = z.init_matrix_state(game, _config())
-    assert state.k == 0
-    for player, n in zip(state.players, (3, 3)):
-        assert np.array_equal(player.q, np.zeros(n))
-        assert np.array_equal(player.pi, np.full(n, 1.0 / 3.0))
-    # nothing is played at init: each generator is at the start of its stream
-    for g, child in zip(state.rngs, z.player_seed_sequences(_config().seed)):
-        assert g.random() == np.random.default_rng(child).random()
-
-
-def test_init_same_seed_is_bit_identical():
-    game = z.matching_pennies()
-    a = z.init_matrix_state(game, _config(seed=123))
-    b = z.init_matrix_state(game, _config(seed=123))
-    for pa, pb in zip(a.players, b.players):
-        assert np.array_equal(pa.q, pb.q) and np.array_equal(pa.pi, pb.pi)
-    # and the generators produce the same stream
-    assert a.rngs[0].random() == b.rngs[0].random()
-    assert a.rngs[1].random() == b.rngs[1].random()
+    config = _config(K=1)
+    [rec] = z.run_matrix_dynamics(game, [config])
+    q1, q2, pi1, pi2 = _iterates(rec)
+    a1, a2 = (pick_action([1.0 / 3.0] * 3, np.random.default_rng(child).random())
+              for child in z.player_seed_sequences(config.seed))
+    for q, pi, a, payoff in ((q1, pi1, a1, game.R1[a1, a2]), (q2, pi2, a2, game.R2[a2, a1])):
+        assert np.array_equal(pi, np.full(3, 1.0 / 3.0))
+        want = np.zeros(3)
+        want[a] = 0.5 * payoff
+        assert np.array_equal(q, want)
+    assert q1[a1] != 0.0
 
 
 def test_first_step_by_hand():
     # seed 7 draws u1 ~ 0.798 and u2 ~ 0.481 from the two player streams,
     # so from the uniform policy player 1 picks action 1 and player 2 action 0
     game = z.matching_pennies()
-    config = _config(seed=7, tau=1.0)
-    state, actions, payoffs = _step_with_play(z.init_matrix_state(game, config), game, config)
+    config = _config(seed=7, tau=1.0, K=1)
+    [rec] = z.run_matrix_dynamics(game, [config])
+    [(actions, payoffs)] = _plays(game, config, [_iterates(rec)])
 
-    assert state.k == 1
+    assert rec.index.tolist() == [[0, 1]]
     assert actions == (1, 0)
     # payoffs at (a1=1, a2=0): R1[1,0] = -1, R2[0,1] = 1
     assert payoffs == (-1.0, 1.0)
     # softmax target at q=0 is uniform, so the policy update is a no-op
-    assert np.array_equal(state.players[0].pi, [0.5, 0.5])
-    assert np.array_equal(state.players[1].pi, [0.5, 0.5])
+    assert np.array_equal(rec.final_policy.pi1, [0.5, 0.5])
+    assert np.array_equal(rec.final_policy.pi2, [0.5, 0.5])
     # q moves only at the realized action, by alpha (payoff - q)
-    assert np.array_equal(state.players[0].q, [0.0, -0.5])
-    assert np.array_equal(state.players[1].q, [0.5, 0.0])
+    assert np.array_equal(rec.final_q[0], [0.0, -0.5])
+    assert np.array_equal(rec.final_q[1], [0.5, 0.0])
 
 
 def test_zero_beta_freezes_policies():
     game = z.rock_paper_scissors()
-    config = _config(schedule=z.StepsizeSchedule(kind="constant", alpha=0.5, beta=1e-300))
+    config = _config(K=50,
+                     schedule=z.StepsizeSchedule(kind="constant", alpha=0.5, beta=1e-300))
     # beta this small leaves the policy numerically uniform but exercises
     # the full update path
-    state = z.init_matrix_state(game, config)
-    for _ in range(50):
-        state = z.step_matrix(state, game, config)
-    assert np.allclose(state.players[0].pi, 1.0 / 3.0, atol=1e-12)
+    [rec] = z.run_matrix_dynamics(game, [config])
+    assert np.allclose(rec.final_policy.pi1, 1.0 / 3.0, atol=1e-12)
 
 
 def test_q_update_touches_one_coordinate_per_step():
     game = z.rock_paper_scissors()
-    config = _config(seed=11)
-    state = z.init_matrix_state(game, config)
-    for _ in range(30):
-        prev = state
-        state, actions, _ = _step_with_play(state, game, config)
-        for i in range(2):
-            moved = np.flatnonzero(state.players[i].q != prev.players[i].q)
+    config = _config(seed=11, K=30)
+    steps = [_iterates(rec) for rec in _truncations(game, config)]
+    prev = (np.zeros(3), np.zeros(3))
+    for (q1, q2, _, _), (actions, _) in zip(steps, _plays(game, config, steps)):
+        for i, q in enumerate((q1, q2)):
+            moved = np.flatnonzero(q != prev[i])
             assert len(moved) <= 1
             if len(moved) == 1:
                 assert moved[0] == actions[i]
+        prev = (q1, q2)
 
 
 def test_full_replacement_alpha_one():
     game = z.matching_pennies()
-    config = _config(schedule=z.StepsizeSchedule(kind="constant", alpha=1.0, beta=0.1))
-    state = z.init_matrix_state(game, config)
-    state, actions, payoffs = _step_with_play(state, game, config)
+    config = _config(K=1, schedule=z.StepsizeSchedule(kind="constant", alpha=1.0, beta=0.1))
+    [rec] = z.run_matrix_dynamics(game, [config])
+    [(actions, payoffs)] = _plays(game, config, [_iterates(rec)])
     for i in range(2):
-        assert state.players[i].q[actions[i]] == payoffs[i]
+        assert rec.final_q[i][actions[i]] == payoffs[i]
 
 
 def test_policies_remain_distributions():
     game = z.tilted_rps(5)
     config = _config(seed=3, K=200,
                      schedule=z.StepsizeSchedule(kind="constant", alpha=0.9, beta=0.9))
-    state = z.init_matrix_state(game, config)
-    for _ in range(200):
-        state = z.step_matrix(state, game, config)
-        for player in state.players:
-            assert abs(float(player.pi.sum()) - 1.0) <= 1e-12
-            assert float(player.pi.min()) >= 0.0
+    for rec in _truncations(game, config):
+        for pi in (rec.final_policy.pi1, rec.final_policy.pi2):
+            assert abs(float(pi.sum()) - 1.0) <= 1e-12
+            assert float(pi.min()) >= 0.0
 
 
 def _uniform_game(shape, seed):
@@ -128,29 +163,46 @@ LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
 
 
 def test_run_equals_stepping_bitwise():
-    # the square tilted_rps(5) and a 2x3 game cover both kernel layouts
-    for game in (z.tilted_rps(5), _uniform_game((2, 3), 3)):
-        config = _config(seed=19, K=37, record_stride=1, tau=0.7)
-        rec = z.run_matrix_dynamics(game, [config])[0]
-
-        state = z.init_matrix_state(game, config)
-        for k in range(config.K):
-            state = z.step_matrix(state, game, config)
-            row = k  # row k corresponds to iteration k+1
-            q1 = state.players[0].q.tolist()
-            q2 = state.players[1].q.tolist()
-            pi1 = state.players[0].pi.tolist()
-            pi2 = state.players[1].pi.tolist()
-            ng, ngtau = matrix_gaps(game.R1, game.R2, state.players[0].pi[None],
-                                    state.players[1].pi[None], np.array([config.tau]))
+    # the kernel against _reference_steps, compared after every step.
+    # tilted_rps(5) and a 5x5 game run as one stack, the 2x3 games as one
+    # per player; the schedules are constant and diminishing, and the 5x5
+    # run is the explore variant with normalize_q_in_softmax
+    dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
+    for game, config in ((z.tilted_rps(5), _config(seed=19, K=37, tau=0.7)),
+                         (_uniform_game((2, 3), 3), _config(seed=19, K=37, tau=0.7)),
+                         (_uniform_game((2, 3), 5), _config(seed=3, K=37, schedule=dim)),
+                         (_uniform_game((5, 5), 13),
+                          _config(seed=23, K=37, tau=0.4, schedule=dim, variant="explore",
+                                  eps_bar=0.2, normalize_q_in_softmax=True))):
+        config = replace(config, record_stride=1)
+        [rec] = z.run_matrix_dynamics(game, [config])
+        want = _reference_steps(game, config)
+        for trunc, ref in zip(_truncations(game, config), want, strict=True):
+            for got, w in zip(_iterates(trunc), ref):
+                assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+        for row, (q1, q2, pi1, pi2) in enumerate(want):
+            ng, ngtau = matrix_gaps(game.R1, game.R2, pi1[None], pi2[None],
+                                    np.array([config.tau]))
             assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
-            assert rec.series["min_pi"][row] == min(min(pi1), min(pi2))
-            assert rec.series["q_inf"][row] == max(max(abs(x) for x in q1),
-                                                   max(abs(x) for x in q2))
-        assert np.array_equal(rec.final_policy.pi1, state.players[0].pi)
-        assert np.array_equal(rec.final_policy.pi2, state.players[1].pi)
-        assert np.array_equal(rec.final_q[0], state.players[0].q)
-        assert np.array_equal(rec.final_q[1], state.players[1].q)
+            assert rec.series["min_pi"][row] == min(pi1.min(), pi2.min())
+            assert rec.series["q_inf"][row] == max(np.abs(q1).max(), np.abs(q2).max())
+        for got, w in zip(_iterates(rec), want[-1]):
+            assert got.tobytes() == w.tobytes()
+
+
+def test_truncated_runs_end_where_a_longer_run_stands():
+    # the contract _truncations rests on: a run with K=k ends where a
+    # longer run of the same config stands after k steps
+    for game in (z.tilted_rps(5), _uniform_game((2, 3), 3)):
+        config = _config(seed=19, K=37, tau=0.7, record_stride=1)
+        [long] = z.run_matrix_dynamics(game, [config])
+        recs = _truncations(game, config)
+        for k, rec in enumerate(recs, 1):
+            assert rec.index.tolist() == [[0, k]]
+            for name in z.MATRIX_METRICS:
+                assert rec.series[name][-1] == long.series[name][k - 1], (name, k)
+        for got, want in zip(_iterates(recs[-1]), _iterates(long)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_identical_config_identical_record():
@@ -213,14 +265,12 @@ def test_information_hiding_replay():
     game = z.tilted_rps(4)
     config = _config(seed=29, K=80, tau=0.6)
 
-    state = z.init_matrix_state(game, config)
-    own_actions, own_payoffs, q_series, pi_series = [], [], [], []
-    for _ in range(config.K):
-        state, actions, payoffs = _step_with_play(state, game, config)
-        own_actions.append(actions[0])
-        own_payoffs.append(payoffs[0])
-        q_series.append(state.players[0].q.copy())
-        pi_series.append(state.players[0].pi.copy())
+    steps = [_iterates(rec) for rec in _truncations(game, config)]
+    plays = _plays(game, config, steps)
+    own_actions = [actions[0] for actions, _ in plays]
+    own_payoffs = [payoffs[0] for _, payoffs in plays]
+    q_series = [q1 for q1, _, _, _ in steps]
+    pi_series = [pi1 for _, _, pi1, _ in steps]
 
     child1, _ = z.player_seed_sequences(config.seed)
     rng = np.random.default_rng(child1)
@@ -250,21 +300,13 @@ def test_explore_variant_uses_mixed_target():
 def test_step_rejects_bad_inputs():
     game = z.matching_pennies()
     config = _config()
-    state = z.init_matrix_state(game, config)
     bad = z.validate_matrix_game([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)),
                                  require_zero_sum=False)
     with pytest.raises(z.NotZeroSum):
-        z.step_matrix(state, bad, config)
-    with pytest.raises(z.DimensionMismatch):
-        z.step_matrix(state, z.rock_paper_scissors(), config)
-    with pytest.raises(z.NotZeroSum):
         z.run_matrix_dynamics(bad, [config])
-    # init guards the game like step and run do
-    with pytest.raises(z.NotZeroSum):
-        z.init_matrix_state(bad, config)
     sg = z.validate_stochastic_game(np.ones((1, 2, 2, 1)), game.R1[None], gamma=0.5)
     with pytest.raises(z.DimensionMismatch):
-        z.init_matrix_state(sg, config)
+        z.run_matrix_dynamics(sg, [config])
 
 
 def test_run_reports_condition_warnings():

@@ -1,10 +1,13 @@
-"""Stochastic-game dynamics: inner/outer loop, recording, one-sided mode."""
+"""Stochastic-game dynamics: the kernel against a reference loop, recording,
+one-sided mode."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import smoothed_policy
+from zsdyn._core import pick_action, smoothed_policy
 from zsdyn.visbr import _weighted_rows
 
 
@@ -36,193 +39,186 @@ def _random_rows(rng, n_states, n):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _policy_weighted(pi: list, q: list) -> list:
+    # v(s) = sum_a pi(a|s) q(s,a), added in action order
+    out = []
+    for pi_row, q_row in zip(pi, q):
+        acc = 0.0
+        for p, x in zip(pi_row, q_row):
+            acc += p * x
+        out.append(acc)
+    return out
+
+
+def _reference_rows(sg, config, frozen_pi2=None):
+    # The dynamics of the visbr docstring on plain lists, a step at a time.
+    # Returns the iterates (q1, q2, pi1, pi2, v1, v2) as arrays at every row
+    # of record_stride 1, and the states the trajectory acted in. It shares
+    # only _core's list primitives and the seed helper with the kernel, so it
+    # checks the kernel's policy arrays and target cache from outside. The
+    # environment's uniforms are one draw of 1 + T*K: one for S0, then one
+    # per inner step.
+    S, T, K, gamma = sg.n_states, config.T, config.K, sg.gamma
+    tau, eps = config.tau, config.eps_bar
+    g1, g2, g_env = (np.random.default_rng(c) for c in z.visbr_seed_sequences(config.seed))
+    u1, u2 = g1.random(T * K).tolist(), g2.random(T * K).tolist()
+    ue = g_env.random(1 + T * K).tolist()
+    P, R1, R2 = sg.transition.tolist(), sg.R1.tolist(), sg.R2.tolist()
+    frozen = None if frozen_pi2 is None else frozen_pi2.tolist()
+    ns = (sg.n_actions_1, sg.n_actions_2)
+    q = [[[0.0] * n for _ in range(S)] for n in ns]
+    pi = [[[1.0 / n] * n for _ in range(S)] for n in ns]
+    v = [[0.0] * S, [0.0] * S]
+    learners = (0, 1) if frozen is None else (0,)
+
+    def iterates():
+        return tuple(np.array(x) for x in (*q, *pi, *v))
+
+    s = pick_action(sg.initial_dist.tolist(), ue[0])
+    rows, visited = [iterates()], set()
+    for t in range(T):
+        for k in range(K):
+            j = t * K + k
+            alpha, beta = config.schedule.rates(k)
+            for i in learners:
+                targets = [smoothed_policy(q_row, tau, eps, False) for q_row in q[i]]
+                pi[i] = [[p + beta * (g - p) for p, g in zip(pi_row, target)]
+                         for pi_row, target in zip(pi[i], targets)]
+            visited.add(s)
+            a1 = pick_action(pi[0][s], u1[j])
+            a2 = pick_action(pi[1][s] if frozen is None else frozen[s], u2[j])
+            s_next = pick_action(P[s][a1][a2], ue[1 + j])
+            q[0][s][a1] += alpha * (R1[s][a1][a2] + gamma * v[0][s_next] - q[0][s][a1])
+            if frozen is None:
+                q[1][s][a2] += alpha * (R2[s][a2][a1] + gamma * v[1][s_next] - q[1][s][a2])
+            s = s_next
+            rows.append(iterates())
+        for i in learners:
+            v[i] = _policy_weighted(pi[i], q[i])
+    rows.append(iterates())
+    return rows, visited
+
+
 def test_init_state():
+    # a run starts at S0 drawn by the environment stream's first uniform,
+    # from q = 0, uniform policies and v = 0: one step keeps every policy
+    # uniform, the target of q = 0, and moves q at S0 only
     sg = _random_sg(np.random.default_rng(0))
-    state = z.init_visbr(sg, _config())
-    assert state.t == 0 and state.k == 0
-    assert 0 <= state.s < sg.n_states
-    for player, n in zip(state.players, (2, 2)):
-        assert np.array_equal(player.q, np.zeros((3, n)))
-        assert np.array_equal(player.pi, np.full((3, n), 0.5))
-        assert np.array_equal(player.v, np.zeros(3))
+    config = _config(T=1, K=1)
+    [rec] = z.run_visbr(sg, [config])
+    assert rec.index[0].tolist() == [0, 0]
+    assert [rec.series[name][0] for name in ("q_inf", "min_pi", "lsum", "v_inf")] == \
+        [0.0, 0.5, 0.0, 0.0]
+    _, _, env = z.visbr_seed_sequences(config.seed)
+    s0 = pick_action(sg.initial_dist.tolist(), np.random.default_rng(env).random())
+    assert 0 <= s0 < sg.n_states
+    for q, pi in zip(rec.final_q, (rec.final_policy.pi1, rec.final_policy.pi2)):
+        assert np.array_equal(pi, np.full((3, 2), 0.5))
+        assert np.flatnonzero(q.any(axis=1)).tolist() == [s0]
 
 
 def test_init_single_state_start():
-    state = z.init_visbr(_mp_sg(), _config())
-    assert state.s == 0
+    # play starts in the one state, so the first step moves q there
+    [rec] = z.run_visbr(_mp_sg(), [_config(T=1, K=1)])
+    assert rec.final_q[0][0].any() and rec.final_q[1][0].any()
 
 
 def test_init_pointmass_start_state():
+    # two 1x1 states with payoff 0.5 in both: the first step moves q at the
+    # start state only, which initial_dist puts at state 1
     P = np.ones((2, 1, 1, 2)) * 0.5
-    sg = z.validate_stochastic_game(P, np.zeros((2, 1, 1)), gamma=0.5,
+    sg = z.validate_stochastic_game(P, np.full((2, 1, 1), 0.5), gamma=0.5,
                                     initial_dist=[0.0, 1.0])
     for seed in range(5):
-        assert z.init_visbr(sg, _config(seed=seed)).s == 1
+        [rec] = z.run_visbr(sg, [_config(seed=seed, T=1, K=1)])
+        assert np.array_equal(rec.final_q[0], [[0.0], [0.25]])
+        assert np.array_equal(rec.final_q[1], [[0.0], [-0.25]])
 
 
-def test_init_same_seed_identical():
-    sg = _random_sg(np.random.default_rng(1))
-    a = z.init_visbr(sg, _config(seed=42))
-    b = z.init_visbr(sg, _config(seed=42))
-    assert a.s == b.s
-    assert a.rngs[0].random() == b.rngs[0].random()
-    assert a.rngs[2].random() == b.rngs[2].random()
-
-
-def test_inner_step_advances_and_guards():
-    sg = _mp_sg()
-    config = _config(T=1, K=3)
-    state = z.init_visbr(sg, config)
-    for want_k in (1, 2, 3):
-        state = z.inner_step(state, sg, config)
-        assert state.k == want_k
-    with pytest.raises(z.BadConfig):
-        z.inner_step(state, sg, config)
-
-
-def test_outer_update_requires_completed_inner_loop():
-    sg = _mp_sg()
-    config = _config(T=1, K=3)
-    state = z.init_visbr(sg, config)
-    with pytest.raises(z.BadConfig):
-        z.outer_update(state, sg, config)
-    for _ in range(3):
-        state = z.inner_step(state, sg, config)
-    after = z.outer_update(state, sg, config)
-    assert after.t == state.t + 1 and after.k == 0
-    assert after.s == state.s  # trajectory continues, no reset
-
-
-def test_inner_step_keeps_values_frozen():
+def test_values_stay_frozen_within_a_round():
+    # every row of a round shares its v: the v metrics stay put over the
+    # rows (t, 1..K), and in round 0 equal those of v = 0 at (0, 0)
     sg = _random_sg(np.random.default_rng(5))
-    config = _config(T=1, K=4)
-    state = z.init_visbr(sg, config)
-    v_before = [p.v.copy() for p in state.players]
-    for _ in range(4):
-        state = z.inner_step(state, sg, config)
-        for p, v0 in zip(state.players, v_before):
-            assert np.array_equal(p.v, v0)
+    config = _config(T=2, K=4, record_stride=1)
+    [rec] = z.run_visbr(sg, [config])
+    t, k = rec.index.T
+    for name in ("lsum", "v_inf", "v_err"):
+        col = rec.metric(name)
+        for r in range(config.T):
+            in_round = col[(t == r) & (k > 0)]
+            assert len(in_round) == config.K and (in_round == in_round[0]).all()
+        assert (col[:config.K + 1] == col[0]).all()
+    assert rec.metric("v_inf")[0] == 0.0
 
 
-def test_outer_update_is_policy_weighted_q():
+def test_round_end_value_is_policy_weighted_q():
     rng = np.random.default_rng(9)
     sg = _random_sg(rng, n_states=2, n1=3, n2=2)
-    config = _config(T=2, K=5)
-    state = z.init_visbr(sg, config)
-    for _ in range(5):
-        state = z.inner_step(state, sg, config)
-    after = z.outer_update(state, sg, config)
-    for p_new, p_old in zip(after.players, state.players):
-        want = _weighted_rows(p_old.pi.tolist(), p_old.q.tolist())
-        assert np.array_equal(p_new.v, np.array(want))
-        assert np.allclose(p_new.v, (p_old.pi * p_old.q).sum(axis=1), atol=1e-12)
-        # q and pi carry through untouched
-        assert np.array_equal(p_new.q, p_old.q)
-        assert np.array_equal(p_new.pi, p_old.pi)
+    [rec] = z.run_visbr(sg, [_config(T=1, K=5)])
+    for pi, q, v in zip((rec.final_policy.pi1, rec.final_policy.pi2), rec.final_q,
+                        rec.final_v):
+        assert np.array_equal(v, np.array(_policy_weighted(pi.tolist(), q.tolist())))
+        assert np.allclose(v, (pi * q).sum(axis=1), atol=1e-12)
 
 
-def test_outer_update_one_hot_policy_reads_q():
-    sg = _random_sg(np.random.default_rng(15), n_states=2)
-    config = _config(T=1, K=1)
-    state = z.init_visbr(sg, config)
-    q = np.array([[0.3, -0.7], [0.1, 0.9]])
-    pi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    forced = z.VisbrState(
-        players=(z.LearnerState(q=q, pi=pi, v=np.zeros(2)),
-                 z.LearnerState(q=np.zeros((2, 2)), pi=np.full((2, 2), 0.5), v=np.zeros(2))),
-        s=state.s, t=0, k=1, rngs=state.rngs)
-    after = z.outer_update(forced, sg, config)
-    assert np.array_equal(after.players[0].v, [0.3, 0.9])
-    assert np.array_equal(after.players[1].v, [0.0, 0.0])
+def test_weighted_rows_one_hot_policy_reads_q():
+    # the round-end update with a one-hot policy reads q at the chosen action
+    assert _weighted_rows([[1.0, 0.0], [0.0, 1.0]], [[0.3, -0.7], [0.1, 0.9]]) == [0.3, 0.9]
+    assert _weighted_rows([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]) == [0.0, 0.0]
 
 
 def test_single_state_round_matches_matrix_dynamics_bitwise():
     # with one state and v = 0 the first inner round is exactly the
-    # matrix-game update, and the player seed children coincide
-    gamma = 0.5
-    sg = _mp_sg(gamma)
+    # matrix-game update, and the player seed children coincide; the round's
+    # end leaves q and pi as they are, so run_visbr at T=1, K=k ends where
+    # run_matrix_dynamics at K=k does
+    sg = _mp_sg(0.5)
     mg = z.matching_pennies()
-    K = 50
-    vc = _config(T=1, K=K, seed=31, tau=0.8)
-    mc = z.MatrixRunConfig(tau=0.8, schedule=_sched(), K=K, seed=31)
-
-    vs = z.init_visbr(sg, vc)
-    ms = z.init_matrix_state(mg, mc)
-    for _ in range(K):
-        vs = z.inner_step(vs, sg, vc)
-        ms = z.step_matrix(ms, mg, mc)
+    ks = range(1, 51)
+    vrecs = z.run_visbr(sg, [_config(T=1, K=k, seed=31, tau=0.8) for k in ks])
+    mrecs = z.run_matrix_dynamics(mg, [z.MatrixRunConfig(tau=0.8, schedule=_sched(), K=k,
+                                                         seed=31) for k in ks])
+    for vr, mr in zip(vrecs, mrecs):
         for i in range(2):
-            assert np.array_equal(vs.players[i].q[0], ms.players[i].q)
-            assert np.array_equal(vs.players[i].pi[0], ms.players[i].pi)
+            assert np.array_equal(vr.final_q[i][0], mr.final_q[i])
+        assert np.array_equal(vr.final_policy.pi1[0], mr.final_policy.pi1)
+        assert np.array_equal(vr.final_policy.pi2[0], mr.final_policy.pi2)
 
 
-def _recorded_row(sg, state, v_star, frozen):
-    # every VISBR metric plus v_err, computed from a stepped state; with a
-    # frozen opponent player 2's v is 0 and only ng looks at player 2
-    p1, p2 = state.players
-    learners = state.players if frozen is None else (p1,)
-    joint = z.validate_joint_policy(p1.pi, p2.pi, sg)
-    errs = [np.abs(p1.v - v_star).max()]
+def _recorded_row(sg, iterates, v_star, frozen):
+    # every VISBR metric plus v_err of one row's iterates; with a frozen
+    # opponent player 2's v is 0 and only ng looks at player 2
+    q1, q2, pi1, pi2, v1, v2 = iterates
+    learners = ((q1, pi1, v1), (q2, pi2, v2)) if frozen is None else ((q1, pi1, v1),)
+    joint = z.validate_joint_policy(pi1, pi2 if frozen is None else frozen, sg)
+    errs = [np.abs(v1 - v_star).max()]
     if frozen is None:
-        errs.append(np.abs(p2.v + v_star).max())
+        errs.append(np.abs(v2 + v_star).max())
     return {"ng": z.nash_gap_stochastic(sg, joint, tol=1e-6),
-            "min_pi": min(float(p.pi.min()) for p in learners),
-            "q_inf": max(float(np.abs(p.q).max()) for p in learners),
-            "lsum": float(np.abs(p1.v + p2.v).max()),
-            "v_inf": max(float(np.abs(p.v).max()) for p in learners),
+            "min_pi": min(float(pi.min()) for _, pi, _ in learners),
+            "q_inf": max(float(np.abs(q).max()) for q, _, _ in learners),
+            "lsum": float(np.abs(v1 + v2).max()),
+            "v_inf": max(float(np.abs(v).max()) for _, _, v in learners),
             "v_err": float(max(errs))}
 
 
-def _assert_run_equals_stepping(sg, config, frozen_q2=None):
-    # every recorded row and the final iterates of run_visbr equal the step
-    # API's bitwise; returns the states the trajectory acted in. With
-    # frozen_q2, run_visbr plays against frozen_pi2, the targets of those q
-    # rows. The step API has no frozen mode, so player 2 is pinned before
-    # each step to q = frozen_q2, pi = frozen_pi2 and v = 0: a policy equal
-    # to its own target does not move, so it plays frozen_pi2
-    frozen = None
-    if frozen_q2 is not None:
-        frozen = np.array([smoothed_policy(row, config.tau, config.eps_bar, False)
-                           for row in frozen_q2.tolist()])
-    [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen)
+def _assert_run_equals_stepping(sg, config, frozen_pi2=None):
+    # every row run_visbr records at stride 1, and its final iterates, equal
+    # those of _reference_rows bitwise; returns the states the trajectory
+    # acted in
+    [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen_pi2)
+    rows, visited = _reference_rows(sg, config, frozen_pi2)
     v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
-
-    def pin(state):
-        if frozen is None:
-            return state
-        p2 = z.LearnerState(q=frozen_q2, pi=frozen, v=np.zeros(sg.n_states))
-        return z.VisbrState(players=(state.players[0], p2), s=state.s, t=state.t,
-                            k=state.k, rngs=state.rngs)
-
-    state = pin(z.init_visbr(sg, config))
-    rows = iter(range(len(rec.index)))
-    visited = set()
-
-    def check_row(t, k):
-        row = next(rows)
-        assert rec.index[row].tolist() == [t, k]
-        want = _recorded_row(sg, state, v_star, frozen)
+    index = [[0, 0]] + [[t, k] for t in range(config.T) for k in range(1, config.K + 1)]
+    assert rec.index.tolist() == index + [[config.T, 0]]
+    for row, ((t, k), iterates) in enumerate(zip(rec.index.tolist(), rows, strict=True)):
+        want = _recorded_row(sg, iterates, v_star, frozen_pi2)
         assert want.keys() == rec.series.keys()
         for name, value in want.items():
             assert rec.series[name][row] == value, (name, t, k)
-
-    check_row(0, 0)
-    for t in range(config.T):
-        for k in range(config.K):
-            visited.add(state.s)
-            state = pin(z.inner_step(state, sg, config))
-            check_row(t, k + 1)
-        state = pin(z.outer_update(state, sg, config))
-    check_row(config.T, 0)
-    assert next(rows, None) is None
-    p1, p2 = state.players
-    if frozen is not None:
-        # player 2 never learned: the start of every run
-        p2 = z.init_visbr(sg, config).players[1]
-    for got, want in ((rec.final_q, (p1.q, p2.q)), (rec.final_v, (p1.v, p2.v)),
-                      ((rec.final_policy.pi1, rec.final_policy.pi2), (p1.pi, p2.pi))):
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    got = (*rec.final_q, rec.final_policy.pi1, rec.final_policy.pi2, *rec.final_v)
+    for g, w in zip(got, rows[-1], strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     return visited
 
 
@@ -233,9 +229,9 @@ def test_run_equals_stepping():
 
 def test_run_equals_stepping_with_cached_targets():
     # run_visbr keeps each state's softmax target cached across steps and
-    # rounds, inner_step rebuilds the cache from q on every call; with
-    # S=6 and unequal action counts the trajectory acts in several
-    # states, so a stale cached target would show
+    # rounds, the reference recomputes every target each step; with S=6
+    # and unequal action counts the trajectory acts in several states, so
+    # a stale cached target would show
     sg = _random_sg(np.random.default_rng(21), n_states=6, n1=3, n2=2)
     config = _config(T=3, K=7, seed=77, record_stride=1)
     assert len(_assert_run_equals_stepping(sg, config)) >= 4
@@ -254,25 +250,39 @@ def test_run_equals_stepping_against_a_frozen_opponent():
     rng = np.random.default_rng(29)
     sg = _random_sg(rng, n_states=5, n1=3, n2=2)
     config = _config(T=3, K=12, seed=41, record_stride=1, schedule=_sched(beta=0.05))
-    frozen_q2 = rng.uniform(-1.0, 1.0, (5, 2))
-    assert len(_assert_run_equals_stepping(sg, config, frozen_q2)) >= 3
+    frozen = _random_rows(rng, 5, 2)
+    assert len(_assert_run_equals_stepping(sg, config, frozen)) >= 3
 
 
 def test_environment_stream_consumption():
-    # one uniform for S0, then exactly one per inner step
+    # one uniform for S0, then exactly one per inner step: the reference
+    # takes the environment's uniforms as one draw of 1 + T*K
     sg = _random_sg(np.random.default_rng(25), n_states=3)
-    config = _config(T=2, K=6, seed=13)
-    state = z.init_visbr(sg, config)
-    for t in range(2):
-        for _ in range(6):
-            state = z.inner_step(state, sg, config)
-        state = z.outer_update(state, sg, config)
-    probe = state.rngs[2].random()
+    _assert_run_equals_stepping(sg, _config(T=2, K=6, seed=13, record_stride=1))
 
-    _, _, ce = z.visbr_seed_sequences(config.seed)
-    fresh = np.random.default_rng(ce)
-    fresh.random(1 + 12)
-    assert probe == fresh.random()
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_truncated_runs_are_prefixes(frozen):
+    # a run with T=t records the first rows of a longer run, then its own
+    # (t, 0) row after the round-end update, which leaves q and pi as they
+    # are: its ng, min_pi and q_inf are those of (t - 1, K), and its v
+    # metrics those of the rows of round t
+    rng = np.random.default_rng(31)
+    sg = _random_sg(rng, n_states=6, n1=3, n2=2)
+    kw = {"frozen_pi2": _random_rows(rng, 6, 2)} if frozen else {}
+    config = _config(T=4, K=7, seed=77, record_stride=3)
+    recs = z.run_visbr(sg, [replace(config, T=t) for t in range(1, config.T + 1)], **kw)
+    long = recs[-1]
+    rows = long.index.tolist()
+    for t, rec in enumerate(recs, 1):
+        n = len(rec.index) - 1
+        assert rec.index.tolist() == rows[:n] + [[t, 0]]
+        before = rows.index([t - 1, config.K])
+        after = rows.index([t, 3]) if t < config.T else before + 1
+        for name in long.series:
+            assert rec.metric(name)[:n].tobytes() == long.metric(name)[:n].tobytes(), name
+            source = before if name in ("ng", "min_pi", "q_inf") else after
+            assert rec.metric(name)[n] == long.metric(name)[source], (name, t)
 
 
 def test_record_row_structure():
@@ -462,5 +472,3 @@ def test_rejects_non_zero_sum_game():
     bad = z.validate_stochastic_game(P, R1, R2, gamma=0.5, require_zero_sum=False)
     with pytest.raises(z.NotZeroSum):
         z.run_visbr(bad, [_config()])
-    with pytest.raises(z.NotZeroSum):
-        z.init_visbr(bad, _config())
