@@ -201,12 +201,18 @@ def _aggregate_points(points: list[list[TrajectoryRecord]]) -> list[list[Aggrega
     return out
 
 
+_STATS = ("mean", "std", "median", "min", "max")  # the statistics rate_fit can fit
+
+
 def rate_fit(series: AggregateSeries, k_min: int, stat: str = "mean") -> float:
     """OLS slope of log(stat) against log(k) over rows with k >= k_min.
 
-    k is the inner-index column of the series grid. All selected values
-    must be strictly positive.
+    k is the inner-index column of the series grid, and stat one of
+    mean, std, median, min and max. All selected values must be strictly
+    positive.
     """
+    if stat not in _STATS:
+        raise ValueError(f"stat must be one of {', '.join(_STATS)}, got {stat!r}")
     k = series.index[:, 1].astype(np.float64)
     values = np.asarray(getattr(series, stat), dtype=np.float64)
     mask = k >= k_min

@@ -497,6 +497,15 @@ def test_rate_fit_stat_selector():
     assert abs(rate_fit(series, k_min=0, stat="median") - (-1.0)) < 1e-9
 
 
+def test_rate_fit_rejects_unknown_stat():
+    # n is the trajectory count, index the (t, k) grid and foo no field:
+    # none of them is a statistic to fit
+    series = power_law_series([10, 100, 1000], [0.1, 0.01, 0.001])
+    for stat in ("n", "foo", "index"):
+        with pytest.raises(ValueError, match="stat must be one of"):
+            rate_fit(series, k_min=0, stat=stat)
+
+
 def test_rate_fit_rejects_nonpositive_values():
     series = power_law_series([10, 100, 1000], [0.1, 0.0, 0.001])
     with pytest.raises(NonPositiveValues):
