@@ -209,8 +209,8 @@ def _assert_run_equals_stepping(sg, config, frozen_pi2=None):
     [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen_pi2)
     rows, visited = _reference_rows(sg, config, frozen_pi2)
     v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
-    index = [[0, 0]] + [[t, k] for t in range(config.T) for k in range(1, config.K + 1)]
-    assert rec.index.tolist() == index + [[config.T, 0]]
+    inner = [[t, k] for t in range(config.T) for k in range(1, config.K + 1)]
+    assert rec.index.tolist() == [[0, 0]] + inner + [[config.T, 0]]
     for row, ((t, k), iterates) in enumerate(zip(rec.index.tolist(), rows, strict=True)):
         want = _recorded_row(sg, iterates, v_star, frozen_pi2)
         assert want.keys() == rec.series.keys()
