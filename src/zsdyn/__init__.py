@@ -25,11 +25,10 @@ from .harness import (AggregateSeries, ExperimentBundle, ExperimentConfig,
 from .matrix_dyn import MATRIX_METRICS, player_seed_sequences, run_matrix_dynamics
 from .metrics import (NashDistribution, generalized_gap_vx, nash_distribution,
                       nash_gap_matrix, nash_gap_stochastic, regularized_nash_gap)
-from .ops import (BestResponse, ExplorationBound, GameValue, SoftmaxParams,
-                  bellman_T, best_response_value, entropy, exploration_bound,
-                  induced_chain, matrix_game_value, minimax_bellman,
-                  minimax_fixed_point, policy_value, softmax, softmax_explore,
-                  stationary_distribution)
+from .ops import (BestResponse, GameValue, SoftmaxParams, bellman_T,
+                  best_response_value, entropy, exploration_bound,
+                  matrix_game_value, minimax_bellman, minimax_fixed_point,
+                  policy_value, softmax, stationary_distribution)
 from .visbr import VISBR_METRICS, run_visbr, visbr_seed_sequences
 
 __version__ = "0.1.0"

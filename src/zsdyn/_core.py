@@ -2,10 +2,11 @@
 
 List code for the stochastic kernel's work at the visited state, on vectors
 of length 2 or 3 where lists beat numpy (sampling, smoothed_policy), and
-batched code on (B, n) rows for the matrix kernel, the matrix gaps and the
-oracles (_targets, _entropy: ops.softmax, softmax_explore and entropy are
-their one-row cases). Both sum left to right and take exp and log from the C
-library; a test pins the list and batched softmaxes to each other bitwise.
+batched code on (B, n) rows for the matrix kernel, the stochastic kernel's
+initial targets, the matrix gaps and the oracles (_targets, _entropy:
+ops.softmax and ops.entropy are their one-row cases). Both sum left to right
+and take exp and log from the C library; a test pins the list and batched
+softmaxes to each other bitwise.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ exact solvers. Global flags come before the subcommand:
 
 --seed overrides the config's base_seed, --stride the run template's
 record_stride, --force allows overwriting an existing output directory,
---quiet silences progress lines.
+--quiet silences progress lines. A flag the command would ignore is an
+error: --seed, --stride and --force with oracle, --tol with a matrix ng.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    ignored = [flag for flag, given in (("--seed", args.seed is not None),
+                                        ("--stride", args.stride is not None),
+                                        ("--force", args.force)) if given]
+    if ignored:
+        raise ZsdynError(f"{', '.join(ignored)} apply to experiments, not to oracle")
     game = load_game(args.game)
     if args.oracle_op == "value":
         if isinstance(game, MatrixGame):
@@ -92,9 +98,12 @@ def _cmd_oracle(args) -> int:
     if args.oracle_op == "ng":
         joint = _load_policy(args.policy, game)
         if isinstance(game, MatrixGame):
+            if args.tol is not None:
+                raise ZsdynError("--tol applies to a stochastic game; a matrix ng is exact")
             _print_json({"ng": nash_gap_matrix(game, joint)})
         else:
-            _print_json({"ng": nash_gap_stochastic(game, joint, tol=args.tol)})
+            tol = 1e-6 if args.tol is None else args.tol
+            _print_json({"ng": nash_gap_stochastic(game, joint, tol=tol)})
         return 0
     if args.oracle_op == "ngtau":
         if not isinstance(game, MatrixGame):
@@ -150,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_tau:
             o.add_argument("--tau", type=float, required=True)
         else:
-            o.add_argument("--tol", type=float, default=1e-6,
-                           help="stochastic games: ng is certified within tol")
+            o.add_argument("--tol", type=float, default=None,
+                           help="stochastic games only: ng is certified within "
+                                "tol (default 1e-6)")
     on = orc.add_parser("nashdist", help="Nash distribution fixed point")
     on.add_argument("--game", required=True)
     on.add_argument("--tau", type=float, required=True)

@@ -218,7 +218,7 @@ def matrix_condition_warnings(config: MatrixRunConfig, a_max: int) -> tuple[str,
     tau = config.tau
     if tau > 1.0:
         warnings.append(f"condition check: tau={tau} exceeds 1")
-    floor = exploration_bound("matrix", "plain", SoftmaxParams(tau=tau), a_max).value
+    floor = exploration_bound("matrix", "plain", SoftmaxParams(tau=tau), a_max)
     _, beta0 = config.schedule.rates(0)
     beta_cap = tau / (128.0 * a_max ** 2)
     if not beta0 < beta_cap:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field, fields
-from typing import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,13 +108,13 @@ def _same(a, b) -> bool:
 
 class _Structural:
     """== over the dataclass fields: arrays by value, dicts and tuples
-    elementwise; fields declared with compare=False are ignored."""
+    elementwise."""
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return all(_same(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self) if f.compare)
+                   for f in fields(self))
 
 
 class _Game(_Structural):
@@ -133,14 +132,6 @@ class _Game(_Structural):
     @property
     def a_max(self) -> int:
         return max(self.n_actions_1, self.n_actions_2)
-
-    def payoff(self, player: int) -> np.ndarray:
-        """Payoff table of `player` indexed (own action, opponent action)."""
-        if player == 1:
-            return self.R1
-        if player == 2:
-            return self.R2
-        raise ValueError(f"player must be 1 or 2, got {player}")
 
 
 def check_zero_sum_game(game, kind: type) -> None:
@@ -167,11 +158,9 @@ class MatrixGame(_Game):
     R1: np.ndarray
     R2: np.ndarray
     zero_sum: bool
-    notes: tuple[str, ...] = field(default=(), compare=False)
 
 
-def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True,
-                         notes: tuple[str, ...] = ()) -> MatrixGame:
+def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True) -> MatrixGame:
     """Validate a payoff pair into a MatrixGame.
 
     R2 defaults to -R1^T. Raises DimensionMismatch, PayoffOutOfRange, or
@@ -180,10 +169,9 @@ def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True,
     """
     if isinstance(R1, MatrixGame):
         game = R1
-        return validate_matrix_game(game.R1, game.R2, require_zero_sum, game.notes)
+        return validate_matrix_game(game.R1, game.R2, require_zero_sum)
     r1, r2, zero_sum = _payoff_pair(R1, R2, 2, require_zero_sum)
-    return MatrixGame(R1=_frozen(r1), R2=_frozen(r2), zero_sum=zero_sum,
-                      notes=tuple(notes))
+    return MatrixGame(R1=_frozen(r1), R2=_frozen(r2), zero_sum=zero_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +194,6 @@ class StochasticGame(_Game):
     gamma: float
     initial_dist: np.ndarray
     zero_sum: bool
-    notes: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def n_states(self) -> int:
@@ -214,17 +201,16 @@ class StochasticGame(_Game):
 
 
 def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None,
-                             initial_dist=None, require_zero_sum: bool = True,
-                             notes: tuple[str, ...] = ()) -> StochasticGame:
+                             initial_dist=None, require_zero_sum: bool = True) -> StochasticGame:
     """Validate a raw description into a StochasticGame.
 
     R2 defaults to the antisymmetric counterpart -R1 with the action axes
-    swapped; initial_dist defaults to uniform (noted on the game).
+    swapped; initial_dist defaults to uniform.
     """
     if isinstance(transition, StochasticGame):
         g = transition
         return validate_stochastic_game(g.transition, g.R1, g.R2, g.gamma,
-                                        g.initial_dist, require_zero_sum, g.notes)
+                                        g.initial_dist, require_zero_sum)
     p = _as_float_array(transition, "transition", 4)
     r1, r2, zero_sum = _payoff_pair(R1, R2, 3, require_zero_sum)
     n_states, n_a1, n_a2 = r1.shape
@@ -245,11 +231,8 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
     if worst > DIST_TOL:
         raise BadTransitionRow(f"a transition row sums to 1 only within {worst}")
 
-    notes = tuple(notes)
     if initial_dist is None:
         p_o = np.full(n_states, 1.0 / n_states)
-        if "initial_dist defaulted to uniform" not in notes:
-            notes = notes + ("initial_dist defaulted to uniform",)
     else:
         p_o = _as_float_array(initial_dist, "initial_dist", 1)
         if p_o.shape != (n_states,):
@@ -259,7 +242,7 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
 
     return StochasticGame(transition=_frozen(p), R1=_frozen(r1), R2=_frozen(r2),
                           gamma=gamma, initial_dist=_frozen(p_o),
-                          zero_sum=zero_sum, notes=notes)
+                          zero_sum=zero_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +329,6 @@ class TrajectoryRecord(_Structural):
                     f"series {name!r} has {len(values)} values for {idx.shape[0]} index rows")
         object.__setattr__(self, "index", idx)
 
-    def rows(self) -> Iterator[tuple]:
-        """Yield (t, k, metric, value) samples in index order."""
-        for name in sorted(self.series):
-            values = self.series[name]
-            for i in range(self.index.shape[0]):
-                yield int(self.index[i, 0]), int(self.index[i, 1]), name, float(values[i])
-
     def metric(self, name: str) -> np.ndarray:
         return np.asarray(self.series[name], dtype=np.float64)
 
@@ -362,12 +338,12 @@ class TrajectoryRecord(_Structural):
 # ---------------------------------------------------------------------------
 
 def matching_pennies() -> MatrixGame:
-    return validate_matrix_game([[1.0, -1.0], [-1.0, 1.0]], notes=("builtin:mp",))
+    return validate_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def rock_paper_scissors() -> MatrixGame:
     R1 = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
-    return validate_matrix_game(R1, notes=("builtin:rps",))
+    return validate_matrix_game(R1)
 
 
 def tilted_rps(n: int) -> MatrixGame:
@@ -383,8 +359,7 @@ def tilted_rps(n: int) -> MatrixGame:
     # divide rather than multiply by a reciprocal: n/n is exactly 1.0,
     # n * (1.0/n) rounds above 1.0 for some n and would fail range checks
     R1 = np.array([[n, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / max(n, 1)
-    return validate_matrix_game(R1, notes=(f"builtin:appF:N={n}",
-                                           f"payoffs scaled by 1/{max(n, 1)} into [-1, 1]"))
+    return validate_matrix_game(R1)
 
 
 _GAME_KEYS = {"matrix": ("type", "R1", "R2"),

@@ -12,9 +12,10 @@ the point in the grid, so reordering an axis's value list or adding axes
 elsewhere leaves every trajectory's seed unchanged and points can run in
 parallel in any order.
 
-A kernel call runs several matrix points or one stochastic point, and its
-points share one statistics pass over stacked arrays; a point's
-statistics are the same bits whichever points share its pass.
+A kernel call runs whole sweep points, as many as fit in 128 trajectories
+(at least one), and its points share one statistics pass over stacked
+arrays; a point's statistics are the same bits whichever points share its
+pass.
 CSV cells use the shortest round-trip decimal representation of each float
 (Python repr), so identical runs produce byte-identical files.
 """
@@ -49,9 +50,11 @@ MATRIX_CSV_COLUMNS = ("k", "ng_mean", "ng_std", "ngtau_mean", "ngtau_std",
 STOCHASTIC_CSV_COLUMNS = ("t", "k", "ng_mean", "ng_std", "lsum", "min_pi",
                           "q_inf", "v_inf")
 
-# trajectories per matrix-kernel call: larger batches run faster per step
-# but hold more records at once
-_MATRIX_BATCH_TRAJECTORIES = 128
+# trajectories per kernel call, in whole points: larger calls run the matrix
+# kernel faster per step and solve a stochastic game's v* and ergodicity
+# check fewer times, but a call holds max(_BATCH_TRAJECTORIES,
+# n_trajectories) records at once
+_BATCH_TRAJECTORIES = 128
 
 
 def splitmix64(x: int) -> int:
@@ -293,13 +296,12 @@ class ExperimentBundle:
 
 
 def _point_results(config: ExperimentConfig, game):
-    # yields (point, its records, their aggregates) in sweep order; the
-    # matrix kernel runs whole points together up to
-    # _MATRIX_BATCH_TRAJECTORIES trajectories per call, while run_visbr runs
-    # one point per call, which bounds the records held and shares its v*.
-    # Each call's points share one statistics pass; each key is hashed once.
+    # yields (point, its records, their aggregates) in sweep order; each
+    # kernel call runs whole points up to _BATCH_TRAJECTORIES trajectories,
+    # which bounds the records held. Each call's points share one statistics
+    # pass; each key is hashed once.
     n = config.n_trajectories
-    per_call = max(1, _MATRIX_BATCH_TRAJECTORIES // n) if config.kind == "matrix" else 1
+    per_call = max(1, _BATCH_TRAJECTORIES // n)
     points = config.sweep_points()
     for first in range(0, len(points), per_call):
         batch = points[first:first + per_call]

@@ -1,6 +1,6 @@
 """Stateless mathematical operators.
 
-Softmax family and entropy (validated one-row cases of _core's batched
+Softmax and entropy (validated one-row cases of _core's batched
 primitives), guaranteed exploration floors, one-step lookahead and minimax
 Bellman operators, the exact matrix-game value (dense simplex, Bland's
 rule), one policy-iteration MDP core serving the best-response oracle and
@@ -30,7 +30,7 @@ from .games import JointPolicy, StochasticGame, _check_distributions, validate_j
 
 
 # ---------------------------------------------------------------------------
-# Softmax family and exploration floors
+# Softmax, entropy and exploration floors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -47,22 +47,18 @@ class SoftmaxParams:
             raise ValueError(f"eps_bar must lie in [0, 1], got {self.eps_bar}")
 
 
-def softmax(q, tau: float) -> np.ndarray:
-    """Temperature-tau softmax, computed shift-stably.
+def softmax(q, tau: float, eps_bar: float = 0.0) -> np.ndarray:
+    """Temperature-tau softmax, eps_bar-mixed with uniform, computed shift-stably.
 
-    Subtracts the max before exponentiation, so temperatures down to 1e-4
-    underflow harmlessly instead of overflowing. Output sums to 1 with every
-    entry >= 1/((n-1) exp(2 max|q| / tau) + 1) when that floor is
-    representable. The one-row case of the matrix kernel's softmax.
+    Returns eps_bar * uniform + (1 - eps_bar) * softmax(q / tau), the target
+    of the explore variants (eps_bar = 0 gives the plain softmax). Subtracts
+    the max before exponentiation, so temperatures down to 1e-4 underflow
+    harmlessly instead of overflowing. Output sums to 1 with every entry
+    >= eps_bar / n, and >= 1/((n-1) exp(2 max|q| / tau) + 1) at eps_bar = 0
+    when that floor is representable. The one-row case of the matrix
+    kernel's softmax; tau and eps_bar are checked as SoftmaxParams.
     """
-    return softmax_explore(q, SoftmaxParams(tau))
-
-
-def softmax_explore(q, params: SoftmaxParams) -> np.ndarray:
-    """eps_bar-mixed softmax: eps_bar * uniform + (1 - eps_bar) * softmax.
-
-    Every entry is >= eps_bar / n.
-    """
+    params = SoftmaxParams(tau, eps_bar)
     arr = np.asarray(q, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch(f"q must be a non-empty vector, got shape {arr.shape}")
@@ -83,20 +79,6 @@ def entropy(mu) -> float:
     return float(_entropy(arr[None])[0])
 
 
-@dataclass(frozen=True)
-class ExplorationBound:
-    """Guaranteed minimum policy entry for one dynamics variant.
-
-    For extremely small temperatures the true floor can fall below the
-    smallest positive float; it then degrades to 0.0, which is still a
-    valid (if vacuous) lower bound.
-    """
-
-    value: float
-    setting: str
-    variant: str
-
-
 def _softmax_floor(x: float, a_max: int) -> float:
     # 1 / ((a_max - 1) e^x + 1) in the underflow-safe form
     # e^{-x} / (e^{-x} + (a_max - 1)).
@@ -107,12 +89,15 @@ def _softmax_floor(x: float, a_max: int) -> float:
 
 
 def exploration_bound(setting: str, variant: str, params: SoftmaxParams,
-                      a_max: int, gamma: float | None = None) -> ExplorationBound:
+                      a_max: int, gamma: float | None = None) -> float:
     """Lower bound on every policy entry maintained by the named dynamics.
 
     setting is "matrix" or "stochastic", variant "plain" or "explore".
     The plain stochastic bound needs gamma (MissingGamma otherwise); the
-    explore stochastic bound is eps_bar / a_max and does not.
+    explore stochastic bound is eps_bar / a_max and does not. For extremely
+    small temperatures the true floor can fall below the smallest positive
+    float; it then degrades to 0.0, which is still a valid (if vacuous)
+    lower bound.
     """
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
@@ -135,7 +120,7 @@ def exploration_bound(setting: str, variant: str, params: SoftmaxParams,
             raise ValueError(f"unknown variant {variant!r}")
     else:
         raise ValueError(f"unknown setting {setting!r}")
-    return ExplorationBound(value=float(value), setting=setting, variant=variant)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +383,6 @@ def _policy_value(game: StochasticGame, player: int, pi1, pi2) -> np.ndarray:
 _EDGE_EPS = 1e-12
 
 
-def induced_chain(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
-    """State transition matrix under a fixed joint policy."""
-    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
-    return np.einsum("sabt,sa,sb->st", game.transition, joint.pi1, joint.pi2)
-
-
 def _bfs_levels(adj: np.ndarray) -> list[int]:
     # breadth-first distance from state 0 along edges u -> v with adj[u, v];
     # -1 marks a state that state 0 cannot reach
@@ -443,7 +422,8 @@ def stationary_distribution(game: StochasticGame, joint: JointPolicy) -> np.ndar
     1e-12) is reducible or periodic. Otherwise solves mu^T P = mu^T with
     the normalization row and checks the residual to 1e-10.
     """
-    P = induced_chain(game, joint)
+    joint = validate_joint_policy(joint.pi1, joint.pi2, game)
+    P = np.einsum("sabt,sa,sb->st", game.transition, joint.pi1, joint.pi2)
     adj = P > _EDGE_EPS
     if not _is_irreducible(adj):
         raise NotErgodic("induced chain is reducible")

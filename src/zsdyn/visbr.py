@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import pick_action, smoothed_policy
+from ._core import _targets, pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import DimensionMismatch, NotErgodic
 from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
@@ -58,15 +58,6 @@ def visbr_seed_sequences(seed: int):
     """
     ss = np.random.SeedSequence(seed)
     return tuple(ss.spawn(3))
-
-
-def _targets(q1: list, q2: list | None, tau: float, eps: float) -> np.ndarray:
-    # the tg array _advance_inner keeps: each state's softmax targets of q1,
-    # then of q2 unless player 2 is frozen (q2 None)
-    rows = [smoothed_policy(row, tau, eps, False) for row in q1]
-    if q2 is not None:
-        rows = [t + smoothed_policy(row, tau, eps, False) for t, row in zip(rows, q2)]
-    return np.array(rows)
 
 
 def _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau, eps,
@@ -184,12 +175,12 @@ def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
     # beta as a numpy float64, which the array step takes faster than a float
     rates = [(a, np.float64(b)) for a, b in map(config.schedule.rates, range(config.K))]
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
-    # the targets depend on q only, which the end-of-round v update leaves
-    # alone, so the cache carries across rounds
-    if frozen2 is None:
-        pi, tg = np.hstack((pi1, pi2)), _targets(q1, q2, tau, eps)
-    else:
-        pi, tg = pi1, _targets(q1, None, tau, eps)
+    # q starts at zero, so the targets start as the softmax of zero rows, one
+    # block per learning player. They depend on q only, which the end-of-round
+    # v update leaves alone, so the cache carries across rounds
+    blocks = (pi1,) if frozen else (pi1, pi2)
+    pi = np.hstack(blocks)
+    tg = np.hstack([_targets(np.zeros_like(b), tau, eps, False) for b in blocks])
     q_rows = q1 if frozen else q1 + q2  # the row lists, which the TD update edits in place
     index, ng, min_pi, q_inf, v_rows = [], [], [], [], []
     held, held_q = [], []  # recorded (S, n1 + n2) joint policies and flat q, not reduced yet

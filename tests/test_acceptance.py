@@ -162,7 +162,7 @@ def test_acceptance_3_boundedness_fuzz():
         rec = run_matrix_dynamics(game, [cfg])[0]
         bound = exploration_bound("matrix", variant,
                                   SoftmaxParams(tau, eps_bar),
-                                  int(max(n1, n2))).value
+                                  int(max(n1, n2)))
         if (rec.metric("min_pi") < bound).any():
             violations += 1
         if (rec.metric("q_inf") > 1.0).any():
@@ -184,7 +184,7 @@ def test_acceptance_3_boundedness_fuzz():
         [rec] = run_visbr(game, [cfg])
         bound = exploration_bound("stochastic", variant,
                                   SoftmaxParams(tau, eps_bar),
-                                  int(max(n1, n2)), gamma=gamma).value
+                                  int(max(n1, n2)), gamma=gamma)
         cap = 1.0 / (1.0 - gamma)
         if (rec.metric("min_pi") < bound).any():
             violations += 1

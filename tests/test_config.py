@@ -172,7 +172,7 @@ def test_matrix_condition_flags_each_violation():
 def test_matrix_condition_accepts_conforming_settings():
     sched = z.StepsizeSchedule(kind="diminishing", alpha=1000.0, beta=1e-4, h=1000.0)
     c = z.MatrixRunConfig(tau=1.0, schedule=sched, K=10, seed=1)
-    floor = z.exploration_bound("matrix", "plain", z.SoftmaxParams(tau=1.0), 2).value
+    floor = z.exploration_bound("matrix", "plain", z.SoftmaxParams(tau=1.0), 2)
     cap = min(1.0 * floor ** 3 / 32.0, floor / (128.0 * 4.0))
     assert sched.ratio <= cap  # sanity on the test's own numbers
     assert z.matrix_condition_warnings(c, 2) == ()

@@ -39,6 +39,7 @@ from zsdyn.harness import (
     trajectory_seed,
 )
 from zsdyn.matrix_dyn import run_matrix_dynamics
+from zsdyn.metrics import nash_gap_stochastic
 from zsdyn.ops import minimax_fixed_point
 
 MASK = (1 << 64) - 1
@@ -407,7 +408,7 @@ def assert_same_bits(got, want):
         assert series.n == expected[7]
 
 
-# one kernel call holds each matrix sweep (128 trajectories at most); its
+# one kernel call holds each sweep (128 trajectories at most); its
 # index grids differ by K, and K=7 and K=10 give one row each, where numpy
 # sums 8 or more trajectories pairwise
 MIXED_GRID_SWEEPS = [
@@ -591,17 +592,52 @@ def test_run_experiment_reruns_byte_identical(tmp_path):
     assert first == second
 
 
-def test_run_experiment_bytes_do_not_depend_on_the_batch_budget(tmp_path, monkeypatch):
-    # 9 points of 3 trajectories on three index grids (K=7 gives one row): a
-    # budget of 1 or 4 runs one point per kernel call, 7 two points per
-    # call, 128 all nine in one call and one statistics pass per grid
+def _random_stochastic_game(seed: int, shape=(3, 2, 2), gamma=0.8) -> dict:
+    rng = np.random.default_rng(seed)
+    P = rng.random((*shape, shape[0])) + 0.05
+    P /= P.sum(axis=3, keepdims=True)
+    return {"type": "stochastic", "transition": P.tolist(),
+            "R1": rng.uniform(-1.0, 1.0, shape).tolist(), "gamma": gamma}
+
+
+# 9 points of 3 trajectories on several index grids (matrix K=7 gives one row)
+BUDGET_SWEEPS = {
+    "matrix": dict(kind="matrix", game="builtin:mp", run=matrix_template(record_stride=10),
+                   sweep={"tau": [0.2, 0.3, 0.5], "K": [7, 30, 40]}),
+    "stochastic": dict(kind="stochastic", game=_random_stochastic_game(5),
+                       run=sg_template(record_stride=3), sweep={"K": [4, 6, 9], "T": [1, 2, 3]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUDGET_SWEEPS))
+def test_run_experiment_bytes_do_not_depend_on_the_batch_budget(kind, tmp_path, monkeypatch):
+    # a budget of 1 or 4 runs one point per kernel call, 7 two points per
+    # call, 128 all nine in one call and one statistics pass per grid; a
+    # stochastic call solves v* once, whatever points share it
+    import zsdyn.harness
+    import zsdyn.visbr
+
+    calls = {"kernel": 0, "fixed_point": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    kernel = "run_matrix_dynamics" if kind == "matrix" else "run_visbr"
+    monkeypatch.setattr(zsdyn.harness, kernel, counted("kernel", getattr(zsdyn.harness, kernel)))
+    monkeypatch.setattr(zsdyn.visbr, "minimax_fixed_point",
+                        counted("fixed_point", zsdyn.visbr.minimax_fixed_point))
     outputs = []
     for budget in (1, 4, 7, 128):
-        monkeypatch.setattr("zsdyn.harness._MATRIX_BATCH_TRAJECTORIES", budget)
+        monkeypatch.setattr(zsdyn.harness, "_BATCH_TRAJECTORIES", budget)
+        calls.update(kernel=0, fixed_point=0)
         out = tmp_path / str(budget)
-        run_experiment(matrix_config(run=matrix_template(record_stride=10),
-                                     sweep={"tau": [0.2, 0.3, 0.5], "K": [7, 30, 40]},
-                                     n_trajectories=3, out_dir=str(out)))
+        run_experiment(ExperimentConfig(n_trajectories=3, base_seed=11, out_dir=str(out),
+                                        **BUDGET_SWEEPS[kind]))
+        assert calls["kernel"] == {1: 9, 4: 9, 7: 5, 128: 1}[budget]
+        assert calls["fixed_point"] == (calls["kernel"] if kind == "stochastic" else 0)
         outputs.append({name: (out / name).read_bytes() for name in os.listdir(out)
                         if name != "manifest.json"})
     assert len(outputs[0]) == 9  # point CSVs
@@ -899,6 +935,36 @@ def test_cli_bad_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "ng", "--game", "builtin:mp", "--tol", "nan"],
+    ["oracle", "ng", "--game", "builtin:mp", "--tol", "1e-6"],
+    ["--seed", "5", "--stride", "3", "oracle", "value", "--game", "builtin:mp"],
+    ["--seed", "0", "oracle", "value", "--game", "builtin:mp"],
+    ["--force", "oracle", "value", "--game", "builtin:mp"],
+], ids=["matrix-ng-tol-nan", "matrix-ng-tol", "oracle-seed-stride", "oracle-seed-0",
+        "oracle-force"])
+def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
+    if "ng" in argv:
+        argv = argv + ["--policy", write_json(tmp_path / "policy.json",
+                                              {"pi1": [0.5, 0.5], "pi2": [0.5, 0.5]})]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_oracle_ng_stochastic_tol(tmp_path, capsys):
+    # --tol defaults to 1e-6 for a stochastic game, and a NaN one is an error
+    game = _random_stochastic_game(83)
+    argv = ["oracle", "ng", "--game", write_json(tmp_path / "g.json", game), "--policy",
+            write_json(tmp_path / "p.json", {"pi1": [[0.5, 0.5]] * 3, "pi2": [[0.5, 0.5]] * 3})]
+    joint = uniform_joint_policy(load_game(game))
+    for extra, tol in (([], 1e-6), (["--tol", "1e-3"], 1e-3)):
+        assert cli_main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "ng": nash_gap_stochastic(load_game(game), joint, tol=tol)}
+    assert cli_main(argv + ["--tol", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_oracle_value_matrix(capsys):
     rc = cli_main(["oracle", "value", "--game", "builtin:mp"])
     assert rc == 0
@@ -920,11 +986,7 @@ def test_cli_oracle_value_stochastic(tmp_path, capsys):
 
 
 def test_cli_oracle_value_stochastic_reports_v2_as_minus_v1(tmp_path, capsys):
-    rng = np.random.default_rng(83)
-    P = rng.random((3, 2, 3, 3)) + 0.05
-    P /= P.sum(axis=3, keepdims=True)
-    game = {"type": "stochastic", "transition": P.tolist(),
-            "R1": rng.uniform(-1.0, 1.0, (3, 2, 3)).tolist(), "gamma": 0.8}
+    game = _random_stochastic_game(83, shape=(3, 2, 3))
     assert cli_main(["oracle", "value", "--game", write_json(tmp_path / "g.json", game)]) == 0
     doc = json.loads(capsys.readouterr().out)
     # one fixed point, negated for player 2: the values cancel exactly

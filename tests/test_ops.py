@@ -72,6 +72,9 @@ def test_softmax_input_errors():
         z.softmax([0.0, 0.0], -1.0)
     with pytest.raises(ValueError):
         z.softmax([0.0, 0.0], math.inf)
+    for eps_bar in (-0.1, 1.5, math.nan):  # checked as SoftmaxParams checks it
+        with pytest.raises(ValueError):
+            z.softmax([0.0, 0.0], 1.0, eps_bar=eps_bar)
     with pytest.raises(z.DimensionMismatch):
         z.softmax([[0.0, 0.0]], 1.0)
     with pytest.raises(z.DimensionMismatch):
@@ -83,17 +86,17 @@ def test_softmax_input_errors():
 def test_softmax_explore_reduces_at_zero_mix():
     q = [0.3, -0.2, 0.8]
     plain = z.softmax(q, 0.7)
-    mixed = z.softmax_explore(q, z.SoftmaxParams(tau=0.7, eps_bar=0.0))
+    mixed = z.softmax(q, 0.7, eps_bar=0.0)
     assert np.array_equal(plain, mixed)
 
 
 def test_softmax_explore_full_mix_is_uniform():
-    out = z.softmax_explore([5.0, -5.0], z.SoftmaxParams(tau=0.1, eps_bar=1.0))
+    out = z.softmax([5.0, -5.0], 0.1, eps_bar=1.0)
     assert np.array_equal(out, [0.5, 0.5])
 
 
 def test_softmax_explore_frozen_values():
-    out = z.softmax_explore([1.0, 0.0], z.SoftmaxParams(tau=1.0, eps_bar=0.5))
+    out = z.softmax([1.0, 0.0], 1.0, eps_bar=0.5)
     assert out[0] == 0.6155292893150024
     assert out[1] == 0.38447071068499755
 
@@ -104,7 +107,7 @@ def test_softmax_explore_respects_uniform_floor():
         n = int(rng.integers(2, 6))
         q = rng.uniform(-1.0, 1.0, n)
         eps = float(rng.uniform(0.0, 1.0))
-        out = z.softmax_explore(q, z.SoftmaxParams(tau=0.2, eps_bar=eps))
+        out = z.softmax(q, 0.2, eps_bar=eps)
         assert float(out.min()) >= eps / n
         assert float(out.sum()) == pytest.approx(1.0, abs=1e-12)
 
@@ -157,20 +160,19 @@ def test_entropy_rejects_non_distributions():
 
 def test_exploration_bound_matrix_plain_frozen():
     out = z.exploration_bound("matrix", "plain", z.SoftmaxParams(tau=2.0), 2)
-    assert out.value == 0.2689414213699951  # e^{-1} / (e^{-1} + 1)
-    assert out.setting == "matrix" and out.variant == "plain"
+    assert out == 0.2689414213699951  # e^{-1} / (e^{-1} + 1)
 
 
 def test_exploration_bound_matrix_explore_frozen():
     out = z.exploration_bound("matrix", "explore",
                               z.SoftmaxParams(tau=0.1, eps_bar=0.1), 3)
-    assert out.value == 0.033333334260852464
+    assert out == 0.033333334260852464
 
 
 def test_exploration_bound_stochastic_explore_is_uniform_share():
     out = z.exploration_bound("stochastic", "explore",
                               z.SoftmaxParams(tau=0.1, eps_bar=0.1), 2)
-    assert out.value == 0.05
+    assert out == 0.05
 
 
 def test_exploration_bound_stochastic_plain_needs_gamma():
@@ -180,21 +182,21 @@ def test_exploration_bound_stochastic_plain_needs_gamma():
     out = z.exploration_bound("stochastic", "plain", params, 2, gamma=0.5)
     x = 2.0 / ((1.0 - 0.5) * 1.0)
     em = math.exp(-x)
-    assert out.value == em / (em + 1.0)
+    assert out == em / (em + 1.0)
 
 
 def test_exploration_bound_single_action():
     # softmax floors collapse to 1.0; the uniform-mix bound stays eps_bar / 1
     params = z.SoftmaxParams(tau=0.01, eps_bar=0.2)
-    assert z.exploration_bound("matrix", "plain", params, 1).value == 1.0
-    assert z.exploration_bound("matrix", "explore", params, 1).value == 1.0
-    assert z.exploration_bound("stochastic", "plain", params, 1, gamma=0.9).value == 1.0
-    assert z.exploration_bound("stochastic", "explore", params, 1).value == 0.2
+    assert z.exploration_bound("matrix", "plain", params, 1) == 1.0
+    assert z.exploration_bound("matrix", "explore", params, 1) == 1.0
+    assert z.exploration_bound("stochastic", "plain", params, 1, gamma=0.9) == 1.0
+    assert z.exploration_bound("stochastic", "explore", params, 1) == 0.2
 
 
 def test_exploration_bound_tiny_temperature_degrades_to_zero():
     out = z.exploration_bound("matrix", "plain", z.SoftmaxParams(tau=1e-4), 2)
-    assert out.value == 0.0
+    assert out == 0.0
 
 
 def test_exploration_bound_range():
@@ -209,7 +211,7 @@ def test_exploration_bound_range():
         out = z.exploration_bound(setting, variant,
                                   z.SoftmaxParams(tau=tau, eps_bar=eps),
                                   a_max, gamma=gamma)
-        assert 0.0 <= out.value <= 1.0 / a_max + 1e-15
+        assert 0.0 <= out <= 1.0 / a_max + 1e-15
 
 
 def test_exploration_bound_bad_names():
@@ -739,7 +741,6 @@ def _chain_game(rows, gamma=0.9):
 def test_induced_chain_single_state():
     sg = _chain_game([[1.0]])
     joint = z.uniform_joint_policy(sg)
-    assert np.array_equal(z.induced_chain(sg, joint), [[1.0]])
     assert np.array_equal(z.stationary_distribution(sg, joint), [1.0])
 
 
@@ -750,8 +751,9 @@ def test_induced_chain_mixes_actions():
     sg = z.validate_stochastic_game(P, np.zeros((2, 2, 1)), gamma=0.5)
     pi1 = np.array([[0.25, 0.75], [0.6, 0.4]])
     pi2 = np.ones((2, 1))
-    chain = z.induced_chain(sg, z.validate_joint_policy(pi1, pi2, sg))
-    assert np.allclose(chain, [[0.25, 0.75], [0.6, 0.4]], atol=1e-15)
+    # the induced chain is [[0.25, 0.75], [0.6, 0.4]]: 0.75 mu_0 = 0.6 mu_1
+    mu = z.stationary_distribution(sg, z.validate_joint_policy(pi1, pi2, sg))
+    assert np.allclose(mu, np.array([0.6, 0.75]) / 1.35, atol=1e-15)
 
 
 def test_stationary_distribution_doubly_stochastic():

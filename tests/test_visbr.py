@@ -331,7 +331,7 @@ def test_iterate_bounds_on_random_runs():
             bound = z.exploration_bound("stochastic", "explore",
                                         z.SoftmaxParams(tau=config.tau, eps_bar=config.eps_bar),
                                         sg.a_max)
-            assert (rec.metric("min_pi") >= bound.value).all()
+            assert (rec.metric("min_pi") >= bound).all()
         assert (rec.metric("ng") >= 0.0).all()
 
 
