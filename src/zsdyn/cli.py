@@ -8,7 +8,8 @@ exact solvers. Global flags come before the subcommand:
 --seed overrides the config's base_seed, --stride the run template's
 record_stride, --force allows overwriting an existing output directory,
 --quiet silences progress lines. A flag the command would ignore is an
-error: --seed, --stride and --force with oracle, --tol with a matrix ng.
+error: --seed, --stride, --force and --quiet with oracle, --tol with a
+matrix ng.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_oracle(args) -> int:
     ignored = [flag for flag, given in (("--seed", args.seed is not None),
                                         ("--stride", args.stride is not None),
-                                        ("--force", args.force)) if given]
+                                        ("--force", args.force),
+                                        ("--quiet", args.quiet)) if given]
     if ignored:
-        raise ZsdynError(f"{', '.join(ignored)} apply to experiments, not to oracle")
+        raise ZsdynError(f"oracle does not take the experiment flags {', '.join(ignored)}")
     game = load_game(args.game)
     if args.oracle_op == "value":
         if isinstance(game, MatrixGame):

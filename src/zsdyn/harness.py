@@ -48,7 +48,7 @@ _SWEEP_AXES = {
 MATRIX_CSV_COLUMNS = ("k", "ng_mean", "ng_std", "ngtau_mean", "ngtau_std",
                       "min_pi", "q_inf")
 STOCHASTIC_CSV_COLUMNS = ("t", "k", "ng_mean", "ng_std", "lsum", "min_pi",
-                          "q_inf", "v_inf")
+                          "q_inf", "v_inf", "v_err")
 
 # trajectories per kernel call, in whole points: larger calls run the matrix
 # kernel faster per step and solve a stochastic game's v* and ergodicity
@@ -256,12 +256,7 @@ def _csv_text(kind: str, aggregates: list[AggregateSeries]) -> str:
     diagnostics (lsum, v_err), each as repr(float(x))."""
     by_name = {s.name: s for s in aggregates}
     index = aggregates[0].index
-    if kind == "matrix":
-        columns = list(MATRIX_CSV_COLUMNS)
-    else:
-        columns = list(STOCHASTIC_CSV_COLUMNS)
-        if "v_err" in by_name:
-            columns.append("v_err")
+    columns = MATRIX_CSV_COLUMNS if kind == "matrix" else STOCHASTIC_CSV_COLUMNS
     cells = [map(str, index[:, ("t", "k").index(c)].tolist())
              for c in columns if c in ("t", "k")]
     for col in columns[len(cells):]:

@@ -17,14 +17,17 @@ The explore variant mixes the softmax target with the uniform distribution,
 which floors every policy entry at eps_bar / n_actions.
 
 Both players' policies, and each state's softmax target of q, are two
-(S, n1 + n2) float64 arrays pi and tg, player 1's columns first (n1
-columns only against a frozen opponent). Every state's policy moves in the
-one expression pi += beta (tg - pi), the same three operations per entry
-as a list loop; sampling and the TD update of q stay in _core's list code.
-q moves only at the visited state s, so tg[st] stays the target of q[st]
-once tg[s] is recomputed after each step. run_visbr takes a sequence of
-configs, as run_matrix_dynamics does, and runs their trajectories one after
-another on the v* and game tables it builds once per call.
+(S, n1 + n2) float64 arrays pi and tg, player 1's columns first; both
+players' columns are always present. Every state's policy moves in the one
+expression pi += beta (tg - pi), the same three operations per entry as a
+list loop; sampling and the TD update of q stay in _core's list code. q
+moves only at the visited state s, so tg[st] stays the target of q[st]
+once tg[s] is recomputed after each step. A frozen player 2's target is
+its own table: its columns of pi and tg start equal, so the policy step
+leaves them exactly where they are, while its q and v stay 0. run_visbr
+takes a sequence of configs, as run_matrix_dynamics does, and runs their
+trajectories one after another on the v* and game tables it builds once
+per call; v_err is recorded on every game.
 """
 
 from __future__ import annotations
@@ -41,13 +44,9 @@ from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
 from .metrics import stochastic_gaps
 from .ops import minimax_fixed_point, stationary_distribution
 
-VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf")
+VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf", "v_err")
 
 _SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call and reduction: bounds held memory
-
-# run_visbr adds the v_err column when n_states * n_actions_1 * n_actions_2
-# is at most this, since it solves player 1's minimax fixed point for it
-V_STAR_BUDGET = 4096
 
 
 def visbr_seed_sequences(seed: int):
@@ -61,26 +60,29 @@ def visbr_seed_sequences(seed: int):
 
 
 def _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau, eps,
-                   alpha, beta, u1, u2, ue, frozen2):
-    # One inner iteration. pi and tg are the arrays of the module docstring
-    # (n1 columns with frozen2), q, v, R and P nested lists. tg[st] must
-    # equal the target of q[st] on entry; q moves only at s, so only tg[s]
-    # is recomputed, from the same q row as a full rebuild would use, which
-    # keeps every output byte.
+                   alpha, beta, u1, u2, ue, frozen):
+    # One inner iteration. pi and tg are the arrays of the module docstring,
+    # with both players' columns; q, v, R and P are nested lists. tg[st]
+    # must equal the target of q[st] on entry; q moves only at s, so only
+    # tg[s] is recomputed, from the same q row as a full rebuild would use,
+    # which keeps every output byte. A frozen player 2's target is its own
+    # table, so only player 1's columns of tg[s] are rewritten then.
     pi += beta * (tg - pi)
     n1 = len(q1[s])
     here = pi[s].tolist()
     a1 = pick_action(here[:n1], u1)
-    a2 = pick_action(here[n1:] if frozen2 is None else frozen2[s], u2)
+    a2 = pick_action(here[n1:], u2)
     s_next = pick_action(P[s][a1][a2], ue)
     row1 = q1[s]
     row1[a1] += alpha * (R1[s][a1][a2] + gamma * v1[s_next] - row1[a1])
     target = smoothed_policy(row1, tau, eps, False)
-    if frozen2 is None:
+    if frozen:
+        tg[s, :n1] = target
+    else:  # the whole-row write is the faster one
         row2 = q2[s]
         row2[a2] += alpha * (R2[s][a2][a1] + gamma * v2[s_next] - row2[a2])
         target += smoothed_policy(row2, tau, eps, False)
-    tg[s] = target
+        tg[s] = target
     return s_next
 
 
@@ -105,15 +107,13 @@ def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
     return ()
 
 
-def _v_stats(v1: list, v2: list, v_star, frozen: bool) -> tuple:
-    # lsum, v_inf and v_err (with v_star) of the v every row of a round shares
-    stats = (max(abs(a + b) for a, b in zip(v1, v2)),
-             max(abs(x) for x in (v1 if frozen else v1 + v2)))
-    if v_star is not None:
-        err1 = max(abs(a - b) for a, b in zip(v1, v_star[0]))
-        err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
-        stats += (err1 if frozen else max(err1, err2),)
-    return stats
+def _v_stats(v1: list, v2: list, v_star: tuple, frozen: bool) -> tuple:
+    # lsum, v_inf and v_err of the v every row of a round shares; a frozen
+    # player 2's v stays 0, so v_err then measures player 1 alone
+    err1 = max(abs(a - b) for a, b in zip(v1, v_star[0]))
+    err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
+    return (max(abs(a + b) for a, b in zip(v1, v2)), max(abs(x) for x in v1 + v2),
+            err1 if frozen else max(err1, err2))
 
 
 def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
@@ -130,58 +130,56 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
     larger T, then its own final (t, 0). Metrics: stochastic Nash gap (best
     responses to tolerance 1e-6), min policy entry, max |q|, the zero-sum
     drift |v1+v2| sup-norm (lsum), max |v|, and the distance v_err to the
-    exact minimax fixed point when n_states*n_actions_1*n_actions_2 <=
-    V_STAR_BUDGET. ng, min_pi and q_inf are taken per _SCORE_CHUNK rows
-    (same bytes), so a row's NoConvergence or NotADistribution surfaces at
-    that scoring.
+    exact minimax fixed point, recorded on every game. ng, min_pi and q_inf
+    are taken per _SCORE_CHUNK rows (same bytes), so a row's NoConvergence
+    or NotADistribution surfaces at that scoring.
 
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
-    learning (its q, pi, v stay put) and min_pi / q_inf then cover player 1
-    only, while ng is the gap of the joint policy actually played,
-    (pi1, frozen_pi2). Used to study one-sided learning against a
-    stationary opponent.
+    learning, its target is its own table, and final_policy.pi2 is that
+    table. ng is the gap of the joint policy actually played,
+    (pi1, frozen_pi2); player 2's q and v stay 0, so min_pi, q_inf, v_inf
+    and v_err cover player 1 only. Used to study one-sided learning against
+    a stationary opponent.
     """
     check_zero_sum_game(game, StochasticGame)
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    fixed2 = frozen2 = None
+    fixed2 = None
     if frozen_pi2 is not None:
         fixed2 = np.asarray(frozen_pi2, dtype=np.float64)
         if fixed2.shape != (S, n2):
             raise DimensionMismatch(
                 f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
         _check_distributions(fixed2, "frozen_pi2")  # before the run, not at the first score
-        frozen2 = fixed2.tolist()
     ergodicity = _ergodicity_warning(game)
-    v_star = None
-    if S * n1 * n2 <= V_STAR_BUDGET:  # zero-sum, so player 2's v* is -v1*
-        v1_star = minimax_fixed_point(game, 1, tol=1e-6)
-        v_star = (v1_star.tolist(), (-v1_star).tolist())
+    v1_star = minimax_fixed_point(game, 1, tol=1e-6)  # zero-sum, so player 2's v* is -v1*
+    v_star = (v1_star.tolist(), (-v1_star).tolist())
     tables = (game.transition.tolist(), game.R1.tolist(), game.R2.tolist())
-    return [_trajectory(game, c, *tables, fixed2, frozen2, v_star, ergodicity)
-            for c in configs]
+    return [_trajectory(game, c, *tables, fixed2, v_star, ergodicity) for c in configs]
 
 
-def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
+def _trajectory(game, config, P, R1, R2, fixed2, v_star, ergodicity):
     # one run_visbr trajectory on the tables and v* that its call shares. It
-    # starts from zero q as nested lists, uniform policies and v = 0, with
-    # S0 drawn from the environment stream.
+    # starts from zero q as nested lists, uniform policies (fixed2 for a
+    # frozen player 2) and v = 0, with S0 drawn from the environment stream.
     rng1, rng2, rng_env = map(np.random.default_rng, visbr_seed_sequences(config.seed))
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
     q1, q2 = [[0.0] * n1 for _ in range(S)], [[0.0] * n2 for _ in range(S)]
-    pi1, pi2 = np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2)
     s = pick_action(game.initial_dist.tolist(), rng_env.random())
-    frozen = frozen2 is not None
+    frozen = fixed2 is not None
     v1 = v2 = [0.0] * S
     # beta as a numpy float64, which the array step takes faster than a float
     rates = [(a, np.float64(b)) for a, b in map(config.schedule.rates, range(config.K))]
     gamma, tau, eps = game.gamma, config.tau, config.eps_bar
-    # q starts at zero, so the targets start as the softmax of zero rows, one
-    # block per learning player. They depend on q only, which the end-of-round
-    # v update leaves alone, so the cache carries across rounds
-    blocks = (pi1,) if frozen else (pi1, pi2)
-    pi = np.hstack(blocks)
-    tg = np.hstack([_targets(np.zeros_like(b), tau, eps, False) for b in blocks])
-    q_rows = q1 if frozen else q1 + q2  # the row lists, which the TD update edits in place
+    # q starts at zero, so a learner's target starts as the softmax of zero
+    # rows; a frozen player's target is its own table. The targets depend on
+    # q only, which the end-of-round v update leaves alone, so the cache
+    # carries across rounds
+    pi1, pi2 = np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2)
+    tg1, tg2 = (_targets(np.zeros_like(b), tau, eps, False) for b in (pi1, pi2))
+    if frozen:
+        pi2 = tg2 = fixed2
+    pi, tg = np.hstack((pi1, pi2)), np.hstack((tg1, tg2))
+    q_rows = q1 + q2  # the row lists, which the TD update edits in place
     index, ng, min_pi, q_inf, v_rows = [], [], [], [], []
     held, held_q = [], []  # recorded (S, n1 + n2) joint policies and flat q, not reduced yet
     stats = _v_stats(v1, v2, v_star, frozen)
@@ -189,7 +187,7 @@ def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
     def record(t: int, k: int) -> None:
         index.append((t, k))
         v_rows.append(stats)
-        held.append(np.hstack((pi, fixed2)) if frozen else pi.copy())
+        held.append(pi.copy())
         held_q.append([x for row in q_rows for x in row])
         if len(held) == _SCORE_CHUNK or t == config.T:  # (T, 0) is the last row
             stack = np.array(held)
@@ -206,24 +204,21 @@ def _trajectory(game, config, P, R1, R2, fixed2, frozen2, v_star, ergodicity):
         draws = zip(rates, *(memoryview(rng.random(config.K)) for rng in (rng1, rng2, rng_env)))
         for k, ((alpha, beta), u1, u2, ue) in enumerate(draws):
             s = _advance_inner(q1, q2, pi, tg, v1, v2, s, R1, R2, P, gamma, tau,
-                               eps, alpha, beta, u1, u2, ue, frozen2)
+                               eps, alpha, beta, u1, u2, ue, frozen)
             done = k + 1
             if done % stride == 0 or done == config.K:
                 record(t, done)
         v1 = _weighted_rows(pi[:, :n1].tolist(), q1)
-        if frozen2 is None:
-            v2 = _weighted_rows(pi[:, n1:].tolist(), q2)
+        v2 = _weighted_rows(pi[:, n1:].tolist(), q2)
         stats = _v_stats(v1, v2, v_star, frozen)
     record(config.T, 0)
 
-    # zip stops before v_err when the rows carry none
-    columns = zip(VISBR_METRICS + ("v_err",), (ng, min_pi, q_inf, *zip(*v_rows)))
+    columns = zip(VISBR_METRICS, (ng, min_pi, q_inf, *zip(*v_rows)), strict=True)
     return TrajectoryRecord(
         config_echo=config.to_dict(),
         index=np.array(index, dtype=np.int64),
         series={name: np.array(col) for name, col in columns},
-        final_policy=JointPolicy(pi1=pi[:, :n1].copy(),
-                                 pi2=pi2 if frozen2 is not None else pi[:, n1:].copy()),
+        final_policy=JointPolicy(pi1=pi[:, :n1].copy(), pi2=pi[:, n1:].copy()),
         final_q=(np.array(q1), np.array(q2)),
         final_v=(np.array(v1), np.array(v2)),
         warnings=visbr_condition_warnings(config, game.gamma) + ergodicity,

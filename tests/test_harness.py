@@ -739,9 +739,7 @@ def test_run_experiment_stochastic_inline_game(tmp_path):
                            out_dir=str(tmp_path))
     bundle = run_experiment(cfg)
     lines = (tmp_path / "point_0000.csv").read_text().splitlines()
-    # the exact optimal values fit in the solver budget here, so the v_err
-    # column is appended
-    assert lines[0] == ",".join(STOCHASTIC_CSV_COLUMNS + ("v_err",))
+    assert lines[0] == ",".join(STOCHASTIC_CSV_COLUMNS)
     # rows: initial (0,0), strides, round ends, final (T,0) marker
     first = lines[1].split(",")
     assert (first[0], first[1]) == ("0", "0")
@@ -941,8 +939,9 @@ def test_cli_bad_numeric_argument_exits_2(tmp_path, capsys, argv):
     ["--seed", "5", "--stride", "3", "oracle", "value", "--game", "builtin:mp"],
     ["--seed", "0", "oracle", "value", "--game", "builtin:mp"],
     ["--force", "oracle", "value", "--game", "builtin:mp"],
+    ["--quiet", "oracle", "value", "--game", "builtin:mp"],
 ], ids=["matrix-ng-tol-nan", "matrix-ng-tol", "oracle-seed-stride", "oracle-seed-0",
-        "oracle-force"])
+        "oracle-force", "oracle-quiet"])
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
     if "ng" in argv:
         argv = argv + ["--policy", write_json(tmp_path / "policy.json",

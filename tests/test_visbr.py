@@ -57,19 +57,21 @@ def _reference_rows(sg, config, frozen_pi2=None):
     # only _core's list primitives and the seed helper with the kernel, so it
     # checks the kernel's policy arrays and target cache from outside. The
     # environment's uniforms are one draw of 1 + T*K: one for S0, then one
-    # per inner step.
+    # per inner step. A frozen player 2 starts at, samples from and keeps
+    # its table.
     S, T, K, gamma = sg.n_states, config.T, config.K, sg.gamma
     tau, eps = config.tau, config.eps_bar
     g1, g2, g_env = (np.random.default_rng(c) for c in z.visbr_seed_sequences(config.seed))
     u1, u2 = g1.random(T * K).tolist(), g2.random(T * K).tolist()
     ue = g_env.random(1 + T * K).tolist()
     P, R1, R2 = sg.transition.tolist(), sg.R1.tolist(), sg.R2.tolist()
-    frozen = None if frozen_pi2 is None else frozen_pi2.tolist()
     ns = (sg.n_actions_1, sg.n_actions_2)
     q = [[[0.0] * n for _ in range(S)] for n in ns]
     pi = [[[1.0 / n] * n for _ in range(S)] for n in ns]
     v = [[0.0] * S, [0.0] * S]
-    learners = (0, 1) if frozen is None else (0,)
+    learners = (0, 1)
+    if frozen_pi2 is not None:
+        pi[1], learners = frozen_pi2.tolist(), (0,)
 
     def iterates():
         return tuple(np.array(x) for x in (*q, *pi, *v))
@@ -86,10 +88,10 @@ def _reference_rows(sg, config, frozen_pi2=None):
                          for pi_row, target in zip(pi[i], targets)]
             visited.add(s)
             a1 = pick_action(pi[0][s], u1[j])
-            a2 = pick_action(pi[1][s] if frozen is None else frozen[s], u2[j])
+            a2 = pick_action(pi[1][s], u2[j])
             s_next = pick_action(P[s][a1][a2], ue[1 + j])
             q[0][s][a1] += alpha * (R1[s][a1][a2] + gamma * v[0][s_next] - q[0][s][a1])
-            if frozen is None:
+            if 1 in learners:
                 q[1][s][a2] += alpha * (R2[s][a2][a1] + gamma * v[1][s_next] - q[1][s][a2])
             s = s_next
             rows.append(iterates())
@@ -186,11 +188,11 @@ def test_single_state_round_matches_matrix_dynamics_bitwise():
 
 
 def _recorded_row(sg, iterates, v_star, frozen):
-    # every VISBR metric plus v_err of one row's iterates; with a frozen
-    # opponent player 2's v is 0 and only ng looks at player 2
+    # every VISBR metric of one row's iterates; with a frozen opponent
+    # player 2's v is 0 and only ng looks at player 2
     q1, q2, pi1, pi2, v1, v2 = iterates
     learners = ((q1, pi1, v1), (q2, pi2, v2)) if frozen is None else ((q1, pi1, v1),)
-    joint = z.validate_joint_policy(pi1, pi2 if frozen is None else frozen, sg)
+    joint = z.validate_joint_policy(pi1, pi2, sg)
     errs = [np.abs(v1 - v_star).max()]
     if frozen is None:
         errs.append(np.abs(v2 + v_star).max())
@@ -293,7 +295,7 @@ def test_record_row_structure():
                                    [2, 25], [2, 50], [3, 0]]
     assert short.index.tolist() == [[0, 0], [0, 5], [1, 5], [2, 0]]
     for rec in (long, short):
-        assert set(rec.series) == set(z.VISBR_METRICS) | {"v_err"}
+        assert tuple(rec.series) == z.VISBR_METRICS
 
 
 def test_initial_row_metrics():
@@ -335,15 +337,18 @@ def test_iterate_bounds_on_random_runs():
         assert (rec.metric("ng") >= 0.0).all()
 
 
-def test_v_error_column_appears_only_under_budget(monkeypatch):
-    sg = _mp_sg()
-    [with_err] = z.run_visbr(sg, [_config(T=1, K=5)])
-    assert "v_err" in with_err.series
+def test_v_err_is_recorded_on_every_game():
     # v* for matching pennies is 0, so v_err equals v_inf throughout
-    assert np.allclose(with_err.metric("v_err"), with_err.metric("v_inf"), atol=1e-6)
-    monkeypatch.setattr("zsdyn.visbr.V_STAR_BUDGET", 0)
-    [without] = z.run_visbr(sg, [_config(T=1, K=5)])
-    assert "v_err" not in without.series
+    [rec] = z.run_visbr(_mp_sg(), [_config(T=1, K=5)])
+    assert np.allclose(rec.metric("v_err"), rec.metric("v_inf"), atol=1e-6)
+    # 65 states of 8x8 make 4,160 state-action cells, a game this large
+    # records v_err too
+    sg = _random_sg(np.random.default_rng(67), n_states=65, n1=8, n2=8, gamma=0.9)
+    [rec] = z.run_visbr(sg, [_config(T=2, K=10)])
+    assert tuple(rec.series) == z.VISBR_METRICS
+    v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
+    v1, v2 = rec.final_v
+    assert rec.metric("v_err")[-1] == max(np.abs(v1 - v_star).max(), np.abs(v2 + v_star).max())
 
 
 def test_v_err_measures_player_one_fixed_point_and_its_negation():
@@ -363,17 +368,17 @@ def test_frozen_opponent_mode():
     frozen /= frozen.sum(axis=1, keepdims=True)
     config = _config(T=2, K=30, seed=8)
     [rec] = z.run_visbr(sg, [config], frozen_pi2=frozen)
-    # player 2 never learns in this mode
+    # player 2 never learns in this mode, and its final policy is the table
     assert np.array_equal(rec.final_q[1], np.zeros((2, 2)))
-    assert np.array_equal(rec.final_policy.pi2, np.full((2, 2), 0.5))
+    assert np.array_equal(rec.final_policy.pi2, frozen)
     assert np.array_equal(rec.final_v[1], np.zeros(2))
     # player 1 does
     assert float(np.abs(rec.final_q[0]).max()) > 0.0
-    # ng scores the joint policy that generates play, (pi1, frozen)
+    # ng scores the joint policy that generates play, (pi1, frozen), which
+    # is the record's final policy
     played = z.validate_joint_policy(rec.final_policy.pi1, frozen, sg)
     assert rec.metric("ng")[-1] == z.nash_gap_stochastic(sg, played, tol=1e-6)
-    idle = z.validate_joint_policy(rec.final_policy.pi1, rec.final_policy.pi2, sg)
-    assert rec.metric("ng")[-1] != z.nash_gap_stochastic(sg, idle, tol=1e-6)
+    assert rec.metric("ng")[-1] == z.nash_gap_stochastic(sg, rec.final_policy, tol=1e-6)
     with pytest.raises(z.DimensionMismatch):
         z.run_visbr(sg, [config], frozen_pi2=np.full((3, 2), 0.5))
     for row in ([0.5, 0.5 + 1e-9], [np.nan, 0.5]):
@@ -393,9 +398,9 @@ def test_ng_does_not_depend_on_the_score_chunk(monkeypatch, frozen):
     monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", 10 ** 6)
     whole = z.run_visbr(sg, configs, **kw)
     assert [len(rec.index) for rec in whole] == [22, 9]
-    pi2 = kw.get("frozen_pi2", whole[0].final_policy.pi2)
-    last = z.nash_gap_stochastic(sg, z.JointPolicy(pi1=whole[0].final_policy.pi1, pi2=pi2))
-    assert whole[0].metric("ng")[-1] == last
+    # the last row scores the policy the record ends with, frozen or not
+    for rec in whole:
+        assert rec.metric("ng")[-1] == z.nash_gap_stochastic(sg, rec.final_policy, tol=1e-6)
     for chunk in (1, 3, 5, 22):
         monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", chunk)
         recs = z.run_visbr(sg, configs, **kw)
