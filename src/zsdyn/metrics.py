@@ -14,19 +14,18 @@ The module also carries batched forms for the recording loops: both
 matrix-game gaps for (B, n) policy arrays, and the stochastic gap for
 (N, S, n_i) stacks of policy tables. A row's gaps are the same bits in any
 batch, and the public gap functions are the one-row cases. The softmax,
-entropy, libm exp and log, and left-to-right sums come from _core, so the
-Nash distribution's softmax reply is the matrix kernel's.
+entropy, the C library's exp and log, and left-to-right sums come from
+_core, so the Nash distribution's softmax reply is the matrix kernel's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import _entropy, _libm, _row_sum, _targets
-from .errors import DimensionMismatch, NoConvergence, NotZeroSum
+from ._core import _entropy, _exp, _log, _row_sum, _targets
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotZeroSum
 from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
                     validate_joint_policy)
 from .ops import SoftmaxParams, _best_response, _policy_value
@@ -56,8 +55,10 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
     X1 and X2 need not be antisymmetric counterparts of each other; with
     X2 = -X1^T this coincides with regularized_nash_gap on that game. Also
     serves as the per-state inner-loop policy diagnostic. The one-row case
-    of matrix_gaps: each player's term is >= 0 by Gibbs' inequality, so its
-    clamp to zero only removes float residue.
+    of matrix_gaps. The matrices must be finite (NonFiniteInput) and the
+    policies distributions (NotADistribution): for distributions each
+    player's term is >= 0 by Gibbs' inequality, so the clamp to zero only
+    removes float residue.
     """
     a1 = np.asarray(X1, dtype=np.float64)
     a2 = np.asarray(X2, dtype=np.float64)
@@ -69,6 +70,10 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
     pi2 = np.asarray(joint.pi2, dtype=np.float64)
     if pi1.shape != (a1.shape[0],) or pi2.shape != (a1.shape[1],):
         raise DimensionMismatch("policy shapes do not match the matrices")
+    if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
+        raise NonFiniteInput("generalized_gap_vx matrices contain non-finite entries")
+    _check_distributions(pi1, "pi1")
+    _check_distributions(pi2, "pi2")
     return float(matrix_gaps(a1, a2, pi1[None], pi2[None], np.array([tau]))[1][0])
 
 
@@ -175,8 +180,8 @@ def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray
     for R, own, opp in ((R1, pi1, pi2), (R2, pi2, pi1)):
         x = _row_sum(R * opp[:, None, :])
         m = x.max(axis=1)
-        total = _row_sum(_libm(math.exp, (x - m[:, None]) / tau[:, None]))
+        total = _row_sum(_exp((x - m[:, None]) / tau[:, None]))
         ach = _row_sum(own * x)
         ng += m - ach
-        ngtau += m + tau * _libm(math.log, total) - ach - tau * _entropy(own)
+        ngtau += m + tau * _log(total) - ach - tau * _entropy(own)
     return np.where(ng > 0.0, ng, 0.0), np.where(ngtau > 0.0, ngtau, 0.0)

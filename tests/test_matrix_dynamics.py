@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import _entropy, _row_sum, _targets, pick_action, smoothed_policy
+from zsdyn._core import _entropy, _exp, _row_sum, _targets, pick_action, smoothed_policy
 from zsdyn.config import matrix_condition_warnings
 from zsdyn.metrics import matrix_gaps
 
@@ -378,6 +378,21 @@ def test_list_and_batched_softmaxes_agree_bitwise():
                     assert got.tobytes() == want, (q, tau, eps)
                     if eps == 0.0:
                         assert z.softmax(q, tau).tobytes() == want, (q, tau)
+
+
+def test_exp_is_the_c_library_exp():
+    # the batched softmax and the matrix gaps take exp through numpy's complex
+    # exp; pin it to math.exp bit for bit over every argument sign they pass
+    # (<= 0), with subnormal results, underflow to 0 and the infinities
+    edges = [0.0, -0.0, -5e-324, -1e-300, -1e-17, -708.4, -745.13, -745.14, -746.0,
+             -1e5, -np.finfo(np.float64).max, -math.inf]
+    rng = np.random.default_rng(23)
+    a = np.concatenate([edges, rng.uniform(-750.0, 0.0, 60_000),
+                        -(10.0 ** rng.uniform(-320.0, 308.0, 60_000))]).reshape(-1, 12)
+    want = np.fromiter(map(math.exp, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+    got = _exp(a)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_entropy_is_the_batched_entropy_row():

@@ -192,6 +192,18 @@ def test_generalized_gap_shape_errors():
         z.generalized_gap_vx(np.zeros((2, 3)), np.zeros((2, 3)), joint, 0.5)
 
 
+@pytest.mark.parametrize("pi1, X1, error", [
+    ([1.5, -0.5], [[1.0, 0.0], [0.0, 1.0]], z.NotADistribution),
+    ([math.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], z.NotADistribution),
+    ([0.5, 0.5], [[math.nan, 0.0], [0.0, 1.0]], z.NonFiniteInput),
+], ids=["negative-entry", "nan-entry", "nan-matrix"])
+def test_generalized_gap_rejects_bad_input(pi1, X1, error):
+    # the gap's final clamp to zero would hide each of these as 0.0
+    joint = z.JointPolicy(pi1=np.array(pi1), pi2=np.array([0.5, 0.5]))
+    with pytest.raises(error):
+        z.generalized_gap_vx(np.array(X1), -np.array(X1).T, joint, 0.5)
+
+
 # --- smoothed equilibrium solver ---------------------------------------------
 
 def test_nash_distribution_symmetric_games_are_uniform():
