@@ -2,8 +2,10 @@
 
 Nash gap and its entropy-regularized version for matrix games, the
 generalized two-matrix diagnostic, the Nash-distribution (quantal response)
-fixed point, and the Nash gap for stochastic games. The entropy-regularized
-inner maximum is evaluated in closed form,
+fixed point, and the Nash gap for zero-sum stochastic games as the duality
+gap p_o . (BR1 + BR2): the players' values under a joint policy cancel, so
+none is evaluated. The entropy-regularized inner maximum is evaluated in
+closed form,
 
     max_mu (mu^T x + tau nu(mu)) = tau * logsumexp(x / tau),
 
@@ -28,7 +30,7 @@ from ._core import _entropy, _exp, _log, _row_sum, _targets
 from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotZeroSum
 from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
                     validate_joint_policy)
-from .ops import SoftmaxParams, _best_response, _policy_value
+from .ops import SoftmaxParams, _best_response
 
 
 def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
@@ -133,11 +135,12 @@ def nash_gap_stochastic(game: StochasticGame, joint: JointPolicy,
                         tol: float = 1e-6) -> float:
     """Sum over players of best-response minus achieved utility under p_o.
 
-    Best responses come from the policy-iteration oracle, whose values pass
-    a Bellman-residual certificate that puts each within tol/2 of the
-    optimum; achieved values come from an exact linear solve. The result is
-    therefore correct to tol and is clamped to zero from below. It is the
-    one-row case of stochastic_gaps, which run_visbr calls per chunk of
+    The achieved utilities of a zero-sum game cancel (NotZeroSum on any
+    other game), so this is the duality gap p_o . (BR1 + BR2). Best
+    responses come from the policy-iteration oracle, whose values pass a
+    Bellman-residual certificate that puts each within tol/2 of the optimum,
+    so the gap is correct to tol; it is clamped to zero from below. It is
+    the one-row case of stochastic_gaps, which run_visbr calls per chunk of
     recorded rows, so there a row's error surfaces when its chunk is scored.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
@@ -148,6 +151,8 @@ def stochastic_gaps(game: StochasticGame, pi1, pi2, tol: float = 1e-6) -> np.nda
     """nash_gap_stochastic, to the same bits, of each (pi1[n], pi2[n]) of two
     (N, n_states, n_actions_i) stacks. One pass per player checks every table
     ("row n, s" names a bad one); NoConvergence if any row's certificate fails."""
+    if not game.zero_sum:
+        raise NotZeroSum("the stochastic Nash gap is scored as a zero-sum duality gap")
     a1, a2 = (np.asarray(p, dtype=np.float64) for p in (pi1, pi2))
     if a1.shape[1:] != game.R1.shape[:2] or a2.shape != a1.shape[:1] + game.R2.shape[:2]:
         raise DimensionMismatch(f"policy stacks {a1.shape}, {a2.shape} do not fit the game")
@@ -156,9 +161,7 @@ def stochastic_gaps(game: StochasticGame, pi1, pi2, tol: float = 1e-6) -> np.nda
     # a (1, S) @ (S, 1) product per row is p_o @ v's dot; a batched V @ p_o is not
     d, gap = game.initial_dist[:, None], 0.0
     for player, opponent in ((1, a2), (2, a1)):
-        br = _best_response(game, player, opponent, tol).v
-        achieved = _policy_value(game, player, a1, a2)
-        gap = gap + ((br[:, None] @ d)[:, 0, 0] - (achieved[:, None] @ d)[:, 0, 0])
+        gap = gap + (_best_response(game, player, opponent, tol).v[:, None] @ d)[:, 0, 0]
     return np.where(gap > 0.0, gap, 0.0)
 
 

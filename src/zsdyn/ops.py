@@ -361,19 +361,14 @@ def _solve_mdp(r: np.ndarray, kernel: np.ndarray, gamma: float):
 def policy_value(game: StochasticGame, player: int, joint: JointPolicy) -> np.ndarray:
     """Exact discounted value of a fixed joint policy via a linear solve."""
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
-    return _policy_value(game, player, joint.pi1[None], joint.pi2[None])[0]
-
-
-def _policy_value(game: StochasticGame, player: int, pi1, pi2) -> np.ndarray:
-    # unchecked core: (N, S) values of the validated (N, S, n_i) stacks pi1, pi2
     if player == 1:
-        r = np.einsum("sab,nsa,nsb->ns", game.R1, pi1, pi2)
+        r = np.einsum("sab,sa,sb->s", game.R1, joint.pi1, joint.pi2)
     elif player == 2:
-        r = np.einsum("sba,nsb,nsa->ns", game.R2, pi2, pi1)
+        r = np.einsum("sba,sb,sa->s", game.R2, joint.pi2, joint.pi1)
     else:
         raise ValueError(f"player must be 1 or 2, got {player}")
-    kernel = np.einsum("sabt,nsa,nsb->nst", game.transition, pi1, pi2)
-    return np.linalg.solve(np.eye(game.n_states) - game.gamma * kernel, r[..., None])[..., 0]
+    kernel = np.einsum("sabt,sa,sb->st", game.transition, joint.pi1, joint.pi2)
+    return np.linalg.solve(np.eye(game.n_states) - game.gamma * kernel, r)
 
 
 # ---------------------------------------------------------------------------

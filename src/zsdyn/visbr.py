@@ -137,9 +137,9 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
     frozen_pi2 pins player 2 to a fixed per-state policy: player 2 stops
     learning, its target is its own table, and final_policy.pi2 is that
     table. ng is the gap of the joint policy actually played,
-    (pi1, frozen_pi2); player 2's q and v stay 0, so min_pi, q_inf, v_inf
-    and v_err cover player 1 only. Used to study one-sided learning against
-    a stationary opponent.
+    (pi1, frozen_pi2); player 2's q and v stay 0, so min_pi, q_inf, lsum
+    (then equal to v_inf), v_inf and v_err cover player 1 only. Used to study
+    one-sided learning against a stationary opponent.
     """
     check_zero_sum_game(game, StochasticGame)
     S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2

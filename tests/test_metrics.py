@@ -343,6 +343,18 @@ def test_stochastic_gap_nonnegative_on_random_inputs():
         assert 0.0 <= gap <= 4.0 / (1.0 - 0.7) + 1e-9
 
 
+def test_stochastic_gap_requires_zero_sum():
+    # the duality gap holds only where the players' values cancel
+    sg = _mp_sg()
+    general = z.validate_stochastic_game(sg.transition, sg.R1, np.zeros((1, 2, 2)),
+                                         gamma=0.5, require_zero_sum=False)
+    joint = z.uniform_joint_policy(general)
+    with pytest.raises(z.NotZeroSum):
+        z.nash_gap_stochastic(general, joint)
+    with pytest.raises(z.NotZeroSum):
+        stochastic_gaps(general, joint.pi1[None], joint.pi2[None])
+
+
 def _bad_tables(n_states, n):
     # (policy table, error, first bad row): wrong shape, a row off by 1e-9,
     # a NaN row
@@ -380,34 +392,49 @@ def test_stochastic_gap_and_oracles_keep_input_guards(player):
 
 # --- stacked stochastic gap ---------------------------------------------------
 
+def _reference_best_value(sg, player, opp, tol):
+    # the best-response oracle as a plain loop: Howard iteration on the
+    # player's (S, A) MDP against opp, then its certificate
+    if player == 1:
+        r = np.einsum("sab,sb->sa", sg.R1, opp)
+        kernel = np.einsum("sabt,sb->sat", sg.transition, opp)
+    else:
+        r = np.einsum("sba,sa->sb", sg.R2, opp)
+        kernel = np.einsum("sabt,sa->sbt", sg.transition, opp)
+    rows, eye = np.arange(sg.n_states), np.eye(sg.n_states)
+    margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - sg.gamma)
+    act = r.argmax(axis=1)
+    while True:
+        v = np.linalg.solve(eye - sg.gamma * kernel[rows, act], r[rows, act])
+        q = r + sg.gamma * (kernel @ v)
+        best = q.argmax(axis=1)
+        switch = q[rows, best] > q[rows, act] + margin
+        if not switch.any():
+            break
+        act = np.where(switch, best, act)
+    assert float(np.abs(q.max(axis=1) - v).max()) <= tol * (1.0 - sg.gamma) / 2.0
+    return v
+
+
 def _reference_gap(sg, pi1, pi2, tol):
-    # the one-joint-policy scorer as a plain loop: Howard iteration per player
-    # on an (S, A) MDP, two exact solves and p_o @ v as a dot product
+    # the one-joint-policy scorer as a plain loop: the zero-sum duality gap,
+    # p_o @ v of each player's best-response value as a dot product
     gap = 0.0
     for player, opp in ((1, pi2), (2, pi1)):
-        if player == 1:
-            r = np.einsum("sab,sb->sa", sg.R1, opp)
-            kernel = np.einsum("sabt,sb->sat", sg.transition, opp)
-            r_pol = np.einsum("sab,sa,sb->s", sg.R1, pi1, pi2)
-        else:
-            r = np.einsum("sba,sa->sb", sg.R2, opp)
-            kernel = np.einsum("sabt,sa->sbt", sg.transition, opp)
-            r_pol = np.einsum("sba,sb,sa->s", sg.R2, pi2, pi1)
-        rows, eye = np.arange(sg.n_states), np.eye(sg.n_states)
-        margin = 64 * np.finfo(np.float64).eps * (1.0 + float(np.abs(r).max())) / (1.0 - sg.gamma)
-        act = r.argmax(axis=1)
-        while True:
-            v = np.linalg.solve(eye - sg.gamma * kernel[rows, act], r[rows, act])
-            q = r + sg.gamma * (kernel @ v)
-            best = q.argmax(axis=1)
-            switch = q[rows, best] > q[rows, act] + margin
-            if not switch.any():
-                break
-            act = np.where(switch, best, act)
-        assert float(np.abs(q.max(axis=1) - v).max()) <= tol * (1.0 - sg.gamma) / 2.0
-        chain = np.einsum("sabt,sa,sb->st", sg.transition, pi1, pi2)
-        achieved = np.linalg.solve(eye - sg.gamma * chain, r_pol)
-        gap += float(sg.initial_dist @ v) - float(sg.initial_dist @ achieved)
+        gap += float(sg.initial_dist @ _reference_best_value(sg, player, opp, tol))
+    return max(0.0, gap)
+
+
+def _achieved_gap(sg, pi1, pi2, tol):
+    # the gap's definition: best-response minus achieved value under p_o,
+    # summed over players, with each achieved value from an exact solve
+    chain = np.einsum("sabt,sa,sb->st", sg.transition, pi1, pi2)
+    gap = 0.0
+    for player, opp, r_pol in ((1, pi2, np.einsum("sab,sa,sb->s", sg.R1, pi1, pi2)),
+                               (2, pi1, np.einsum("sba,sb,sa->s", sg.R2, pi2, pi1))):
+        achieved = np.linalg.solve(np.eye(sg.n_states) - sg.gamma * chain, r_pol)
+        gap += float(sg.initial_dist @ _reference_best_value(sg, player, opp, tol)) \
+            - float(sg.initial_dist @ achieved)
     return max(0.0, gap)
 
 
@@ -464,6 +491,8 @@ def test_stacked_gap_equals_one_row_gap_bitwise():
             assert np.float64(one).tobytes() == gaps[n].tobytes()
             ref = _reference_gap(sg, pi1[n], pi2[n], 1e-6)
             assert np.float64(ref).tobytes() == gaps[n].tobytes()
+            # the players' achieved values cancel to float rounding
+            assert abs(_achieved_gap(sg, pi1[n], pi2[n], 1e-6) - gaps[n]) <= 1e-12
         # a sub-stack scores its rows to the same bits
         assert stochastic_gaps(sg, pi1[7:19], pi2[7:19]).tobytes() == gaps[7:19].tobytes()
 
