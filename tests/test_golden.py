@@ -95,11 +95,11 @@ GOLDEN = {
     },
     "stochastic": {
         "manifest.json": "ee8814591b2eb8aae52dd82ae5eb662e9845086cc7623255f19bc3f08a8c9f88",
-        "point_0000.csv": "3d50f544d064f2291d4dc738678b3e2d2e9d65750a976ceaeaecbcb8ce7efa20",
+        "point_0000.csv": "0fad467cbc7b5195c49a1370084829f32304562703b7605dddd467e8b386518a",
     },
     "frozen": {
         "index": "de1c819e13c14faaf21b57fa7c951c3fd2dd05c7f9ef7e7c9c5712da152aa5c3",
-        "ng": "38003c2e3d0d5a62ec22d9b18b45a3c47f4ab8714584279b5db608bae608363e",
+        "ng": "b90ac9b9e5c51606e0a2a66baec25c718fa98b5f606635178f4c0a573a9248a2",
         "min_pi": "114a06745e51a29db11383123bd6e193533638c1bb67a9cd7cc4c655279ddbfb",
         "q_inf": "5d4a5ec5d6f38e9e13301fe32e9ac46a62b0267186f758537268914627c56d30",
         "lsum": "2c4f37544ef6df9cd2495910ff7dc7b9a836dd09ad9688b7670a8437750130e8",
@@ -108,12 +108,12 @@ GOLDEN = {
     },
     "stochastic_3x2": {
         "manifest.json": "4530fae7ce394a2b5e914bbb5d751dec3f86c6f0fcd80a2051ee5735165bc025",
-        "point_0000.csv": "04581d4217d1d019bee2602b14679bdda34e4c455fcaa9956a76a2baef2ada6b",
-        "point_0001.csv": "beb910fd2b59187692d87c158ab3f2f4bfcce808a53b24eb98351ad2434a36df",
+        "point_0000.csv": "4d5f169be5b92c570699249cf0f0ebfa55d89acae79aa807ce9aa5b1c0f91849",
+        "point_0001.csv": "516c56fa4ec6985c4bd9d2253cf81996f83061393e8087f0f384ac190b33bb30",
     },
     "frozen_3x2": {
         "index": "fb410c6b6f67fbd05367b6af6a7b56c2a63f098f3885434ea76564224246a66b",
-        "ng": "f84c3b0c446b587a5a7f9a731f4f62b0331ed9ff9ba7674f6268aa191601c722",
+        "ng": "fd8c67544345d7872ffce285e3d05422c5e8564cd36ae7c66a5fc52a259afac9",
         "min_pi": "e01ee6e7869700ac8cde34dadcc842af764b4e3902e83134f49f1c268ee43ec5",
         "q_inf": "5fcf5ab8d03280a1c0b6a1e066320488f07e07fc1636117f8ae420bfe44a813a",
         "lsum": "5fba07879d2e8a79b0fce780b8a7586372d954c39fd7eddb56583ed2f65596b7",
