@@ -2,13 +2,14 @@
 
 List code for the stochastic kernel's work at the visited state, on vectors
 of length 2 or 3 where lists beat numpy (sampling, smoothed_policy), and
-batched code on (B, n) rows for the matrix kernel, the stochastic kernel's
-initial targets, the matrix gaps and the oracles (_targets, _entropy:
-ops.softmax and ops.entropy are their one-row cases). Both sum left to right
-and take exp and log from the C library: the list code through math.exp and
-math.log, the batched code through numpy's complex exp (_exp) and math.log
-(_log). Tests pin _exp to math.exp and the list and batched softmaxes to
-each other bitwise.
+batched code on action-major (n, B) stacks, one vector per column, for the
+matrix kernel, the stochastic kernel's initial targets, the matrix gaps and
+the oracles (_targets, _entropy: ops.softmax and ops.entropy are their
+one-column cases); an operation over actions is n contiguous vector ops.
+Both sum left to right and take exp and log from the C library: the list
+code through math.exp and math.log, the batched code through numpy's
+complex exp (_exp) and math.log (_log). Tests pin _exp to math.exp and the
+list and batched softmaxes to each other bitwise.
 """
 
 from __future__ import annotations
@@ -68,26 +69,26 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    # sums over the last axis, left to right as a loop over floats adds;
-    # np.sum adds pairwise from 8 entries on, which changes the last bits
-    tot = 0.0 + a[..., 0]
-    for j in range(1, a.shape[-1]):
-        tot += a[..., j]
+    # adds a's rows (axis 0) first to last, as a loop over floats adds;
+    # np.sum may add pairwise from 8 entries on, which changes the last bits
+    tot = 0.0 + a[0]
+    for j in range(1, len(a)):
+        tot += a[j]
     return tot
 
 
 def _targets(q: np.ndarray, tau, eps, normalize: bool) -> np.ndarray:
-    # smoothed_policy of each row of the (B, n) array q; tau and eps are
-    # (B, 1) columns or scalars. A row with zero norm divides by 1.0 and a
-    # row with eps = 0 mixes 0.0 + 1.0 * p, both exact no-ops.
+    # smoothed_policy of each column of the (n, B) array q; tau and eps are
+    # (B,) rows or scalars. A zero column divides by 1.0 and eps = 0 mixes
+    # 0.0 + 1.0 * p, both exact no-ops; the max is exact in any order.
     if normalize:
-        nrm = np.sqrt(_row_sum(q * q))[:, None]
+        nrm = np.sqrt(_row_sum(q * q))
         q = q / np.where(nrm > 0.0, nrm, 1.0)
-    e = _exp((q - q.max(axis=1, keepdims=True)) / tau)
-    return eps / q.shape[1] + (1.0 - eps) * (e / _row_sum(e)[:, None])
+    e = _exp((q - q.max(axis=0)) / tau)
+    return eps / len(q) + (1.0 - eps) * (e / _row_sum(e))
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    # Shannon entropy of each row of p, 0 log 0 = 0: a p = 0 entry adds -0.0, and
-    # the sum starts at 0.0, so a point mass gets 0.0, not -0.0
+    # Shannon entropy of each column of p, 0 log 0 = 0: a p = 0 entry adds -0.0,
+    # and the sum starts at 0.0, so a point mass gets 0.0, not -0.0
     return _row_sum(-(p * _log(np.where(p > 0.0, p, 1.0))))

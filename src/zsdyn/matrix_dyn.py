@@ -13,14 +13,16 @@ policy pi. One iteration, in this order:
 Neither player sees the opponent's policy, estimate, or action; the realized
 own payoff is the only coupling.
 
-One kernel runs B trajectories. Row i*B + b belongs to player i of
-trajectory b, with its own tau, eps_bar and generator: a square game keeps
-q and pi each as one (2B, n) stack, so every update runs once per step, and
-any other game as one (B, n_i) stack per player. run_matrix_dynamics
-batches the configs that share K, schedule, record_stride and
-normalize_q_in_softmax. Sums run left to right, nothing uses a matmul, and
-exp and log come from the C library, so a trajectory's bytes do not depend
-on its batch.
+One kernel runs B trajectories. Its stacks are action-major: column
+i*B + b belongs to player i of trajectory b, with its own tau, eps_bar and
+generator. A square game keeps q and pi each as one (n, 2B) stack, so every
+update runs once per step, and any other game as one (n_i, B) stack per
+player. Each operation over actions is then a loop of n vector operations
+over the whole batch. run_matrix_dynamics batches the configs that share
+schedule and normalize_q_in_softmax and steps each batch to its largest K;
+each config records at its own stride multiples and K. Sums run left to
+right, nothing uses a matmul, and exp and log come from the C library, so a
+trajectory's bytes do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -49,54 +51,60 @@ def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.
     return c1, c2
 
 
-def _stacks(game: MatrixGame, rows) -> list:
-    # the kernel's layout of player 1's and player 2's (B, ...) arrays: one
-    # stack of both when the action counts match, else one per player
-    return [np.concatenate(rows)] if game.n_actions_1 == game.n_actions_2 else list(rows)
+def _stacks(game: MatrixGame, cols) -> list:
+    # the kernel's layout of player 1's and player 2's (..., B) arrays: one
+    # stack, player 1's columns first, when the action counts match, else two
+    return [np.concatenate(cols, axis=-1)] if game.n_actions_1 == game.n_actions_2 else list(cols)
 
 
-def _split(stacks: list, rows: int) -> list:
-    # consecutive `rows`-row views of each stack, valid while it updates in place
-    return [s[j:j + rows] for s in stacks for j in range(0, len(s), rows)]
+def _split(stacks: list, cols: int) -> list:
+    # consecutive `cols`-column views of each stack, valid while it updates in place
+    return [s[..., j:j + cols] for s in stacks for j in range(0, s.shape[-1], cols)]
 
 
 def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
     # One iteration for a batch, in place on q and pi: lists of stacks whose
-    # rows hold player 1's B trajectories, then player 2's, in one (2B, n)
-    # stack for a square game, else a (B, n_i) stack per player. tau and eps
-    # are (rows, 1) columns and u (rows,) uniforms, one of each per stack.
+    # columns hold player 1's B trajectories, then player 2's, in one
+    # (n, 2B) stack for a square game, else an (n_i, B) stack per player.
+    # tau, eps and u (uniforms) are rows, one of each per stack.
     a = []
     for qs, ps, t, e, us in zip(q, pi, tau, eps, u):
         ps += beta * (_targets(qs, t, e, normalize) - ps)
         # inverse-CDF sampling: the smallest a with u < pi[0] + ... + pi[a]
         # is the count of partial sums u passes, since they never decrease
-        a.append((us[:, None] >= np.cumsum(ps[:, :-1], axis=1)).sum(axis=1))
+        acc, ai = np.zeros(len(us)), np.zeros(len(us), dtype=np.intp)
+        for j in range(len(ps) - 1):
+            acc += ps[j]
+            ai += us >= acc
+        a.append(ai)
     a = np.concatenate(a)  # player 1's B actions, then player 2's
-    B, m = len(a) // 2, len(q[0])
+    B, m = len(a) // 2, q[0].shape[1]
     r = np.concatenate((R[0][a[:B], a[B:]], R[1][a[B:], a[:B]]))
-    rows = np.arange(m)
+    cols = np.arange(m)
     for qs, ai, ri in zip(q, _split([a], m), _split([r], m)):
-        qs[rows, ai] += alpha * (ri - qs[rows, ai])
+        # the stacks are contiguous, so entry (a, c) sits at a * m + c of the flat view
+        at, flat = ai * m + cols, qs.reshape(-1)
+        flat[at] += alpha * (ri - flat[at])
 
 
 def run_matrix_dynamics(game: MatrixGame,
                         configs: Sequence[MatrixRunConfig]) -> list[TrajectoryRecord]:
     """Run each config for K iterations; one record per config, in order.
 
-    Configs that share K, schedule, record_stride and
-    normalize_q_in_softmax run as one batch, and a record is the same
+    Configs that share schedule and normalize_q_in_softmax run as one
+    batch, stepped to the largest K among them, and a record is the same
     whatever batch it ran in. Rows carry index (0, k) at every stride
     multiple plus the final k=K, so stride=K yields exactly one row.
     Metrics at row k are computed from the policy after k iterations.
     The iterates do not depend on K or record_stride, so a config with K=k
-    ends where the same config with a larger K stands after k iterations.
+    ends where the same config with a larger K stands after k iterations,
+    and the truncated runs K=1..k of one config share one batch.
     Convergence-condition violations land in warnings.
     """
     check_zero_sum_game(game, MatrixGame)
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = (c.K, c.schedule, c.record_stride, c.normalize_q_in_softmax)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((c.schedule, c.normalize_q_in_softmax), []).append(i)
     records: list = [None] * len(configs)
     for members in groups.values():
         for i, rec in zip(members, _run_batch(game, [configs[i] for i in members])):
@@ -105,52 +113,65 @@ def run_matrix_dynamics(game: MatrixGame,
 
 
 def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
-    # configs share K, schedule, record_stride and normalize_q_in_softmax
+    # configs share schedule and normalize_q_in_softmax; trajectory b runs
+    # to the largest K and records at its own stride multiples and K
     first = configs[0]
-    K, stride = first.K, first.record_stride
-    B = len(configs)
-    tau = _stacks(game, [np.array([[c.tau] for c in configs])] * 2)
-    eps = _stacks(game, [np.array([[c.eps_bar] for c in configs])] * 2)
-    # generator i*B + b and row i*B + b of u belong to player i of trajectory b
+    B, K = len(configs), max(c.K for c in configs)
+    tau = _stacks(game, [np.array([c.tau for c in configs])] * 2)
+    eps = _stacks(game, [np.array([c.eps_bar for c in configs])] * 2)
+    # generator i*B + b, row i*B + b of u and column i*B + b of ut belong to
+    # player i of trajectory b; ut holds the chunk one step per row
     seeds = [player_seed_sequences(c.seed) for c in configs]
     rngs = [np.random.default_rng(s[i]) for i in range(2) for s in seeds]
-    u = np.empty((2 * B, _UNIFORM_CHUNK))
-    q = _stacks(game, [np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2)])
-    pi = _stacks(game, [np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)])
+    u, ut = np.empty((2 * B, _UNIFORM_CHUNK)), np.empty((_UNIFORM_CHUNK, 2 * B))
+    q = _stacks(game, [np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2)])
+    pi = _stacks(game, [np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)])
     (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
-    us = _split([u], len(q[0]))  # each stack's rows of u
-    ks, gaps, stats, held = [], [], [], []
+    us = _split([ut], q[0].shape[1])  # each stack's columns of ut
+    keys = [(c.record_stride, c.K) for c in configs]  # a key's trajectories record together
+    plans = {key: np.flatnonzero([k == key for k in keys]) for key in dict.fromkeys(keys)}
+    rows, gaps, held, finals = [], [], [], {}
     for k in range(K):
         col = k % _UNIFORM_CHUNK
         if col == 0:
             for g, row in zip(rngs, u):
                 g.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
+            ut[...] = u.T
         alpha, beta = first.schedule.rates(k)
         _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
-              alpha, beta, [x[:, col] for x in us])
+              alpha, beta, [x[col] for x in us])
         done = k + 1
-        if done % stride == 0 or done == K:
-            ks.append((0, done))
-            stats.append((np.minimum(pi1.min(axis=1), pi2.min(axis=1)),
-                          np.maximum(np.abs(q1).max(axis=1), np.abs(q2).max(axis=1))))
-            held.append((pi1.copy(), pi2.copy()))
-            if (len(held) + 1) * B > _SCORE_CHUNK or done == K:  # a (rows * B, n) batch
-                p1, p2 = (np.concatenate(p) for p in zip(*held))
-                ng, ngtau = matrix_gaps(game.R1, game.R2, p1, p2,
-                                        np.tile(tau[0][:B, 0], len(held)))
-                gaps += zip(ng.reshape(-1, B), ngtau.reshape(-1, B))
-                held.clear()
-    series = np.concatenate((np.array(gaps), np.array(stats)), axis=1)  # (row, metric, b)
+        due = [(end, bs) for (stride, end), bs in plans.items()
+               if done == end or done < end and done % stride == 0]
+        if not due:
+            continue
+        for end, bs in due:
+            if end == done:  # each trajectory's (q1, q2, pi1, pi2) at its K
+                finals.update(zip(bs, zip(*(x[:, bs].T.copy() for x in (q1, q2, pi1, pi2)))))
+        now = np.concatenate([bs for _, bs in due])  # the trajectories recording
+        p1, p2 = pi1[:, now], pi2[:, now]
+        rows.append((np.full(len(now), done), now, np.minimum(p1.min(axis=0), p2.min(axis=0)),
+                     np.maximum(np.abs(q1[:, now]).max(axis=0), np.abs(q2[:, now]).max(axis=0))))
+        held.append((p1, p2, tau[0][now]))  # player 1's columns come first
+        if sum(len(h[2]) for h in held) + B > _SCORE_CHUNK or done == K:
+            p1, p2, t = (np.concatenate(x, axis=-1) for x in zip(*held))
+            gaps.append(matrix_gaps(game.R1, game.R2, p1, p2, t))
+            held.clear()
+    ks, owner, min_pi, q_inf = (np.concatenate(x) for x in zip(*rows))
+    index = np.column_stack((np.zeros_like(ks), ks))
+    series = np.stack((*map(np.concatenate, zip(*gaps)), min_pi, q_inf))  # (metric, entry)
+    # each trajectory's entries, in step order
+    mine = np.split(np.argsort(owner, kind="stable"),
+                    np.cumsum(np.bincount(owner, minlength=B))[:-1])
     # the warnings read only tau and the schedule the batch shares
     warnings = {t: matrix_condition_warnings(c, game.a_max)
                 for t, c in {c.tau: c for c in configs}.items()}
-    index = np.array(ks, dtype=np.int64)
     return [TrajectoryRecord(
         config_echo=c.to_dict(),
-        index=index.copy(),
-        series={name: series[:, m, b].copy() for m, name in enumerate(MATRIX_METRICS)},
-        final_policy=JointPolicy(pi1=pi1[b].copy(), pi2=pi2[b].copy()),
-        final_q=(q1[b].copy(), q2[b].copy()),
+        index=index[mine[b]],
+        series=dict(zip(MATRIX_METRICS, series[:, mine[b]])),
+        final_policy=JointPolicy(pi1=finals[b][2], pi2=finals[b][3]),
+        final_q=finals[b][:2],
         final_v=None,
         warnings=warnings[c.tau],
     ) for b, c in enumerate(configs)]

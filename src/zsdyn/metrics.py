@@ -13,11 +13,13 @@ attained at the softmax of x, rather than by numerical optimization over
 the simplex.
 
 The module also carries batched forms for the recording loops: both
-matrix-game gaps for (B, n) policy arrays, and the stochastic gap for
-(N, S, n_i) stacks of policy tables. A row's gaps are the same bits in any
-batch, and the public gap functions are the one-row cases. The softmax,
-entropy, the C library's exp and log, and left-to-right sums come from
-_core, so the Nash distribution's softmax reply is the matrix kernel's.
+matrix-game gaps for action-major (n_i, N) policy stacks, one policy per
+column as the matrix kernel holds them, and the stochastic gap for
+(N, S, n_i) stacks of policy tables. A policy's gaps are the same bits in
+any batch, and the public gap functions are the one-column and one-row
+cases. The softmax, entropy, the C library's exp and log, and left-to-right
+sums come from _core, so the Nash distribution's softmax reply is the
+matrix kernel's.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ def nash_gap_matrix(game: MatrixGame, joint: JointPolicy) -> float:
     """Sum over players of the best pure-deviation improvement.
 
     Zero exactly at a Nash equilibrium; tiny negative float residue is
-    clamped to zero. The one-row case of matrix_gaps.
+    clamped to zero. The one-column case of matrix_gaps.
     """
     joint = validate_joint_policy(joint.pi1, joint.pi2, game)
     # tau enters only the regularized gap, which is dropped
-    return float(matrix_gaps(game.R1, game.R2, joint.pi1[None], joint.pi2[None],
+    return float(matrix_gaps(game.R1, game.R2, joint.pi1[:, None], joint.pi2[:, None],
                              np.ones(1))[0][0])
 
 
@@ -56,8 +58,8 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
 
     X1 and X2 need not be antisymmetric counterparts of each other; with
     X2 = -X1^T this coincides with regularized_nash_gap on that game. Also
-    serves as the per-state inner-loop policy diagnostic. The one-row case
-    of matrix_gaps. The matrices must be finite (NonFiniteInput) and the
+    serves as the per-state inner-loop policy diagnostic. The one-column
+    case of matrix_gaps. The matrices must be finite (NonFiniteInput) and the
     policies distributions (NotADistribution): for distributions each
     player's term is >= 0 by Gibbs' inequality, so the clamp to zero only
     removes float residue.
@@ -76,7 +78,7 @@ def generalized_gap_vx(X1, X2, joint: JointPolicy, tau: float) -> float:
         raise NonFiniteInput("generalized_gap_vx matrices contain non-finite entries")
     _check_distributions(pi1, "pi1")
     _check_distributions(pi2, "pi2")
-    return float(matrix_gaps(a1, a2, pi1[None], pi2[None], np.array([tau]))[1][0])
+    return float(matrix_gaps(a1, a2, pi1[:, None], pi2[:, None], np.array([tau]))[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def nash_distribution(game: MatrixGame, tau: float, tol: float = 1e-10,
         for _ in range(max_iters):
             # each player's payoff vector x = R_i pi^{-i} as matrix_gaps computes
             # it, and its softmax reply, serve the residual and the step
-            targets = [_targets(_row_sum(R * opp)[None], tau, 0.0, False)[0]
+            targets = [_targets(_row_sum(R.T * opp[:, None])[:, None], tau, 0.0, False)[:, 0]
                        for R, opp in ((game.R1, pi[1]), (game.R2, pi[0]))]
             residual = max(float(np.abs(p - t).max()) for p, t in zip(pi, targets))
             if residual <= tol:
@@ -173,17 +175,18 @@ def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray
                 tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nash_gap_matrix, regularized_nash_gap) for a batch of joint policies.
 
-    pi1 and pi2 hold one policy per row and tau one temperature per row.
-    Each player's payoff vector x = R_i pi^{-i}, its max and pi^i . x are
+    pi1 (n1, N) and pi2 (n2, N) hold one policy per column and tau (N,) one
+    temperature per column. Each player's payoff vector x = R_i pi^{-i},
+    summed over the opponent's actions j in order, its max and pi^i . x are
     computed once and shared by both gaps: the plain gap uses max(x), the
     regularized one tau * logsumexp(x / tau) and the entropy of pi^i. No
-    result depends on the other rows of the batch.
+    result depends on the other columns of the batch.
     """
     ng = ngtau = 0.0
     for R, own, opp in ((R1, pi1, pi2), (R2, pi2, pi1)):
-        x = _row_sum(R * opp[:, None, :])
-        m = x.max(axis=1)
-        total = _row_sum(_exp((x - m[:, None]) / tau[:, None]))
+        x = _row_sum(R.T[:, :, None] * opp[:, None, :])
+        m = x.max(axis=0)
+        total = _row_sum(_exp((x - m) / tau))
         ach = _row_sum(own * x)
         ng += m - ach
         ngtau += m + tau * _log(total) - ach - tau * _entropy(own)

@@ -1,6 +1,6 @@
 """Stateless mathematical operators.
 
-Softmax and entropy (validated one-row cases of _core's batched
+Softmax and entropy (validated one-column cases of _core's batched
 primitives), guaranteed exploration floors, one-step lookahead and minimax
 Bellman operators, the exact matrix-game value (dense simplex, Bland's
 rule), one policy-iteration MDP core serving the best-response oracle and
@@ -55,8 +55,8 @@ def softmax(q, tau: float, eps_bar: float = 0.0) -> np.ndarray:
     the max before exponentiation, so temperatures down to 1e-4 underflow
     harmlessly instead of overflowing. Output sums to 1 with every entry
     >= eps_bar / n, and >= 1/((n-1) exp(2 max|q| / tau) + 1) at eps_bar = 0
-    when that floor is representable. The one-row case of the matrix
-    kernel's softmax; tau and eps_bar are checked as SoftmaxParams.
+    when that floor is representable. The one-column case of the
+    matrix kernel's softmax; tau and eps_bar are checked as SoftmaxParams.
     """
     params = SoftmaxParams(tau, eps_bar)
     arr = np.asarray(q, dtype=np.float64)
@@ -64,7 +64,7 @@ def softmax(q, tau: float, eps_bar: float = 0.0) -> np.ndarray:
         raise DimensionMismatch(f"q must be a non-empty vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput("softmax input contains non-finite entries")
-    return _targets(arr[None], params.tau, params.eps_bar, False)[0]
+    return _targets(arr[:, None], params.tau, params.eps_bar, False)[:, 0]
 
 
 def entropy(mu) -> float:
@@ -76,7 +76,7 @@ def entropy(mu) -> float:
         raise NotADistribution("entropy input has a negative or non-finite entry")
     if abs(float(arr.sum()) - 1.0) > 1e-12:
         raise NotADistribution(f"entropy input sums to {float(arr.sum())}")
-    return float(_entropy(arr[None])[0])
+    return float(_entropy(arr[:, None])[0])
 
 
 def _softmax_floor(x: float, a_max: int) -> float:

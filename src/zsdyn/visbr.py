@@ -173,9 +173,10 @@ def _trajectory(game, config, P, R1, R2, fixed2, v_star, ergodicity):
     # q starts at zero, so a learner's target starts as the softmax of zero
     # rows; a frozen player's target is its own table. The targets depend on
     # q only, which the end-of-round v update leaves alone, so the cache
-    # carries across rounds
+    # carries across rounds. The softmax takes one column per state; the
+    # copy keeps tg in C order, as pi, for the per-state row writes
     pi1, pi2 = np.full((S, n1), 1.0 / n1), np.full((S, n2), 1.0 / n2)
-    tg1, tg2 = (_targets(np.zeros_like(b), tau, eps, False) for b in (pi1, pi2))
+    tg1, tg2 = (_targets(np.zeros((n, S)), tau, eps, False).T.copy() for n in (n1, n2))
     if frozen:
         pi2 = tg2 = fixed2
     pi, tg = np.hstack((pi1, pi2)), np.hstack((tg1, tg2))

@@ -164,13 +164,18 @@ LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
 
 def test_run_equals_stepping_bitwise():
     # the kernel against _reference_steps, compared after every step.
-    # tilted_rps(5) and a 5x5 game run as one stack, the 2x3 games as one
-    # per player; the schedules are constant and diminishing, and the 5x5
-    # run is the explore variant with normalize_q_in_softmax
+    # tilted_rps(5) and a 5x5 game run as one stack, the 2x3, 1x3 and 3x1
+    # games as one per player; a one-action player samples without passing
+    # a partial sum, a two-action player past one. The schedules are
+    # constant and diminishing, and the 5x5 run is the explore variant with
+    # normalize_q_in_softmax
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
     for game, config in ((z.tilted_rps(5), _config(seed=19, K=37, tau=0.7)),
                          (_uniform_game((2, 3), 3), _config(seed=19, K=37, tau=0.7)),
                          (_uniform_game((2, 3), 5), _config(seed=3, K=37, schedule=dim)),
+                         (_uniform_game((1, 3), 7), _config(seed=5, K=37, tau=0.3)),
+                         (_uniform_game((3, 1), 9), _config(seed=6, K=37, schedule=dim,
+                                                            variant="explore", eps_bar=0.3)),
                          (_uniform_game((5, 5), 13),
                           _config(seed=23, K=37, tau=0.4, schedule=dim, variant="explore",
                                   eps_bar=0.2, normalize_q_in_softmax=True))):
@@ -181,7 +186,7 @@ def test_run_equals_stepping_bitwise():
             for got, w in zip(_iterates(trunc), ref):
                 assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
         for row, (q1, q2, pi1, pi2) in enumerate(want):
-            ng, ngtau = matrix_gaps(game.R1, game.R2, pi1[None], pi2[None],
+            ng, ngtau = matrix_gaps(game.R1, game.R2, pi1[:, None], pi2[:, None],
                                     np.array([config.tau]))
             assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
             assert rec.series["min_pi"][row] == min(pi1.min(), pi2.min())
@@ -342,16 +347,16 @@ def test_smoothed_policy_sums_left_to_right():
 
 
 def test_batched_kernel_sums_left_to_right():
-    # the same traps on rows of 8 entries, where np.sum switches to pairwise
-    # summation: 1 + 7 * 1.04e-16 is 1.0 added in order, but not pairwise
-    q = np.array([[0.0] + [-36.8] * 7])
+    # the same traps on a column of 8 entries, where np.sum switches to
+    # pairwise summation: 1 + 7 * 1.04e-16 is 1.0 added in order, but not pairwise
+    q = np.array([[0.0] + [-36.8] * 7]).T
     assert np.exp(q).sum() != 1.0
     assert _row_sum(np.exp(q))[0] == 1.0
-    assert _targets(q, np.array([[1.0]]), np.array([[0.0]]), False)[0, 0] == 1.0
+    assert _targets(q, np.array([1.0]), np.array([0.0]), False)[0, 0] == 1.0
     # the squared norm is exactly 1.0 in order, so normalizing leaves q as is
-    q = np.array([[1.0] + [1e-8] * 7])
+    q = np.array([[1.0] + [1e-8] * 7]).T
     assert (q * q).sum() != 1.0
-    tau, eps = np.array([[0.5]]), np.array([[0.0]])
+    tau, eps = np.array([0.5]), np.array([0.0])
     assert np.array_equal(_targets(q, tau, eps, True), _targets(q, tau, eps, False))
 
 
@@ -369,8 +374,8 @@ def test_list_and_batched_softmaxes_agree_bitwise():
             for eps in (0.0, float(rng.uniform(0.0, 1.0))):
                 for normalize in (False, True):
                     want = np.array(smoothed_policy(q, tau, eps, normalize)).tobytes()
-                    got = _targets(np.array([q]), np.array([[tau]]), np.array([[eps]]),
-                                   normalize)[0]
+                    got = _targets(np.array([q]).T, np.array([tau]), np.array([eps]),
+                                   normalize)[:, 0]
                     assert got.tobytes() == want, (q, tau, eps, normalize)
                     if normalize:
                         continue
@@ -378,6 +383,30 @@ def test_list_and_batched_softmaxes_agree_bitwise():
                     assert got.tobytes() == want, (q, tau, eps)
                     if eps == 0.0:
                         assert z.softmax(q, tau).tobytes() == want, (q, tau)
+
+
+def test_batched_softmax_columns_are_the_list_softmax():
+    # the kernel's softmax runs on (n, B) stacks, one trajectory per column
+    # with its own tau and eps; pin every column of wide stacks to the list
+    # softmax bit for bit, with zero columns (zero norm), columns whose
+    # targets underflow to 0, eps = 0 columns and normalize on and off
+    rng = np.random.default_rng(29)
+    B = 12
+    for n in range(2, 9):
+        for trial in range(20):
+            scale = np.array([0.0, 1.0, 10.0, 100.0, 1000.0, 0.0] * 2)
+            q = scale * rng.uniform(-1.0, 1.0, (n, B))
+            tau = rng.uniform(0.01, 2.0, B)
+            tau[4] = 0.01  # a spread of 1000 at tau 0.01 underflows exp
+            eps = np.where(np.arange(B) % 3 == 0, 0.0, rng.uniform(0.0, 1.0, B))
+            for normalize in (False, True):
+                got = _targets(q, tau, eps, normalize)
+                assert got.shape == (n, B)
+                for b in range(B):
+                    want = smoothed_policy(q[:, b].tolist(), float(tau[b]), float(eps[b]),
+                                           normalize)
+                    assert got[:, b].tobytes() == np.array(want).tobytes(), (n, trial, b)
+            assert (_targets(q, tau, 0.0, False)[:, 4] == 0.0).any()
 
 
 def test_exp_is_the_c_library_exp():
@@ -401,7 +430,7 @@ def test_entropy_is_the_batched_entropy_row():
     rng = np.random.default_rng(19)
     p = rng.dirichlet(np.ones(9), 300) * (rng.random((300, 9)) < 0.8)
     p = p / p.sum(axis=1, keepdims=True)
-    batched = _entropy(p)
+    batched = _entropy(p.T)
     for row, h in zip(p, batched):
         want = 0.0
         for x in row.tolist():
@@ -435,6 +464,36 @@ def test_records_do_not_depend_on_the_batch(shape):
         assert rec == z.run_matrix_dynamics(game, [config])[0]
         assert rec.config_echo == config.to_dict()
         assert rec.warnings == matrix_condition_warnings(config, game.a_max)
+
+
+@LAYOUTS
+def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape):
+    # configs that differ only in K and record_stride, among them the
+    # truncations K=1..12 of one config, share one batch stepped to the
+    # largest K; each record is byte for byte its one-config run
+    game = _uniform_game(shape, 11)
+    base = _config(seed=4, tau=0.6, variant="explore", eps_bar=0.1)
+    configs = [replace(base, K=k, record_stride=k) for k in range(1, 13)]
+    configs += [replace(base, seed=s, K=K, record_stride=stride)
+                for s, (K, stride) in enumerate([(70, 1), (70, 9), (65, 64), (130, 7),
+                                                 (9, 4), (130, 130)])]
+    random.Random(5).shuffle(configs)
+    batches = []
+    run_batch = z.matrix_dyn._run_batch
+    monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
+                        lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
+    mixed = z.run_matrix_dynamics(game, configs)
+    assert batches == [len(configs)]
+    for config, rec in zip(configs, mixed):
+        [alone] = z.run_matrix_dynamics(game, [config])
+        assert rec.index.tobytes() == alone.index.tobytes()
+        assert rec.index[-1, 1] == config.K
+        assert len(rec.index) == -(-config.K // config.record_stride)
+        for name in z.MATRIX_METRICS:
+            assert rec.series[name].tobytes() == alone.series[name].tobytes(), name
+        for got, want in zip(_iterates(rec), _iterates(alone)):
+            assert got.tobytes() == want.tobytes()
+        assert rec == alone
 
 
 @LAYOUTS

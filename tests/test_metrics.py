@@ -529,8 +529,8 @@ def test_batched_gaps_match_array_metrics():
         game = z.validate_matrix_game(R1)
         joints = [_random_joint(rng, n1, n2) for _ in range(3)]
         tau = rng.uniform(0.05, 1.5, 3)
-        ng, ngtau = matrix_gaps(game.R1, game.R2, np.array([j.pi1 for j in joints]),
-                                np.array([j.pi2 for j in joints]), tau)
+        ng, ngtau = matrix_gaps(game.R1, game.R2, np.array([j.pi1 for j in joints]).T,
+                                np.array([j.pi2 for j in joints]).T, tau)
         for row, joint in enumerate(joints):
             assert ng[row] == pytest.approx(z.nash_gap_matrix(game, joint), abs=1e-12)
             assert ngtau[row] == pytest.approx(
