@@ -19,8 +19,8 @@ generator. A square game keeps q and pi each as one (n, 2B) stack, so every
 update runs once per step, and any other game as one (n_i, B) stack per
 player. Each operation over actions is then a loop of n vector operations
 over the whole batch. run_matrix_dynamics batches the configs that share
-schedule and normalize_q_in_softmax and steps each batch to its largest K;
-each config records at its own stride multiples and K. Sums run left to
+schedule and normalize_q_in_softmax; each config records at its own
+stride multiples and leaves the batch at its own K. Sums run left to
 right, nothing uses a matmul, and exp and log come from the C library, so a
 trajectory's bytes do not depend on its batch.
 """
@@ -92,7 +92,7 @@ def run_matrix_dynamics(game: MatrixGame,
     """Run each config for K iterations; one record per config, in order.
 
     Configs that share schedule and normalize_q_in_softmax run as one
-    batch, stepped to the largest K among them, and a record is the same
+    batch, each stepped only to its own K, and a record is the same
     whatever batch it ran in. Rows carry index (0, k) at every stride
     multiple plus the final k=K, so stride=K yields exactly one row.
     Metrics at row k are computed from the policy after k iterations.
@@ -107,31 +107,36 @@ def run_matrix_dynamics(game: MatrixGame,
         groups.setdefault((c.schedule, c.normalize_q_in_softmax), []).append(i)
     records: list = [None] * len(configs)
     for members in groups.values():
+        members.sort(key=lambda i: -configs[i].K)  # _run_batch takes the longest first
         for i, rec in zip(members, _run_batch(game, [configs[i] for i in members])):
             records[i] = rec
     return records
 
 
 def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
-    # configs share schedule and normalize_q_in_softmax; trajectory b runs
-    # to the largest K and records at its own stride multiples and K
+    # configs share schedule and normalize_q_in_softmax and come longest K
+    # first, so the trajectories still running are always the first B
     first = configs[0]
-    B, K = len(configs), max(c.K for c in configs)
-    tau = _stacks(game, [np.array([c.tau for c in configs])] * 2)
-    eps = _stacks(game, [np.array([c.eps_bar for c in configs])] * 2)
+    B, K = len(configs), configs[0].K
+    ends, strides = np.array([c.K for c in configs]), np.array([c.record_stride for c in configs])
+    taus, epss = np.array([c.tau for c in configs]), np.array([c.eps_bar for c in configs])
     # generator i*B + b, row i*B + b of u and column i*B + b of ut belong to
     # player i of trajectory b; ut holds the chunk one step per row
     seeds = [player_seed_sequences(c.seed) for c in configs]
     rngs = [np.random.default_rng(s[i]) for i in range(2) for s in seeds]
-    u, ut = np.empty((2 * B, _UNIFORM_CHUNK)), np.empty((_UNIFORM_CHUNK, 2 * B))
-    q = _stacks(game, [np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2)])
-    pi = _stacks(game, [np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)])
-    (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
-    us = _split([ut], q[0].shape[1])  # each stack's columns of ut
-    keys = [(c.record_stride, c.K) for c in configs]  # a key's trajectories record together
-    plans = {key: np.flatnonzero([k == key for k in keys]) for key in dict.fromkeys(keys)}
+    u = np.empty((2 * B, _UNIFORM_CHUNK))
+    q1, q2 = (np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2))
+    pi1, pi2 = (np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
     rows, gaps, held, finals = [], [], [], {}
     for k in range(K):
+        if k == 0 or ends[-1] == k:  # keep only the trajectories still running
+            n = np.count_nonzero(ends > k)
+            live, B, ends, strides = np.r_[:n, B:B + n], n, ends[:n], strides[:n]
+            q, pi = (_stacks(game, [x[:, :B].copy() for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
+            (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
+            tau, eps = (_stacks(game, [x[:B]] * 2) for x in (taus, epss))
+            rngs, u, ut = [rngs[j] for j in live], u[live], u[live].T.copy()
+            us = _split([ut], q[0].shape[1])  # each stack's columns of ut
         col = k % _UNIFORM_CHUNK
         if col == 0:
             for g, row in zip(rngs, u):
@@ -141,18 +146,16 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
               alpha, beta, [x[col] for x in us])
         done = k + 1
-        due = [(end, bs) for (stride, end), bs in plans.items()
-               if done == end or done < end and done % stride == 0]
-        if not due:
+        now = np.flatnonzero((done % strides == 0) | (ends == done))  # the trajectories recording
+        if not len(now):
             continue
-        for end, bs in due:
-            if end == done:  # each trajectory's (q1, q2, pi1, pi2) at its K
-                finals.update(zip(bs, zip(*(x[:, bs].T.copy() for x in (q1, q2, pi1, pi2)))))
-        now = np.concatenate([bs for _, bs in due])  # the trajectories recording
-        p1, p2 = pi1[:, now], pi2[:, now]
+        if ends[-1] == done:  # each trajectory ending here keeps its (q1, q2, pi1, pi2)
+            end = np.flatnonzero(ends == done)
+            finals.update(zip(end, zip(*(x[:, end].T.copy() for x in (q1, q2, pi1, pi2)))))
+        p1, p2, a1, a2 = (x.take(now, axis=1) for x in (pi1, pi2, q1, q2))  # take beats [:, now]
         rows.append((np.full(len(now), done), now, np.minimum(p1.min(axis=0), p2.min(axis=0)),
-                     np.maximum(np.abs(q1[:, now]).max(axis=0), np.abs(q2[:, now]).max(axis=0))))
-        held.append((p1, p2, tau[0][now]))  # player 1's columns come first
+                     np.maximum(np.abs(a1).max(axis=0), np.abs(a2).max(axis=0))))
+        held.append((p1, p2, taus[now]))
         if sum(len(h[2]) for h in held) + B > _SCORE_CHUNK or done == K:
             p1, p2, t = (np.concatenate(x, axis=-1) for x in zip(*held))
             gaps.append(matrix_gaps(game.R1, game.R2, p1, p2, t))
@@ -162,14 +165,14 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     series = np.stack((*map(np.concatenate, zip(*gaps)), min_pi, q_inf))  # (metric, entry)
     # each trajectory's entries, in step order
     mine = np.split(np.argsort(owner, kind="stable"),
-                    np.cumsum(np.bincount(owner, minlength=B))[:-1])
+                    np.cumsum(np.bincount(owner, minlength=len(configs)))[:-1])
     # the warnings read only tau and the schedule the batch shares
     warnings = {t: matrix_condition_warnings(c, game.a_max)
                 for t, c in {c.tau: c for c in configs}.items()}
     return [TrajectoryRecord(
         config_echo=c.to_dict(),
         index=index[mine[b]],
-        series=dict(zip(MATRIX_METRICS, series[:, mine[b]])),
+        series=dict(zip(MATRIX_METRICS, series.take(mine[b], axis=1))),
         final_policy=JointPolicy(pi1=finals[b][2], pi2=finals[b][3]),
         final_q=finals[b][:2],
         final_v=None,

@@ -469,21 +469,27 @@ def test_records_do_not_depend_on_the_batch(shape):
 @LAYOUTS
 def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape):
     # configs that differ only in K and record_stride, among them the
-    # truncations K=1..12 of one config, share one batch stepped to the
-    # largest K; each record is byte for byte its one-config run
+    # truncations K=1..12 of one config, share one batch that drops each
+    # trajectory at its K, mid-chunk or at a chunk's start (K=64); each
+    # record is byte for byte its one-config run
     game = _uniform_game(shape, 11)
     base = _config(seed=4, tau=0.6, variant="explore", eps_bar=0.1)
     configs = [replace(base, K=k, record_stride=k) for k in range(1, 13)]
     configs += [replace(base, seed=s, K=K, record_stride=stride)
                 for s, (K, stride) in enumerate([(70, 1), (70, 9), (65, 64), (130, 7),
-                                                 (9, 4), (130, 130)])]
+                                                 (9, 4), (130, 130), (64, 5)])]
     random.Random(5).shuffle(configs)
-    batches = []
-    run_batch = z.matrix_dyn._run_batch
+    batches, widths = [], []
+    run_batch, step = z.matrix_dyn._run_batch, z.matrix_dyn._step
     monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
                         lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
+    monkeypatch.setattr("zsdyn.matrix_dyn._step",
+                        lambda q, *a: widths.append(sum(s.shape[1] for s in q)) or step(q, *a))
     mixed = z.run_matrix_dynamics(game, configs)
     assert batches == [len(configs)]
+    # step k runs the two players' columns of exactly the configs with K > k
+    assert widths == [2 * sum(c.K > k for c in configs) for k in range(130)]
+    monkeypatch.undo()
     for config, rec in zip(configs, mixed):
         [alone] = z.run_matrix_dynamics(game, [config])
         assert rec.index.tobytes() == alone.index.tobytes()
