@@ -127,6 +127,9 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     u = np.empty((2 * B, _UNIFORM_CHUNK))
     q1, q2 = (np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2))
     pi1, pi2 = (np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
+    due = np.zeros(K + 1, dtype=bool)  # the steps at which some trajectory records
+    for s, e in set(zip(strides.tolist(), ends.tolist())):
+        due[s:e + 1:s] = due[e] = True
     rows, gaps, held, finals = [], [], [], {}
     for k in range(K):
         if k == 0 or ends[-1] == k:  # keep only the trajectories still running
@@ -135,7 +138,8 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
             q, pi = (_stacks(game, [x[:, :B].copy() for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
             (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
             tau, eps = (_stacks(game, [x[:B]] * 2) for x in (taus, epss))
-            rngs, u, ut = [rngs[j] for j in live], u[live], u[live].T.copy()
+            rngs, u = [rngs[j] for j in live], u[live]
+            ut = u.T.copy()
             us = _split([ut], q[0].shape[1])  # each stack's columns of ut
         col = k % _UNIFORM_CHUNK
         if col == 0:
@@ -146,9 +150,9 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
               alpha, beta, [x[col] for x in us])
         done = k + 1
-        now = np.flatnonzero((done % strides == 0) | (ends == done))  # the trajectories recording
-        if not len(now):
+        if not due[done]:
             continue
+        now = np.flatnonzero((done % strides == 0) | (ends == done))  # the trajectories recording
         if ends[-1] == done:  # each trajectory ending here keeps its (q1, q2, pi1, pi2)
             end = np.flatnonzero(ends == done)
             finals.update(zip(end, zip(*(x[:, end].T.copy() for x in (q1, q2, pi1, pi2)))))
