@@ -37,6 +37,11 @@ def _is_real(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _check_seed(seed: Any) -> None:
+    _require(_is_int(seed) and 0 <= seed < 2 ** 64,
+             f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
 def _float(x: Any) -> Any:
     # a JSON number without a fraction (1 for 1.0) parses as int; other
     # values pass through unchanged so __post_init__ can reject them
@@ -175,12 +180,19 @@ class RunConfig(DictConfig):
             _require(eps_bar == 0.0, "plain variant must keep eps_bar == 0")
         _require(_is_int(self.K) and self.K >= 1,
                  f"K must be an integer >= 1, got {self.K!r}")
-        _require(_is_int(self.seed) and 0 <= self.seed < 2 ** 64,
-                 f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _check_seed(self.seed)
         _require(_is_int(self.record_stride) and self.record_stride >= 1,
                  f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         _require(isinstance(self.schedule, StepsizeSchedule),
                  f"schedule must be a StepsizeSchedule, got {type(self.schedule).__name__}")
+
+    def _with_seed(self, seed: int):
+        # this validated config with another seed, checking only the seed:
+        # a sweep point's trajectories differ by seed alone
+        _check_seed(seed)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, seed=seed)
+        return new
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -27,7 +27,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
@@ -303,7 +303,7 @@ def _point_results(config: ExperimentConfig, game):
         # one validated config per point; its trajectories differ by seed only
         templates = config._run_configs[first:first + per_call]
         keys = [_point_seed(config.base_seed, point) for point in batch]
-        configs = [replace(c, seed=splitmix64(key ^ j))
+        configs = [c._with_seed(splitmix64(key ^ j))
                    for key, c in zip(keys, templates) for j in range(n)]
         records = (run_matrix_dynamics(game, configs) if config.kind == "matrix"
                    else run_visbr(game, configs))

@@ -23,10 +23,16 @@ schedule and normalize_q_in_softmax; each config records at its own
 stride multiples and leaves the batch at its own K. Sums run left to
 right, nothing uses a matmul, and exp and log come from the C library, so a
 trajectory's bytes do not depend on its batch.
+
+Player i draws from stream i of player_seed_sequences(seed); one
+vectorized pass of SeedSequence's hash seeds all 2B generators, about a
+fifth of the cost of 2B SeedSequences at B=128. run_visbr keeps numpy's
+SeedSequence, as the pass's fixed ~0.1 ms loses at its small batches.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -46,15 +52,79 @@ _SCORE_CHUNK = 256  # joint policies per matrix_gaps call, or B if larger: bound
 
 
 def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """Per-player child seeds; player i consumes one uniform per iteration."""
+    """Per-player child seeds; player i consumes one uniform per iteration.
+
+    The kernel seeds these streams for a whole batch at once (_generators).
+    """
     c1, c2 = np.random.SeedSequence(seed).spawn(2)
     return c1, c2
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx, stream-stable under
+# NEP 19) on uint32 arrays, which wrap as its C words do. Hash call t xors a
+# word with c[t] and multiplies it by c[t + 1], c = _HASH_A while mixing
+# entropy and _HASH_B for the output words. Every constant is a numpy
+# integer: numpy < 2 turns a np.uint64 meeting a Python int into a float64.
+_HASH_A, _HASH_B = (np.array([[a * pow(m, t, 2 ** 32) % 2 ** 32] for t in range(n)], np.uint32)
+                    for a, m, n in ((0x43B0D7E5, 0x931E8875, 21), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX_L, _MIX_R, _S16, _S32 = (*map(np.uint32, (0xCA01F9DD, 0x4973F715, 16)), np.uint64(32))
+
+
+def _hashmix(v, t0, t1, c=_HASH_A):  # hash calls t0 to t1 - 1 as a column, against v
+    v = (v ^ c[t0:t1]) * c[t0 + 1:t1 + 1]
+    return v ^ (v >> _S16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _S16)
+
+
+def _stream_words(seeds: Sequence[int], n: int) -> np.ndarray:
+    # PCG64 state words of SeedSequence(seeds[b]).spawn(n)[i] at [i, b]. The
+    # entropy is the seed's low and high words, zero-padded to the pool size
+    # 4, then the spawn key i. A pool word mixes into the other three at
+    # once, as it does not change meanwhile
+    s = np.array(seeds, dtype=np.uint64)
+    pool = _hashmix(np.stack((s, s >> _S32, *[np.zeros_like(s)] * 2)).astype(np.uint32), 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 7 + 3 * src))
+    pool = _mix(pool, _hashmix(np.arange(n, dtype=np.uint32), 16, 20).T[..., None])
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired low word first
+    w = _hashmix(pool[:, [0, 1, 2, 3] * 2], 0, 8, _HASH_B).astype(np.uint64)
+    return (w[:, 0::2] | (w[:, 1::2] << _S32)).transpose(0, 2, 1).copy()
+
+
+@functools.cache
+def _state_words():
+    # built on first use, so importing zsdyn does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):  # hands a PCG64 its 4 state words, computed beforehand
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 state words, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return StateWords
+
+
+def _generators(seeds: Sequence[int], n: int) -> list:
+    # default_rng(SeedSequence(seeds[b]).spawn(n)[i]) as generator i*B + b
+    words, g = _stream_words(seeds, n).reshape(-1, 4), _state_words()
+    return [np.random.Generator(np.random.PCG64(g(w))) for w in words]
+
+
 def _stacks(game: MatrixGame, cols) -> list:
     # the kernel's layout of player 1's and player 2's (..., B) arrays: one
-    # stack, player 1's columns first, when the action counts match, else two
-    return [np.concatenate(cols, axis=-1)] if game.n_actions_1 == game.n_actions_2 else list(cols)
+    # stack, player 1's columns first, when the action counts match, else
+    # two; contiguous either way
+    square = game.n_actions_1 == game.n_actions_2
+    return [np.concatenate(cols, axis=-1)] if square else [np.ascontiguousarray(c) for c in cols]
 
 
 def _split(stacks: list, cols: int) -> list:
@@ -122,8 +192,7 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     taus, epss = np.array([c.tau for c in configs]), np.array([c.eps_bar for c in configs])
     # generator i*B + b, row i*B + b of u and column i*B + b of ut belong to
     # player i of trajectory b; ut holds the chunk one step per row
-    seeds = [player_seed_sequences(c.seed) for c in configs]
-    rngs = [np.random.default_rng(s[i]) for i in range(2) for s in seeds]
+    rngs = _generators([c.seed for c in configs], 2)
     u = np.empty((2 * B, _UNIFORM_CHUNK))
     q1, q2 = (np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2))
     pi1, pi2 = (np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
@@ -134,12 +203,11 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     for k in range(K):
         if k == 0 or ends[-1] == k:  # keep only the trajectories still running
             n = np.count_nonzero(ends > k)
-            live, B, ends, strides = np.r_[:n, B:B + n], n, ends[:n], strides[:n]
-            q, pi = (_stacks(game, [x[:, :B].copy() for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
-            (q1, q2), (pi1, pi2) = _split(q, B), _split(pi, B)
-            tau, eps = (_stacks(game, [x[:B]] * 2) for x in (taus, epss))
-            rngs, u = [rngs[j] for j in live], u[live]
-            ut = u.T.copy()
+            q, pi = (_stacks(game, [x[:, :n] for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
+            (q1, q2), (pi1, pi2) = _split(q, n), _split(pi, n)
+            tau, eps = (_stacks(game, [x[:n]] * 2) for x in (taus, epss))
+            rngs, u = rngs[:n] + rngs[B:B + n], np.concatenate((u[:n], u[B:B + n]))
+            B, ends, strides, ut = n, ends[:n], strides[:n], u.T.copy()
             us = _split([ut], q[0].shape[1])  # each stack's columns of ut
         col = k % _UNIFORM_CHUNK
         if col == 0:

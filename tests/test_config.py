@@ -1,6 +1,7 @@
 """Stepsize schedules, run configs, and condition checkers."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -97,6 +98,21 @@ def test_run_configs_are_keyword_only():
         z.MatrixRunConfig(0.5, _sched(), 10, 1)
     with pytest.raises(TypeError):
         z.VisbrConfig(0.5, _sched(), 3, 10, 1)
+
+
+def test_with_seed_checks_only_the_seed():
+    # the sweep harness re-seeds a validated template per trajectory
+    for c in (z.MatrixRunConfig(tau=0.5, schedule=_sched(), K=10, seed=3,
+                                normalize_q_in_softmax=True),
+              z.VisbrConfig(tau=0.5, schedule=_sched(), T=2, K=10, seed=3)):
+        for seed in (0, 9, 2 ** 64 - 1):
+            new = c._with_seed(seed)
+            assert type(new) is type(c) and new == replace(c, seed=seed)
+            assert hash(new) == hash(replace(c, seed=seed))
+        assert c.seed == 3
+        for bad in (-1, 2 ** 64, 1.0, True, "3", None):
+            with pytest.raises(z.BadConfig, match="seed"):
+                c._with_seed(bad)
 
 
 def test_config_dict_roundtrip():
