@@ -193,7 +193,7 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     # generator i*B + b, row i*B + b of u and column i*B + b of ut belong to
     # player i of trajectory b; ut holds the chunk one step per row
     rngs = _generators([c.seed for c in configs], 2)
-    u = np.empty((2 * B, _UNIFORM_CHUNK))
+    u, ut = np.empty((2 * B, _UNIFORM_CHUNK)), np.empty((_UNIFORM_CHUNK, 2 * B))
     q1, q2 = (np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2))
     pi1, pi2 = (np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
     due = np.zeros(K + 1, dtype=bool)  # the steps at which some trajectory records
@@ -206,8 +206,10 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
             q, pi = (_stacks(game, [x[:, :n] for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
             (q1, q2), (pi1, pi2) = _split(q, n), _split(pi, n)
             tau, eps = (_stacks(game, [x[:n]] * 2) for x in (taus, epss))
-            rngs, u = rngs[:n] + rngs[B:B + n], np.concatenate((u[:n], u[B:B + n]))
-            B, ends, strides, ut = n, ends[:n], strides[:n], u.T.copy()
+            # u is refilled before it is read again; ut keeps the chunk's live columns
+            rngs, u = rngs[:n] + rngs[B:B + n], u[:2 * n]
+            ut = np.concatenate((ut[:, :n], ut[:, B:B + n]), axis=1)
+            B, ends, strides = n, ends[:n], strides[:n]
             us = _split([ut], q[0].shape[1])  # each stack's columns of ut
         col = k % _UNIFORM_CHUNK
         if col == 0:
