@@ -187,8 +187,7 @@ class RunConfig(DictConfig):
                  f"schedule must be a StepsizeSchedule, got {type(self.schedule).__name__}")
 
     def _with_seed(self, seed: int):
-        # this validated config with another seed, checking only the seed:
-        # a sweep point's trajectories differ by seed alone
+        # this validated config with another seed, which alone is checked again
         _check_seed(seed)
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, seed=seed)

@@ -25,8 +25,8 @@ right, nothing uses a matmul, and exp and log come from the C library, so a
 trajectory's bytes do not depend on its batch.
 
 Player i draws from stream i of player_seed_sequences(seed); one
-vectorized pass of SeedSequence's hash seeds all 2B generators, about a
-fifth of the cost of 2B SeedSequences at B=128. run_visbr keeps numpy's
+vectorized pass of SeedSequence's hash seeds all 2B generators, at B=128
+in 0.11-0.17x the time of 2B SeedSequences. run_visbr keeps numpy's
 SeedSequence, as the pass's fixed ~0.1 ms loses at its small batches.
 """
 
@@ -52,19 +52,15 @@ _SCORE_CHUNK = 256  # joint policies per matrix_gaps call, or B if larger: bound
 
 
 def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """Per-player child seeds; player i consumes one uniform per iteration.
-
-    The kernel seeds these streams for a whole batch at once (_generators).
-    """
+    """Per-player child seeds; player i consumes one uniform per iteration."""
     c1, c2 = np.random.SeedSequence(seed).spawn(2)
     return c1, c2
 
 
-# SeedSequence's hash (numpy/random/bit_generator.pyx, stream-stable under
-# NEP 19) on uint32 arrays, which wrap as its C words do. Hash call t xors a
-# word with c[t] and multiplies it by c[t + 1], c = _HASH_A while mixing
-# entropy and _HASH_B for the output words. Every constant is a numpy
-# integer: numpy < 2 turns a np.uint64 meeting a Python int into a float64.
+# SeedSequence's hash (numpy/random/bit_generator.pyx, stable under NEP 19)
+# on uint32 arrays, which wrap as its C words do. Hash call t xors a word with
+# c[t] and multiplies it by c[t + 1]. Every constant is a numpy integer, as
+# numpy < 2 turns a np.uint64 meeting a Python int into a float64.
 _HASH_A, _HASH_B = (np.array([[a * pow(m, t, 2 ** 32) % 2 ** 32] for t in range(n)], np.uint32)
                     for a, m, n in ((0x43B0D7E5, 0x931E8875, 21), (0x8B51F9DD, 0x58F38DED, 9)))
 _MIX_L, _MIX_R, _S16, _S32 = (*map(np.uint32, (0xCA01F9DD, 0x4973F715, 16)), np.uint64(32))
@@ -81,10 +77,9 @@ def _mix(x, y):
 
 
 def _stream_words(seeds: Sequence[int], n: int) -> np.ndarray:
-    # PCG64 state words of SeedSequence(seeds[b]).spawn(n)[i] at [i, b]. The
-    # entropy is the seed's low and high words, zero-padded to the pool size
-    # 4, then the spawn key i. A pool word mixes into the other three at
-    # once, as it does not change meanwhile
+    # PCG64 state words of SeedSequence(seeds[b]).spawn(n)[i] at [i, b], from the
+    # seed's two words zero-padded to the pool size 4, then the spawn key i. A
+    # pool word mixes into the other three at once, as it does not change meanwhile
     s = np.array(seeds, dtype=np.uint64)
     pool = _hashmix(np.stack((s, s >> _S32, *[np.zeros_like(s)] * 2)).astype(np.uint32), 0, 4)
     for src in range(4):
@@ -121,10 +116,8 @@ def _generators(seeds: Sequence[int], n: int) -> list:
 
 def _stacks(game: MatrixGame, cols) -> list:
     # the kernel's layout of player 1's and player 2's (..., B) arrays: one
-    # stack, player 1's columns first, when the action counts match, else
-    # two; contiguous either way
-    square = game.n_actions_1 == game.n_actions_2
-    return [np.concatenate(cols, axis=-1)] if square else [np.ascontiguousarray(c) for c in cols]
+    # stack, player 1's columns first, when the action counts match, else two
+    return [np.concatenate(cols, axis=-1)] if game.n_actions_1 == game.n_actions_2 else list(cols)
 
 
 def _split(stacks: list, cols: int) -> list:
@@ -203,7 +196,7 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     for k in range(K):
         if k == 0 or ends[-1] == k:  # keep only the trajectories still running
             n = np.count_nonzero(ends > k)
-            q, pi = (_stacks(game, [x[:, :n] for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
+            q, pi = (_stacks(game, [x[:, :n].copy() for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
             (q1, q2), (pi1, pi2) = _split(q, n), _split(pi, n)
             tau, eps = (_stacks(game, [x[:n]] * 2) for x in (taus, epss))
             # u is refilled before it is read again; ut keeps the chunk's live columns
