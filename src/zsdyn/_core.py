@@ -30,16 +30,25 @@ def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> lis
         nrm = math.sqrt(sq)
         if nrm > 0.0:
             q = [x / nrm for x in q]
+    # the exps and their total in one pass, then the mix, both as loops: on
+    # 2 or 3 actions a comprehension's frame costs more than the appends
     m = max(q)
-    exps = [math.exp((x - m) / tau) for x in q]
+    exps = []
     tot = 0.0
-    for e in exps:
+    for x in q:
+        e = math.exp((x - m) / tau)
+        exps.append(e)
         tot += e
+    out = []
     if eps_bar > 0.0:
         mix = eps_bar / len(exps)
         keep = 1.0 - eps_bar
-        return [mix + keep * (e / tot) for e in exps]
-    return [e / tot for e in exps]
+        for e in exps:
+            out.append(mix + keep * (e / tot))
+    else:
+        for e in exps:
+            out.append(e / tot)
+    return out
 
 
 def pick_action(pi: list, u: float) -> int:

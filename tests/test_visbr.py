@@ -1,14 +1,18 @@
 """Stochastic-game dynamics: the kernel against a reference loop, recording,
 one-sided mode."""
 
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import zsdyn as z
 from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.visbr import _weighted_rows
+from zsdyn.visbr import _partial_sums, _weighted_rows
 
 
 def _sched(alpha=0.5, beta=0.01):
@@ -477,3 +481,96 @@ def test_rejects_non_zero_sum_game():
     bad = z.validate_stochastic_game(P, R1, R2, gamma=0.5, require_zero_sum=False)
     with pytest.raises(z.NotZeroSum):
         z.run_visbr(bad, [_config()])
+
+
+def _assert_group_equals_stepping(sg, configs, frozen_pi2=None):
+    # one call steps configs that share (schedule, K, T) as one group; each
+    # trajectory's rows at stride 1 and final iterates equal those of its
+    # own _reference_rows bitwise
+    recs = z.run_visbr(sg, configs, frozen_pi2=frozen_pi2)
+    v_star = z.minimax_fixed_point(sg, 1, tol=1e-6)
+    for rec, config in zip(recs, configs, strict=True):
+        rows, _ = _reference_rows(sg, config, frozen_pi2)
+        assert len(rec.index) == len(rows)
+        for row, ((t, k), iterates) in enumerate(zip(rec.index.tolist(), rows)):
+            for name, value in _recorded_row(sg, iterates, v_star, frozen_pi2).items():
+                assert rec.series[name][row] == value, (config.seed, name, t, k)
+        got = (*rec.final_q, rec.final_policy.pi1, rec.final_policy.pi2, *rec.final_v)
+        for g, w in zip(got, rows[-1], strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_group_equals_stepping(frozen):
+    # three trajectories step in lockstep on one policy stack; their seeds,
+    # tau and eps_bar differ, so a row read from another trajectory's block
+    # or a target built with another's tau would show
+    rng = np.random.default_rng(71)
+    sg = _random_sg(rng, n_states=5, n1=3, n2=2)
+    frozen_pi2 = _random_rows(rng, 5, 2) if frozen else None
+    configs = [_config(T=3, K=9, seed=61, record_stride=1, schedule=_sched(beta=0.05)),
+               _config(T=3, K=9, seed=62, tau=0.2, record_stride=1, schedule=_sched(beta=0.05)),
+               _config(T=3, K=9, seed=63, tau=0.8, variant="explore", eps_bar=0.2,
+                       record_stride=1, schedule=_sched(beta=0.05))]
+    _assert_group_equals_stepping(sg, configs, frozen_pi2)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_mixed_call_equals_one_config_calls(frozen):
+    # groups of two and three configs that differ in schedule, K or T, each
+    # member with its own tau, eps_bar and record_stride, plus a config
+    # alone in its group
+    rng = np.random.default_rng(73)
+    sg = _random_sg(rng, n_states=4, n1=2, n2=3)
+    kw = {"frozen_pi2": _random_rows(rng, 4, 3)} if frozen else {}
+    dim = z.StepsizeSchedule(kind="diminishing", alpha=1.0, beta=0.2, h=2.0)
+    configs = [_config(T=2, K=10, seed=1, record_stride=3),
+               _config(T=2, K=10, seed=2, tau=0.2, record_stride=1, schedule=dim),
+               _config(T=2, K=10, seed=3, tau=0.3, variant="explore", eps_bar=0.1,
+                       record_stride=4),
+               _config(T=3, K=10, seed=4, record_stride=10),
+               _config(T=2, K=10, seed=5, tau=0.7, record_stride=2, schedule=dim),
+               _config(T=2, K=13, seed=6, record_stride=5),
+               _config(T=2, K=10, seed=7, tau=0.4, variant="explore", eps_bar=0.3,
+                       record_stride=7)]
+    recs = z.run_visbr(sg, configs, **kw)
+    assert len(recs) == len(configs)
+    for rec, config in zip(recs, configs):
+        [alone] = z.run_visbr(sg, [config], **kw)
+        assert rec == alone
+        for name in alone.series:
+            assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_bisected_partial_sums_pick_the_action_pick_action_picks(row, u):
+    # zero entries repeat a partial sum, which bisect_right must step past
+    # as pick_action's strict u < acc does; u = 0.0 and u equal to a
+    # partial sum are the boundary cases
+    sums = _partial_sums(row)
+    assert sums == sorted(sums)
+    for x in (u, 0.0, *sums):
+        assert bisect_right(sums, x) == pick_action(row, x), (row, x)
+
+
+def test_held_memory_does_not_grow_with_k():
+    # 16 trajectories recorded only at round ends: the uniforms are drawn
+    # in chunks and the recorder holds one group's rows, so a 4x longer
+    # round needs no more memory. A kernel that held its rates and
+    # uniforms for a whole round peaked about 40 kB higher at K=512 than
+    # at K=128; tracemalloc slows the kernel about 30x, so K stays small
+    sg = _random_sg(np.random.default_rng(79))
+
+    def peak(K):
+        configs = [_config(T=1, K=K, seed=j, record_stride=K) for j in range(16)]
+        tracemalloc.start()
+        try:
+            z.run_visbr(sg, configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # first calls fill caches that a later call reuses
+    short, long = peak(128), peak(512)
+    assert long <= short * 1.05 + 4096, (short, long)
