@@ -255,6 +255,7 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
                             for b in members:
                                 record(b, t, done)
                     due = min(K, *(done - done % stride + stride for stride in by_stride))
+            del draws  # so the next chunk's floats are not built while these are held
         for b, run in enumerate(runs):
             block = pi[run[1]:run[1] + S]
             run[4] = _weighted_rows(block[:, :n1].tolist(), run[2])
