@@ -169,8 +169,8 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     # generator i*B + b and row i*B + b of u are player 1's (i = 0),
     # player 2's (i = 1) or the environment's (i = 2) of trajectory b
     B = len(configs)
-    rngs = [np.random.default_rng(c) for seqs in zip(*(visbr_seed_sequences(c.seed)
-                                                       for c in configs)) for c in seqs]
+    rngs = [np.random.default_rng(seq) for seqs in zip(*(visbr_seed_sequences(c.seed)
+                                                         for c in configs)) for seq in seqs]
     u = np.empty((3 * B, _UNIFORM_CHUNK))
     start = game.initial_dist.tolist()
     # q starts at zero, so a learner's target starts as the softmax of zero
