@@ -10,13 +10,23 @@ Both sum left to right and take exp and log from the C library: the list
 code through math.exp and math.log, the batched code through numpy's
 complex exp (_exp) and math.log (_log). Tests pin _exp to math.exp and the
 list and batched softmaxes to each other bitwise.
+
+It also seeds both kernels: _generators builds the streams
+default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
+vectorized pass of SeedSequence's hash.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
+
+# steps whose uniforms each generator draws at once: bounds the memory of long
+# runs and leaves the stream as one rng.random(K) per K steps would draw it
+_UNIFORM_CHUNK = 64
 
 
 def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> list:
@@ -101,3 +111,60 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     # Shannon entropy of each column of p, 0 log 0 = 0: a p = 0 entry adds -0.0,
     # and the sum starts at 0.0, so a point mass gets 0.0, not -0.0
     return _row_sum(-(p * _log(np.where(p > 0.0, p, 1.0))))
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx, stable under NEP 19)
+# on uint32 arrays, which wrap as its C words do. Hash call t xors a word with
+# c[t] and multiplies it by c[t + 1]. Every constant is a numpy integer, as
+# numpy < 2 turns a np.uint64 meeting a Python int into a float64.
+_HASH_A, _HASH_B = (np.array([[a * pow(m, t, 2 ** 32) % 2 ** 32] for t in range(n)], np.uint32)
+                    for a, m, n in ((0x43B0D7E5, 0x931E8875, 21), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX_L, _MIX_R, _S16, _S32 = (*map(np.uint32, (0xCA01F9DD, 0x4973F715, 16)), np.uint64(32))
+
+
+def _hashmix(v, t0, t1, c=_HASH_A):  # hash calls t0 to t1 - 1 as a column, against v
+    v = (v ^ c[t0:t1]) * c[t0 + 1:t1 + 1]
+    return v ^ (v >> _S16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _S16)
+
+
+def _stream_words(seeds: Sequence[int], n: int) -> np.ndarray:
+    # PCG64 state words of SeedSequence(seeds[b]).spawn(n)[i] at [i, b], from the
+    # seed's two words zero-padded to the pool size 4, then the spawn key i. A
+    # pool word mixes into the other three at once, as it does not change meanwhile
+    s = np.array(seeds, dtype=np.uint64)
+    pool = _hashmix(np.stack((s, s >> _S32, *[np.zeros_like(s)] * 2)).astype(np.uint32), 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 7 + 3 * src))
+    pool = _mix(pool, _hashmix(np.arange(n, dtype=np.uint32), 16, 20).T[..., None])
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired low word first
+    w = _hashmix(pool[:, [0, 1, 2, 3] * 2], 0, 8, _HASH_B).astype(np.uint64)
+    return (w[:, 0::2] | (w[:, 1::2] << _S32)).transpose(0, 2, 1).copy()
+
+
+@functools.cache
+def _state_words():
+    # built on first use, so importing zsdyn does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):  # hands a PCG64 its 4 state words, computed beforehand
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 state words, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return StateWords
+
+
+def _generators(seeds: Sequence[int], n: int) -> list:
+    # default_rng(SeedSequence(seeds[b]).spawn(n)[i]) as generator i*B + b
+    words, g = _stream_words(seeds, n).reshape(-1, 4), _state_words()
+    return [np.random.Generator(np.random.PCG64(g(w))) for w in words]

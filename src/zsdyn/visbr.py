@@ -41,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._core import _targets, pick_action, smoothed_policy
+from ._core import _UNIFORM_CHUNK, _generators, _targets, pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import DimensionMismatch, NotErgodic
 from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
@@ -52,10 +52,6 @@ from .ops import minimax_fixed_point, stationary_distribution
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf", "v_err")
 
 _SCORE_CHUNK = 128  # a group's recorded rows per stochastic_gaps call and reduction: bounds held memory
-
-# inner steps whose uniforms each generator draws at once: bounds the memory
-# of long runs and leaves the stream as one rng.random(K) per round draws it
-_UNIFORM_CHUNK = 64
 
 
 def visbr_seed_sequences(seed: int):
@@ -169,8 +165,7 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     # generator i*B + b and row i*B + b of u are player 1's (i = 0),
     # player 2's (i = 1) or the environment's (i = 2) of trajectory b
     B = len(configs)
-    rngs = [np.random.default_rng(seq) for seqs in zip(*(visbr_seed_sequences(c.seed)
-                                                         for c in configs)) for seq in seqs]
+    rngs = _generators([c.seed for c in configs], 3)
     u = np.empty((3 * B, _UNIFORM_CHUNK))
     start = game.initial_dist.tolist()
     # q starts at zero, so a learner's target starts as the softmax of zero

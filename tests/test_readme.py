@@ -1,4 +1,4 @@
-"""README.md's public-names section lists exactly zsdyn.__all__."""
+"""README.md runs as written, and its public-names section lists exactly zsdyn.__all__."""
 
 import re
 from pathlib import Path
@@ -24,3 +24,13 @@ def test_readme_public_names_section_matches_all():
     assert sorted(public - named) == [], "public names the README section omits"
     assert sorted(named - public) == [], "README section names that are not public"
     assert f"the {len(public)} names" in section
+
+
+def test_readme_python_blocks_run():
+    # every python block, in order and each in a fresh namespace, so a name the
+    # docs still use after it left the library fails here
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -1,7 +1,8 @@
-"""The matrix kernel's generators against numpy's own seeding, bit for bit.
+"""Both kernels' generators against numpy's own seeding, bit for bit.
 
-matrix_dyn seeds all of a batch's PCG64 streams from one vectorized pass of
-SeedSequence's hash. Stream i*B + b must draw what
+_core seeds all of a batch's PCG64 streams, for the matrix and the
+stochastic kernel alike, from one vectorized pass of SeedSequence's hash.
+Stream i*B + b must draw what
 default_rng(SeedSequence(seeds[b]).spawn(n)[i]) draws. numpy < 2 promotes
 mixed integer operands by other rules, which is where a hashed word could
 change, so CI also runs this file on the oldest numpy that pyproject.toml
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import zsdyn
 from zsdyn.harness import splitmix64
-from zsdyn.matrix_dyn import _generators, _state_words, _stream_words
+from zsdyn._core import _generators, _state_words, _stream_words
 
 PINNED = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
 DRAWS = 200

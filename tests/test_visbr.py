@@ -460,6 +460,22 @@ def test_one_fixed_point_and_ergodicity_check_per_call(monkeypatch):
     assert calls == {"minimax_fixed_point": 2, "stationary_distribution": 2}
 
 
+def test_one_seeding_pass_per_group(monkeypatch):
+    # a group's 3B generators come from one batched hash, in the group's order
+    sg = _random_sg(np.random.default_rng(54))
+    calls = []
+    real = z.visbr._generators
+
+    def counting(seeds, n):
+        calls.append((list(seeds), n))
+        return real(seeds, n)
+    monkeypatch.setattr(z.visbr, "_generators", counting)
+    configs = [_config(seed=11), _config(seed=12, K=5), _config(seed=13),
+               _config(seed=14, T=1), _config(seed=15, K=5)]
+    assert len(z.run_visbr(sg, configs)) == 5
+    assert calls == [([11, 13], 3), ([12, 15], 3), ([14], 3)]
+
+
 def test_run_reports_warnings():
     sg = _mp_sg(gamma=0.5)
     [rec] = z.run_visbr(sg, [_config(tau=5.0, T=1, K=3)])
