@@ -3,13 +3,20 @@
 List code for the stochastic kernel's work at the visited state, on vectors
 of length 2 or 3 where lists beat numpy (sampling, smoothed_policy), and
 batched code on action-major (n, B) stacks, one vector per column, for the
-matrix kernel, the stochastic kernel's initial targets, the matrix gaps and
-the oracles (_targets, _entropy: ops.softmax and ops.entropy are their
-one-column cases); an operation over actions is n contiguous vector ops.
-Both sum left to right and take exp and log from the C library: the list
-code through math.exp and math.log, the batched code through numpy's
-complex exp (_exp) and math.log (_log). Tests pin _exp to math.exp and the
-list and batched softmaxes to each other bitwise.
+stochastic kernel's initial targets, the matrix gaps and the oracles
+(_targets, _entropy: ops.softmax and ops.entropy are their one-column
+cases); an operation over actions is n contiguous vector ops. Both sum left
+to right and take exp and log from the C library: the list code through
+math.exp and math.log, the batched code through numpy's complex exp (_exp)
+and math.log (_log). Tests pin _exp to math.exp and the list and batched
+softmaxes to each other bitwise.
+
+The matrix kernel steps its (B, n_i) rows in the C loop of _loops.c, which
+_matrix_loop compiles on the first matrix kernel call, never at import, and
+loads through ctypes. _matrix_steps is that loop on lists: its bitwise
+specification, and the fallback wherever it is not built. The C loop keeps
+the bits by the same float operations in the same order, no FMA contraction
+and the C library's exp and sqrt, which math.exp and math.sqrt also call.
 
 It also seeds both kernels: _generators builds the streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -70,6 +78,34 @@ def pick_action(pi: list, u: float) -> int:
         if u < acc:
             return a
     return last
+
+
+def _matrix_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha, beta):
+    # The matrix dynamics' step loop on lists: the compiled loop's bitwise
+    # specification and its fallback. It binds the (B, n_i) rows q and pi,
+    # which it updates in place, to the payoffs R1 (n1, n2) and R2 (n2, n1),
+    # each trajectory's tau, eps and K (ends), and the (2B, w) uniforms and
+    # (w,) rates, which step k reads at column k % w: row i*B + b of u
+    # belongs to player i of trajectory b. steps(k0, k1) runs steps k0..k1-1
+    # of every trajectory b while k < ends[b].
+    R, B = (R1.tolist(), R2.tolist()), len(ends)
+
+    def steps(k0: int, k1: int) -> None:
+        w, rates = u.shape[1], list(zip(alpha.tolist(), beta.tolist()))
+        for b in np.flatnonzero(ends > k0).tolist():
+            q, pi = [q1[b].tolist(), q2[b].tolist()], [pi1[b].tolist(), pi2[b].tolist()]
+            us, t, e = (u[b].tolist(), u[B + b].tolist()), float(tau[b]), float(eps[b])
+            for k in range(k0, min(k1, int(ends[b]))):
+                al, be = rates[k % w]
+                a = []
+                for i in (0, 1):
+                    target = smoothed_policy(q[i], t, e, normalize)
+                    pi[i] = [p + be * (g - p) for p, g in zip(pi[i], target)]
+                    a.append(pick_action(pi[i], us[i][k % w]))
+                for i in (0, 1):
+                    q[i][a[i]] += al * (R[i][a[i]][a[1 - i]] - q[i][a[i]])
+            q1[b], q2[b], pi1[b], pi2[b] = *q, *pi
+    return steps
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -168,3 +204,67 @@ def _generators(seeds: Sequence[int], n: int) -> list:
     # default_rng(SeedSequence(seeds[b]).spawn(n)[i]) as generator i*B + b
     words, g = _stream_words(seeds, n).reshape(-1, 4), _state_words()
     return [np.random.Generator(np.random.PCG64(g(w))) for w in words]
+
+
+# the compile command of _loops.c: no FMA contraction (gcc contracts by default
+# on FMA targets such as aarch64) and no -ffast-math, so it keeps _matrix_steps' bits
+_CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _build() -> str:
+    # _loops.c compiled into __pycache__ beside it, or into a private temp dir
+    # where that is not writable, named by the SHA-256 of source and _CC; the
+    # compiler writes a temp name moved into place, so concurrent builds are safe
+    import hashlib
+    import tempfile
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loops.c")
+    with open(src, "rb") as f:
+        key = hashlib.sha256(f.read() + " ".join(_CC).encode()).hexdigest()[:16]
+    so = os.path.join(os.path.dirname(src), "__pycache__", f"_loops.{key}.so")
+    if os.path.exists(so):
+        return so
+    import subprocess  # only to compile: importing it adds about 0.4 MB of RSS
+
+    try:
+        os.makedirs(os.path.dirname(so), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(so))
+    except OSError:  # not writable
+        so = os.path.join(tempfile.mkdtemp(), os.path.basename(so))
+        fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(so))
+    os.close(fd)
+    try:
+        if subprocess.run([*_CC, "-o", tmp, src], capture_output=True).returncode:
+            raise OSError(f"{' '.join(_CC)} failed on {src}")
+        os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from other users
+        os.replace(tmp, so)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return so
+
+
+@functools.cache
+def _matrix_loop():
+    # _matrix_steps or the compiled loop that binds the same arrays, built on
+    # the first call and never at import; _matrix_steps wherever there is no
+    # cc, the compile fails or the object does not load (each an OSError)
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(_build()).zsdyn_matrix_steps
+    except OSError:
+        return _matrix_steps
+    fn.argtypes, fn.restype = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 12, None
+
+    def compiled_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha, beta):
+        B, (n1, n2), w = len(ends), R1.shape, u.shape[1]
+        held = (q1, q2, pi1, pi2, R1, R2, tau, eps, ends, u, alpha, beta)  # outlive the pointers
+        for a, shape in zip(held, [(B, n1), (B, n2)] * 2 + [(n1, n2), (n2, n1)] + [(B,)] * 3
+                            + [(2 * B, w), (w,), (w,)]):
+            if (a.shape != shape or not a.flags.c_contiguous
+                    or a.dtype != (np.int64 if a is ends else np.float64)):
+                raise ValueError(f"the compiled loop needs a C-contiguous {shape} array")
+        args = (B, n1, n2, w, int(normalize), *(a.ctypes.data for a in held))
+        return lambda k0, k1, held=held: fn(k0, k1, *args)
+    return compiled_steps

@@ -138,7 +138,7 @@ class StepsizeSchedule(DictConfig):
                      f"got h={self.h}, alpha={self.alpha}")
 
     def rates(self, k: int) -> tuple[float, float]:
-        """(alpha_k, beta_k) at iteration k."""
+        """(alpha_k, beta_k) at iteration k, or elementwise at an int array k."""
         if self.kind == "constant":
             return self.alpha, self.beta
         denom = k + self.h

@@ -13,16 +13,18 @@ policy pi. One iteration, in this order:
 Neither player sees the opponent's policy, estimate, or action; the realized
 own payoff is the only coupling.
 
-One kernel runs B trajectories. Its stacks are action-major: column
-i*B + b belongs to player i of trajectory b, with its own tau, eps_bar and
-generator. A square game keeps q and pi each as one (n, 2B) stack, so every
-update runs once per step, and any other game as one (n_i, B) stack per
-player. Each operation over actions is then a loop of n vector operations
-over the whole batch. run_matrix_dynamics batches the configs that share
-schedule and normalize_q_in_softmax; each config records at its own
-stride multiples and leaves the batch at its own K. Sums run left to
-right, nothing uses a matmul, and exp and log come from the C library, so a
-trajectory's bytes do not depend on its batch.
+One kernel runs B trajectories. It holds q and pi as (B, n_i) row arrays
+per player, one row per trajectory with its own tau, eps_bar and K, and
+steps them in one compiled C loop (_loops.c, loaded by _core._matrix_loop)
+from one stop to the next: a step at which some trajectory records, or the
+start of a chunk of uniforms. Trajectory b steps only while k < its K, so
+each leaves the batch at its own K. run_matrix_dynamics batches the configs
+that share schedule and normalize_q_in_softmax; recording (matrix_gaps)
+stays here. The loop runs the float operations of _core._matrix_steps, the
+list loop that specifies it bit for bit and runs wherever it cannot be
+built, in their order: sums left to right, exp and sqrt from the C
+library, no FMA contraction. So a trajectory's bytes depend neither on its
+batch nor on the loop that ran it.
 
 Player i draws from stream i of player_seed_sequences(seed); _core's
 _generators seeds all 2B generators from one vectorized pass of
@@ -35,7 +37,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _targets
+from ._core import _UNIFORM_CHUNK, _generators, _matrix_loop
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .games import JointPolicy, MatrixGame, TrajectoryRecord, check_zero_sum_game
 from .metrics import matrix_gaps
@@ -49,42 +51,6 @@ def player_seed_sequences(seed: int) -> tuple[np.random.SeedSequence, np.random.
     """Per-player child seeds; player i consumes one uniform per iteration."""
     c1, c2 = np.random.SeedSequence(seed).spawn(2)
     return c1, c2
-
-
-def _stacks(game: MatrixGame, cols) -> list:
-    # the kernel's layout of player 1's and player 2's (..., B) arrays: one
-    # stack, player 1's columns first, when the action counts match, else two
-    return [np.concatenate(cols, axis=-1)] if game.n_actions_1 == game.n_actions_2 else list(cols)
-
-
-def _split(stacks: list, cols: int) -> list:
-    # consecutive `cols`-column views of each stack, valid while it updates in place
-    return [s[..., j:j + cols] for s in stacks for j in range(0, s.shape[-1], cols)]
-
-
-def _step(q, pi, R, tau, eps, normalize, alpha, beta, u):
-    # One iteration for a batch, in place on q and pi: lists of stacks whose
-    # columns hold player 1's B trajectories, then player 2's, in one
-    # (n, 2B) stack for a square game, else an (n_i, B) stack per player.
-    # tau, eps and u (uniforms) are rows, one of each per stack.
-    a = []
-    for qs, ps, t, e, us in zip(q, pi, tau, eps, u):
-        ps += beta * (_targets(qs, t, e, normalize) - ps)
-        # inverse-CDF sampling: the smallest a with u < pi[0] + ... + pi[a]
-        # is the count of partial sums u passes, since they never decrease
-        acc, ai = np.zeros(len(us)), np.zeros(len(us), dtype=np.intp)
-        for j in range(len(ps) - 1):
-            acc += ps[j]
-            ai += us >= acc
-        a.append(ai)
-    a = np.concatenate(a)  # player 1's B actions, then player 2's
-    B, m = len(a) // 2, q[0].shape[1]
-    r = np.concatenate((R[0][a[:B], a[B:]], R[1][a[B:], a[:B]]))
-    cols = np.arange(m)
-    for qs, ai, ri in zip(q, _split([a], m), _split([r], m)):
-        # the stacks are contiguous, so entry (a, c) sits at a * m + c of the flat view
-        at, flat = ai * m + cols, qs.reshape(-1)
-        flat[at] += alpha * (ri - flat[at])
 
 
 def run_matrix_dynamics(game: MatrixGame,
@@ -107,60 +73,50 @@ def run_matrix_dynamics(game: MatrixGame,
         groups.setdefault((c.schedule, c.normalize_q_in_softmax), []).append(i)
     records: list = [None] * len(configs)
     for members in groups.values():
-        members.sort(key=lambda i: -configs[i].K)  # _run_batch takes the longest first
         for i, rec in zip(members, _run_batch(game, [configs[i] for i in members])):
             records[i] = rec
     return records
 
 
 def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
-    # configs share schedule and normalize_q_in_softmax and come longest K
-    # first, so the trajectories still running are always the first B
+    # configs share schedule and normalize_q_in_softmax; trajectory b steps
+    # while k < its K, and the loop runs from one stop (a recording step or
+    # a chunk's start) to the next
     first = configs[0]
-    B, K = len(configs), configs[0].K
-    ends, strides = np.array([c.K for c in configs]), np.array([c.record_stride for c in configs])
+    B, K = len(configs), max(c.K for c in configs)
+    ends = np.array([c.K for c in configs], dtype=np.int64)
+    strides = np.array([c.record_stride for c in configs])
     taus, epss = np.array([c.tau for c in configs]), np.array([c.eps_bar for c in configs])
-    # generator i*B + b, row i*B + b of u and column i*B + b of ut belong to
-    # player i of trajectory b; ut holds the chunk one step per row
+    # generator i*B + b and row i*B + b of u belong to player i of trajectory b
     rngs = _generators([c.seed for c in configs], 2)
-    u, ut = np.empty((2 * B, _UNIFORM_CHUNK)), np.empty((_UNIFORM_CHUNK, 2 * B))
-    q1, q2 = (np.zeros((n, B)) for n in (game.n_actions_1, game.n_actions_2))
-    pi1, pi2 = (np.full((n, B), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
+    u, alpha, beta = np.empty((2 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
+    q1, q2 = (np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2))
+    pi1, pi2 = (np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
+    R1, R2 = (np.ascontiguousarray(R, dtype=np.float64) for R in (game.R1, game.R2))
+    steps = _matrix_loop()(q1, q2, pi1, pi2, R1, R2, taus, epss, first.normalize_q_in_softmax,
+                           ends, u, alpha, beta)
     due = np.zeros(K + 1, dtype=bool)  # the steps at which some trajectory records
     for s, e in set(zip(strides.tolist(), ends.tolist())):
         due[s:e + 1:s] = due[e] = True
+    stops = sorted({*np.flatnonzero(due).tolist(), *range(0, K, _UNIFORM_CHUNK)})
     rows, gaps, held, finals = [], [], [], {}
-    for k in range(K):
-        if k == 0 or ends[-1] == k:  # keep only the trajectories still running
-            n = np.count_nonzero(ends > k)
-            q, pi = (_stacks(game, [x[:, :n].copy() for x in xs]) for xs in ((q1, q2), (pi1, pi2)))
-            (q1, q2), (pi1, pi2) = _split(q, n), _split(pi, n)
-            tau, eps = (_stacks(game, [x[:n]] * 2) for x in (taus, epss))
-            # u is refilled before it is read again; ut keeps the chunk's live columns
-            rngs, u = rngs[:n] + rngs[B:B + n], u[:2 * n]
-            ut = np.concatenate((ut[:, :n], ut[:, B:B + n]), axis=1)
-            B, ends, strides = n, ends[:n], strides[:n]
-            us = _split([ut], q[0].shape[1])  # each stack's columns of ut
-        col = k % _UNIFORM_CHUNK
-        if col == 0:
-            for g, row in zip(rngs, u):
-                g.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
-            ut[...] = u.T
-        alpha, beta = first.schedule.rates(k)
-        _step(q, pi, (game.R1, game.R2), tau, eps, first.normalize_q_in_softmax,
-              alpha, beta, [x[col] for x in us])
-        done = k + 1
+    for k, done in zip(stops, stops[1:]):
+        if k % _UNIFORM_CHUNK == 0:  # each running generator's uniforms for the chunk
+            for i in np.flatnonzero(np.tile(ends, 2) > k).tolist():
+                rngs[i].random(out=u[i, :min(_UNIFORM_CHUNK, ends[i % B] - k)])
+            alpha[:], beta[:] = first.schedule.rates(np.arange(k, k + _UNIFORM_CHUNK))
+        steps(k, done)
         if not due[done]:
             continue
-        now = np.flatnonzero((done % strides == 0) | (ends == done))  # the trajectories recording
-        if ends[-1] == done:  # each trajectory ending here keeps its (q1, q2, pi1, pi2)
-            end = np.flatnonzero(ends == done)
-            finals.update(zip(end, zip(*(x[:, end].T.copy() for x in (q1, q2, pi1, pi2)))))
-        p1, p2, a1, a2 = (x.take(now, axis=1) for x in (pi1, pi2, q1, q2))  # take beats [:, now]
-        rows.append((np.full(len(now), done), now, np.minimum(p1.min(axis=0), p2.min(axis=0)),
-                     np.maximum(np.abs(a1).max(axis=0), np.abs(a2).max(axis=0))))
-        held.append((p1, p2, taus[now]))
-        if sum(len(h[2]) for h in held) + B > _SCORE_CHUNK or done == K:
+        now = np.flatnonzero((ends >= done) & ((done % strides == 0) | (ends == done)))
+        end = np.flatnonzero(ends == done)  # each ending here keeps its (q1, q2, pi1, pi2)
+        finals.update(zip(end.tolist(), zip(*(x[end] for x in (q1, q2, pi1, pi2)))))
+        p1, p2, a1, a2 = (x.take(now, axis=0) for x in (pi1, pi2, q1, q2))
+        rows.append((np.full(len(now), done), now, np.minimum(p1.min(axis=1), p2.min(axis=1)),
+                     np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1))))
+        held.append((p1.T, p2.T, taus[now]))
+        live = np.count_nonzero(ends > done)  # the most rows the next stop can add
+        if sum(len(h[2]) for h in held) + live > _SCORE_CHUNK or done == K:
             p1, p2, t = (np.concatenate(x, axis=-1) for x in zip(*held))
             gaps.append(matrix_gaps(game.R1, game.R2, p1, p2, t))
             held.clear()

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import zsdyn as z
@@ -24,6 +25,12 @@ def test_diminishing_schedule_rates():
     for k in (0, 1, 5, 1000):
         a, b = s.rates(k)
         assert 0.0 < b <= a <= 1.0
+    # at an int array k, the floats of k one at a time: the matrix kernel
+    # takes a chunk's rates at once
+    s = z.StepsizeSchedule(kind="diminishing", alpha=0.7, beta=0.3, h=0.9)
+    ks = np.arange(0, 70_000, 7)
+    alpha, beta = s.rates(ks)
+    assert list(zip(alpha.tolist(), beta.tolist())) == [s.rates(k) for k in ks.tolist()]
 
 
 def test_schedule_validation():

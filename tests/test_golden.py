@@ -7,7 +7,8 @@ eps_bar), a matrix sweep on a game with unequal action counts, a stochastic swee
 column), and a frozen-opponent run_visbr record, a mode run_experiment
 cannot reach, pinned through the bytes of its series. A larger stochastic
 game with unequal action counts gets both a sweep, recorded at every step,
-and a frozen-opponent record.
+and a frozen-opponent record. The matrix sweeps run on both of the
+matrix kernel's step loops, the compiled one and the list one.
 
 A mismatch means an output byte changed. If the change is intended, copy
 the new digest map from the failure message into GOLDEN and record the
@@ -124,7 +125,7 @@ GOLDEN = {
 
 
 def _sweep_digests(cfg: ExperimentConfig) -> dict:
-    run_experiment(cfg)
+    run_experiment(cfg, force=True)
     return {name: hashlib.sha256(open(os.path.join(cfg.out_dir, name), "rb").read()).hexdigest()
             for name in sorted(os.listdir(cfg.out_dir))}
 
@@ -140,19 +141,23 @@ def _check(fixture: str, got: dict) -> None:
         f"{fixture} outputs changed; new digest map:\n{json.dumps(got, indent=4)}")
 
 
-def test_golden_matrix_sweep(tmp_path, monkeypatch):
-    # a relative out_dir keeps manifest.json independent of the temp path
+# the "matrix" fixture; a relative out_dir keeps manifest.json independent
+# of the temp path
+MATRIX_SWEEP = dict(
+    kind="matrix", game="builtin:rps",
+    run={"variant": "explore", "eps_bar": 0.1, "tau": 0.5,
+         "schedule": dict(SCHED), "K": 200, "record_stride": 20},
+    n_trajectories=3, base_seed=2024, sweep={"tau": [0.25, 0.5]},
+    out_dir="out")
+
+
+def test_golden_matrix_sweep(tmp_path, monkeypatch, matrix_loops):
     monkeypatch.chdir(tmp_path)
-    cfg = ExperimentConfig(
-        kind="matrix", game="builtin:rps",
-        run={"variant": "explore", "eps_bar": 0.1, "tau": 0.5,
-             "schedule": dict(SCHED), "K": 200, "record_stride": 20},
-        n_trajectories=3, base_seed=2024, sweep={"tau": [0.25, 0.5]},
-        out_dir="out")
-    _check("matrix", _sweep_digests(cfg))
+    for _ in matrix_loops:
+        _check("matrix", _sweep_digests(ExperimentConfig(**MATRIX_SWEEP)))
 
 
-def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch):
+def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch, matrix_loops):
     # two K values (record_stride 10 does not divide 45) and two schedules
     # give four kernel groups; tau and eps_bar vary within each group
     monkeypatch.chdir(tmp_path)
@@ -166,12 +171,13 @@ def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch):
                             {"kind": "diminishing", "alpha": 4.0, "beta": 1.0, "h": 8.0}],
                "tau": [0.2, 0.5], "eps_bar": [0.05, 0.3]},
         out_dir="out")
-    _check("matrix_grouped", _sweep_digests(cfg))
+    for _ in matrix_loops:
+        _check("matrix_grouped", _sweep_digests(cfg))
 
 
-def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch):
-    # the 3x2 action counts keep each player's rows apart in the kernel and
-    # catch a slip between the two players' columns; K=90 spans two
+def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch, matrix_loops):
+    # the 3x2 action counts catch a slip between the two players' rows in
+    # the kernel; K=90 spans two
     # uniform chunks of 64
     monkeypatch.chdir(tmp_path)
     cfg = ExperimentConfig(
@@ -180,7 +186,8 @@ def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch):
              "tau": 0.5, "schedule": dict(SCHED), "K": 90, "record_stride": 15},
         n_trajectories=3, base_seed=808, sweep={"tau": [0.25, 0.5]},
         out_dir="out")
-    _check("matrix_3x2", _sweep_digests(cfg))
+    for _ in matrix_loops:
+        _check("matrix_3x2", _sweep_digests(cfg))
 
 
 def test_golden_stochastic_sweep(tmp_path, monkeypatch):

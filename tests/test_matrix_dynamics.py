@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import _entropy, _exp, _row_sum, _targets, pick_action, smoothed_policy
+from zsdyn._core import (_UNIFORM_CHUNK, _entropy, _exp, _matrix_steps, _row_sum, _targets,
+                         pick_action, smoothed_policy)
 from zsdyn.config import matrix_condition_warnings
 from zsdyn.metrics import matrix_gaps
 
@@ -47,27 +48,23 @@ def _plays(game, config, steps):
 
 
 def _reference_steps(game, config):
-    # The iteration of the matrix_dyn docstring on plain lists, one
-    # trajectory a step at a time: (q1, q2, pi1, pi2) after each step. It
-    # shares only _core's list primitives and the seed helper with the
-    # kernel, so it checks the kernel's stacks, batches and uniform chunks
-    # from outside.
-    rngs = [np.random.default_rng(c) for c in z.player_seed_sequences(config.seed)]
-    R = (game.R1.tolist(), game.R2.tolist())
-    ns = (game.n_actions_1, game.n_actions_2)
-    q = [[0.0] * n for n in ns]
-    pi = [[1.0 / n] * n for n in ns]
+    # The list loop _matrix_steps on one trajectory, a step at a time, with
+    # each player's uniforms drawn for all K steps at once and the rates of
+    # schedule.rates(k): (q1, q2, pi1, pi2) after each step. The kernel
+    # draws its uniforms and rates in chunks, batches trajectories and stops
+    # at recording steps, so this checks those from outside.
+    u = np.array([np.random.default_rng(c).random(config.K)
+                  for c in z.player_seed_sequences(config.seed)])
+    alpha, beta = np.array([config.schedule.rates(k) for k in range(config.K)]).T
+    state = [np.zeros((1, n)) for n in (game.n_actions_1, game.n_actions_2)]
+    state += [np.full((1, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
+    steps = _matrix_steps(*state, game.R1, game.R2, np.array([config.tau]),
+                          np.array([config.eps_bar]), config.normalize_q_in_softmax,
+                          np.array([config.K]), u, alpha, beta)
     out = []
     for k in range(config.K):
-        alpha, beta = config.schedule.rates(k)
-        for i in range(2):
-            target = smoothed_policy(q[i], config.tau, config.eps_bar,
-                                     config.normalize_q_in_softmax)
-            pi[i] = [p + beta * (g - p) for p, g in zip(pi[i], target)]
-        a1, a2 = (pick_action(pi[i], rngs[i].random()) for i in range(2))
-        for row, a, payoff in ((q[0], a1, R[0][a1][a2]), (q[1], a2, R[1][a2][a1])):
-            row[a] += alpha * (payoff - row[a])
-        out.append(tuple(np.array(x) for x in (*q, *pi)))
+        steps(k, k + 1)
+        out.append(tuple(x[0].copy() for x in state))
     return out
 
 
@@ -162,37 +159,39 @@ def _uniform_game(shape, seed):
 LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
 
 
-def test_run_equals_stepping_bitwise():
-    # the kernel against _reference_steps, compared after every step.
-    # tilted_rps(5) and a 5x5 game run as one stack, the 2x3, 1x3 and 3x1
-    # games as one per player; a one-action player samples without passing
-    # a partial sum, a two-action player past one. The schedules are
-    # constant and diminishing, and the 5x5 run is the explore variant with
+def test_run_equals_stepping_bitwise(matrix_loops):
+    # the kernel against _reference_steps, compared after every step, on
+    # each loop. K=70 crosses a uniform chunk; the games are square and
+    # not, and a one-action player samples without passing a partial sum,
+    # a two-action player past one. The schedules are constant and
+    # diminishing, and the 5x5 run is the explore variant with
     # normalize_q_in_softmax
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
-    for game, config in ((z.tilted_rps(5), _config(seed=19, K=37, tau=0.7)),
-                         (_uniform_game((2, 3), 3), _config(seed=19, K=37, tau=0.7)),
-                         (_uniform_game((2, 3), 5), _config(seed=3, K=37, schedule=dim)),
-                         (_uniform_game((1, 3), 7), _config(seed=5, K=37, tau=0.3)),
-                         (_uniform_game((3, 1), 9), _config(seed=6, K=37, schedule=dim,
-                                                            variant="explore", eps_bar=0.3)),
-                         (_uniform_game((5, 5), 13),
-                          _config(seed=23, K=37, tau=0.4, schedule=dim, variant="explore",
-                                  eps_bar=0.2, normalize_q_in_softmax=True))):
-        config = replace(config, record_stride=1)
-        [rec] = z.run_matrix_dynamics(game, [config])
-        want = _reference_steps(game, config)
-        for trunc, ref in zip(_truncations(game, config), want, strict=True):
-            for got, w in zip(_iterates(trunc), ref):
-                assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
-        for row, (q1, q2, pi1, pi2) in enumerate(want):
-            ng, ngtau = matrix_gaps(game.R1, game.R2, pi1[:, None], pi2[:, None],
-                                    np.array([config.tau]))
-            assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
-            assert rec.series["min_pi"][row] == min(pi1.min(), pi2.min())
-            assert rec.series["q_inf"][row] == max(np.abs(q1).max(), np.abs(q2).max())
-        for got, w in zip(_iterates(rec), want[-1]):
-            assert got.tobytes() == w.tobytes()
+    cases = [(z.tilted_rps(5), _config(seed=19, tau=0.7)),
+             (_uniform_game((2, 3), 3), _config(seed=19, tau=0.7)),
+             (_uniform_game((2, 3), 5), _config(seed=3, schedule=dim)),
+             (_uniform_game((1, 3), 7), _config(seed=5, tau=0.3)),
+             (_uniform_game((3, 1), 9), _config(seed=6, schedule=dim, variant="explore",
+                                                eps_bar=0.3)),
+             (_uniform_game((5, 5), 13),
+              _config(seed=23, tau=0.4, schedule=dim, variant="explore", eps_bar=0.2,
+                      normalize_q_in_softmax=True))]
+    cases = [(game, replace(config, K=70, record_stride=1)) for game, config in cases]
+    wants = [_reference_steps(game, config) for game, config in cases]
+    for _ in matrix_loops:
+        for (game, config), want in zip(cases, wants):
+            [rec] = z.run_matrix_dynamics(game, [config])
+            for trunc, ref in zip(_truncations(game, config), want, strict=True):
+                for got, w in zip(_iterates(trunc), ref):
+                    assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+            for row, (q1, q2, pi1, pi2) in enumerate(want):
+                ng, ngtau = matrix_gaps(game.R1, game.R2, pi1[:, None], pi2[:, None],
+                                        np.array([config.tau]))
+                assert (rec.series["ng"][row], rec.series["ngtau"][row]) == (ng[0], ngtau[0])
+                assert rec.series["min_pi"][row] == min(pi1.min(), pi2.min())
+                assert rec.series["q_inf"][row] == max(np.abs(q1).max(), np.abs(q2).max())
+            for got, w in zip(_iterates(rec), want[-1]):
+                assert got.tobytes() == w.tobytes()
 
 
 def test_truncated_runs_end_where_a_longer_run_stands():
@@ -440,7 +439,7 @@ def test_entropy_is_the_batched_entropy_row():
 
 
 @LAYOUTS
-def test_records_do_not_depend_on_the_batch(shape):
+def test_records_do_not_depend_on_the_batch(shape, matrix_loops):
     game = _uniform_game(shape, 5)
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
     configs = []
@@ -458,12 +457,13 @@ def test_records_do_not_depend_on_the_batch(shape):
         configs.append(_config(**kw))
     configs.append(configs[2])  # a duplicate runs twice, with equal records
     random.Random(11).shuffle(configs)
-    batched = z.run_matrix_dynamics(game, configs)
-    assert len(batched) == len(configs)
-    for config, rec in zip(configs, batched):
-        assert rec == z.run_matrix_dynamics(game, [config])[0]
-        assert rec.config_echo == config.to_dict()
-        assert rec.warnings == matrix_condition_warnings(config, game.a_max)
+    for _ in matrix_loops:
+        batched = z.run_matrix_dynamics(game, configs)
+        assert len(batched) == len(configs)
+        for config, rec in zip(configs, batched):
+            assert rec == z.run_matrix_dynamics(game, [config])[0]
+            assert rec.config_echo == config.to_dict()
+            assert rec.warnings == matrix_condition_warnings(config, game.a_max)
 
 
 @LAYOUTS
@@ -479,16 +479,34 @@ def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape):
                 for s, (K, stride) in enumerate([(70, 1), (70, 9), (65, 64), (130, 7),
                                                  (9, 4), (130, 130), (64, 5)])]
     random.Random(5).shuffle(configs)
-    batches, widths = [], []
-    run_batch, step = z.matrix_dyn._run_batch, z.matrix_dyn._step
+    batches, binds, calls = [], [], []
+    run_batch, loop = z.matrix_dyn._run_batch, z.matrix_dyn._matrix_loop()
+
+    def bind(*arrays):
+        state, ends = arrays[:4], arrays[9]  # q1, q2, pi1, pi2; each trajectory's K
+        binds.append(ends.tolist())
+        steps = loop(*arrays)
+
+        def counted(k0, k1):
+            calls.append((k0, k1))
+            before, gone = [x.copy() for x in state], ends <= k0
+            steps(k0, k1)
+            # a trajectory past its K is left as it stands
+            assert all(np.array_equal(x[gone], y[gone]) for x, y in zip(state, before))
+        return counted
+
     monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
                         lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
-    monkeypatch.setattr("zsdyn.matrix_dyn._step",
-                        lambda q, *a: widths.append(sum(s.shape[1] for s in q)) or step(q, *a))
+    monkeypatch.setattr("zsdyn.matrix_dyn._matrix_loop", lambda: bind)
     mixed = z.run_matrix_dynamics(game, configs)
-    assert batches == [len(configs)]
-    # step k runs the two players' columns of exactly the configs with K > k
-    assert widths == [2 * sum(c.K > k for c in configs) for k in range(130)]
+    assert batches == [len(configs)] and binds == [[c.K for c in configs]]
+    # the calls run steps 0..129 once each, none across a uniform chunk's
+    # start; with the rows left alone past their K, trajectory b is stepped
+    # at k = 0..K_b - 1, its own K times
+    assert [k0 for k0, _ in calls] == [0] + [k1 for _, k1 in calls[:-1]]
+    assert calls[-1][1] == 130
+    assert all(k0 < k1 and k0 // _UNIFORM_CHUNK == (k1 - 1) // _UNIFORM_CHUNK
+               for k0, k1 in calls)
     monkeypatch.undo()
     for config, rec in zip(configs, mixed):
         [alone] = z.run_matrix_dynamics(game, [config])
