@@ -1,22 +1,20 @@
 """Float-order-sensitive primitives of both kernels and the smoothing oracles.
 
-List code for the stochastic kernel's work at the visited state, on vectors
-of length 2 or 3 where lists beat numpy (sampling, smoothed_policy), and
-batched code on action-major (n, B) stacks, one vector per column, for the
-stochastic kernel's initial targets, the matrix gaps and the oracles
-(_targets, _entropy: ops.softmax and ops.entropy are their one-column
-cases); an operation over actions is n contiguous vector ops. Both sum left
-to right and take exp and log from the C library: the list code through
-math.exp and math.log, the batched code through numpy's complex exp (_exp)
-and math.log (_log). Tests pin _exp to math.exp and the list and batched
-softmaxes to each other bitwise.
+List code (smoothed_policy, pick_action) for the kernels' list loops, on
+vectors of length 2 or 3 where lists beat numpy, and batched code on
+action-major (n, B) stacks, one vector per column, for the matrix gaps and
+the oracles (_targets, _entropy: ops.softmax and ops.entropy are their
+one-column cases). Both sum left to right and take exp and log from the C
+library: the list code through math.exp and math.log, the batched code
+through numpy's complex exp (_exp) and math.log (_log). Tests pin _exp to
+math.exp and the list and batched softmaxes to each other bitwise.
 
-The matrix kernel steps its (B, n_i) rows in the C loop of _loops.c, which
-_matrix_loop compiles on the first matrix kernel call, never at import, and
-loads through ctypes. _matrix_steps is that loop on lists: its bitwise
-specification, and the fallback wherever it is not built. The C loop keeps
-the bits by the same float operations in the same order, no FMA contraction
-and the C library's exp and sqrt, which math.exp and math.sqrt also call.
+Each kernel steps in a C loop of _loops.c, which _library compiles on the
+first kernel call, never at import, and loads through ctypes.
+_matrix_steps and _visbr_steps are those loops on lists: their bitwise
+specifications, and the fallback wherever the library is not built. The C
+loops keep the bits by the same float operations in the same order, no FMA
+contraction and the C library's exp and sqrt, as math.exp and math.sqrt.
 
 It also seeds both kernels: _generators builds the streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
@@ -25,9 +23,11 @@ vectorized pass of SeedSequence's hash.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -105,6 +105,37 @@ def _matrix_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha,
                 for i in (0, 1):
                     q[i][a[i]] += al * (R[i][a[i]][a[1 - i]] - q[i][a[i]])
             q1[b], q2[b], pi1[b], pi2[b] = *q, *pi
+    return steps
+
+
+def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, frozen, gamma,
+                 u, alpha, beta):
+    # The stochastic dynamics' step loop: the compiled loop's bitwise
+    # specification and its fallback, on the arrays zsdyn_visbr_steps takes.
+    # steps(k0, k1) runs steps k0..k1-1: all policy rows move in one array
+    # expression, the same three operations per entry as a loop, then list
+    # code runs at each visited state; bisect_right on the partial sums
+    # counts those that u passes. A frozen player 2's columns keep tg = pi.
+    R1, R2, sums, n1, B = R1.tolist(), R2.tolist(), sums.tolist(), q1.shape[2], len(states)
+    taus, epss = tau.tolist(), eps.tolist()
+
+    def steps(k0: int, k1: int) -> None:
+        w, us, at, rates = u.shape[1], u.T.tolist(), states.tolist(), [*zip(alpha.tolist(), beta)]
+        qs, vs = (q1.tolist(), q2.tolist()), (v1.tolist(), v2.tolist())
+        for k in range(k0, k1):
+            (al, be), uk = rates[k % w], us[k % w]
+            np.add(pi, be * (tg - pi), out=pi)
+            for b, s in enumerate(at):
+                here, x1, x2 = pi[b, s].tolist(), qs[0][b][s], qs[1][b][s]
+                a1, a2 = pick_action(here[:n1], uk[b]), pick_action(here[n1:], uk[B + b])
+                at[b] = nxt = bisect_right(sums[s][a1][a2], uk[2 * B + b])
+                x1[a1] += al * (R1[s][a1][a2] + gamma * vs[0][b][nxt] - x1[a1])
+                target = smoothed_policy(x1, taus[b], epss[b], False)
+                if not frozen:
+                    x2[a2] += al * (R2[s][a2][a1] + gamma * vs[1][b][nxt] - x2[a2])
+                    target += smoothed_policy(x2, taus[b], epss[b], False)
+                tg[b, s, :len(target)] = target
+        q1[:], q2[:], states[:] = *qs, at
     return steps
 
 
@@ -207,14 +238,16 @@ def _generators(seeds: Sequence[int], n: int) -> list:
 
 
 # the compile command of _loops.c: no FMA contraction (gcc contracts by default
-# on FMA targets such as aarch64) and no -ffast-math, so it keeps _matrix_steps' bits
+# on FMA targets such as aarch64) and no -ffast-math, so it keeps the list loops' bits
 _CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _build() -> str:
     # _loops.c compiled into __pycache__ beside it, or into a private temp dir
-    # where that is not writable, named by the SHA-256 of source and _CC; the
-    # compiler writes a temp name moved into place, so concurrent builds are safe
+    # where that is not writable, named by the SHA-256 of source and _CC. cc
+    # runs through posix_spawnp (importing subprocess costs 0.5 MB of RSS)
+    # into a temp name moved into place, so concurrent builds are safe; then
+    # the objects of older sources are removed
     import hashlib
     import tempfile
 
@@ -224,8 +257,6 @@ def _build() -> str:
     so = os.path.join(os.path.dirname(src), "__pycache__", f"_loops.{key}.so")
     if os.path.exists(so):
         return so
-    import subprocess  # only to compile: importing it adds about 0.4 MB of RSS
-
     try:
         os.makedirs(os.path.dirname(so), exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(so))
@@ -234,37 +265,82 @@ def _build() -> str:
         fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(so))
     os.close(fd)
     try:
-        if subprocess.run([*_CC, "-o", tmp, src], capture_output=True).returncode:
+        if not hasattr(os, "posix_spawnp"):
+            raise OSError("no posix_spawnp to run cc")
+        quiet = [(os.POSIX_SPAWN_OPEN, out, os.devnull, os.O_WRONLY, 0) for out in (1, 2)]
+        pid = os.posix_spawnp(_CC[0], [*_CC, "-o", tmp, src], os.environ, file_actions=quiet)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
             raise OSError(f"{' '.join(_CC)} failed on {src}")
         os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from other users
         os.replace(tmp, so)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for name in os.listdir(os.path.dirname(so)):
+        if name.startswith("_loops.") and name.endswith(".so") and name != os.path.basename(so):
+            with contextlib.suppress(OSError):  # another build may have removed it
+                os.remove(os.path.join(os.path.dirname(so), name))
     return so
 
 
 @functools.cache
-def _matrix_loop():
-    # _matrix_steps or the compiled loop that binds the same arrays, built on
-    # the first call and never at import; _matrix_steps wherever there is no
-    # cc, the compile fails or the object does not load (each an OSError)
+def _library():
+    # the compiled loops, built on the first kernel call and never at import;
+    # None wherever there is no cc, the compile fails or the object does not
+    # load (each an OSError), and then both kernels run their list loops
     import ctypes
 
     try:
-        fn = ctypes.CDLL(_build()).zsdyn_matrix_steps
+        lib = ctypes.CDLL(_build())
     except OSError:
+        return None
+    i, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.zsdyn_matrix_steps.argtypes = [i] * 7 + [p] * 12
+    lib.zsdyn_visbr_steps.argtypes = [i] * 8 + [d] + [p] * 15
+    lib.zsdyn_matrix_steps.restype = lib.zsdyn_visbr_steps.restype = None
+    return lib
+
+
+def _bind(fn, sizes: tuple, held: tuple, shapes: list, ints: tuple) -> object:
+    # steps(k0, k1) calling fn on the sizes and the data pointers of held,
+    # each checked to be a C-contiguous array of its shape, int64 if it is in
+    # ints and float64 otherwise; steps holds the arrays, so they outlive the
+    # pointers
+    for a, shape in zip(held, shapes, strict=True):
+        if (a.shape != shape or not a.flags.c_contiguous
+                or a.dtype != (np.int64 if any(a is x for x in ints) else np.float64)):
+            raise ValueError(f"the compiled loop needs a C-contiguous {shape} array")
+    args = (*sizes, *(a.ctypes.data for a in held))
+    return lambda k0, k1, held=held: fn(k0, k1, *args)
+
+
+def _matrix_loop():
+    # _matrix_steps, or the compiled loop that binds the same arrays
+    lib = _library()
+    if lib is None:
         return _matrix_steps
-    fn.argtypes, fn.restype = [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 12, None
 
     def compiled_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha, beta):
         B, (n1, n2), w = len(ends), R1.shape, u.shape[1]
-        held = (q1, q2, pi1, pi2, R1, R2, tau, eps, ends, u, alpha, beta)  # outlive the pointers
-        for a, shape in zip(held, [(B, n1), (B, n2)] * 2 + [(n1, n2), (n2, n1)] + [(B,)] * 3
-                            + [(2 * B, w), (w,), (w,)]):
-            if (a.shape != shape or not a.flags.c_contiguous
-                    or a.dtype != (np.int64 if a is ends else np.float64)):
-                raise ValueError(f"the compiled loop needs a C-contiguous {shape} array")
-        args = (B, n1, n2, w, int(normalize), *(a.ctypes.data for a in held))
-        return lambda k0, k1, held=held: fn(k0, k1, *args)
+        return _bind(lib.zsdyn_matrix_steps, (B, n1, n2, w, int(normalize)),
+                     (q1, q2, pi1, pi2, R1, R2, tau, eps, ends, u, alpha, beta),
+                     [(B, n1), (B, n2)] * 2 + [(n1, n2), (n2, n1)] + [(B,)] * 3
+                     + [(2 * B, w), (w,), (w,)], (ends,))
+    return compiled_steps
+
+
+def _visbr_loop():
+    # _visbr_steps, or the compiled loop that binds the same arrays
+    lib = _library()
+    if lib is None:
+        return _visbr_steps
+
+    def compiled_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, frozen, gamma,
+                       u, alpha, beta):
+        B, (S, n1, n2), w = len(states), R1.shape, u.shape[1]
+        return _bind(lib.zsdyn_visbr_steps, (B, S, n1, n2, w, int(frozen), float(gamma)),
+                     (q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, u, alpha, beta),
+                     [(B, S, n1), (B, S, n2), (B, S), (B, S), *[(B, S, n1 + n2)] * 2, (B,),
+                      (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1), (B,), (B,), (3 * B, w),
+                      (w,), (w,)], (states,))
     return compiled_steps

@@ -1,22 +1,20 @@
-/* The matrix dynamics' step loop, compiled: _core._matrix_steps on C doubles.
+/* Both kernels' step loops, compiled: _core._matrix_steps and
+   _core._visbr_steps on C doubles.
 
-   It runs steps k0..k1-1 of B trajectories in place on (B, n_i) row arrays,
-   each trajectory b while k < ends[b]. Step k of player i of trajectory b
-   reads the uniform u[(i * B + b) * w + k % w] and the rates alpha[k % w]
-   and beta[k % w]. Every float operation is one that _core._matrix_steps
-   does, in its order, with sums left to right. The bits hold only when this
-   is compiled with -ffp-contract=off and without -ffast-math, and exp and
-   sqrt come from the C library, as math.exp and math.sqrt do. */
+   Each runs steps k0..k1-1 in place on C-contiguous arrays. Step k reads
+   the uniforms at column k % w of its (n, w) uniform rows, and the rates
+   alpha[k % w] and beta[k % w]. Every float operation is one that the list
+   loop does, in its order, with sums left to right. The bits hold only when
+   this is compiled with -ffp-contract=off and without -ffast-math, and exp
+   and sqrt come from the C library, as math.exp and math.sqrt do. */
 #include <math.h>
 #include <stdint.h>
 
-/* pi += beta (smoothed_policy(q) - pi), then the action that u picks: the
-   count of the partial sums pi[0] + ... + pi[j], j < n - 1, that u passes */
-static int64_t move(const double *q, double *pi, int64_t n, double tau, double eps,
-                    int64_t normalize, double beta, double u, double *e)
+/* the exps of smoothed_policy(q) into e, returning their total: the
+   softmax of q / tau, of the l2-normalized q when normalize is set */
+static double softmax(const double *q, int64_t n, double tau, int64_t normalize, double *e)
 {
-    double nrm = 1.0, m, tot = 0.0, acc = 0.0;
-    int64_t a = 0;
+    double nrm = 1.0, m, tot = 0.0;
     if (normalize) {
         double sq = 0.0;
         for (int64_t j = 0; j < n; j++)
@@ -33,15 +31,42 @@ static int64_t move(const double *q, double *pi, int64_t n, double tau, double e
         e[j] = exp((e[j] - m) / tau);
         tot += e[j];
     }
-    for (int64_t j = 0; j < n; j++)
-        pi[j] += beta * (eps / n + (1.0 - eps) * (e[j] / tot) - pi[j]);
+    return tot;
+}
+
+/* pick_action(p, u): the count of the partial sums p[0] + ... + p[j],
+   j < n - 1, that u passes; p >= 0 keeps them sorted */
+static int64_t pick(const double *p, int64_t n, double u)
+{
+    double acc = 0.0;
+    int64_t a = 0;
     for (int64_t j = 0; j < n - 1; j++) {
-        acc += pi[j];
+        acc += p[j];
         a += u >= acc;
     }
     return a;
 }
 
+/* pi += beta (smoothed_policy(q) - pi), then the action that u picks */
+static int64_t move(const double *q, double *pi, int64_t n, double tau, double eps,
+                    int64_t normalize, double beta, double u, double *e)
+{
+    double tot = softmax(q, n, tau, normalize, e);
+    for (int64_t j = 0; j < n; j++)
+        pi[j] += beta * (eps / n + (1.0 - eps) * (e[j] / tot) - pi[j]);
+    return pick(pi, n, u);
+}
+
+/* t = smoothed_policy(q), not normalized */
+static void target(const double *q, int64_t n, double tau, double eps, double *t)
+{
+    double tot = softmax(q, n, tau, 0, t);
+    for (int64_t j = 0; j < n; j++)
+        t[j] = eps / n + (1.0 - eps) * (t[j] / tot);
+}
+
+/* B trajectories on (B, n_i) rows per player, each trajectory b while
+   k < ends[b]; u row i * B + b is player i's of trajectory b */
 void zsdyn_matrix_steps(int64_t k0, int64_t k1, int64_t B, int64_t n1, int64_t n2,
                         int64_t w, int64_t normalize, double *q1, double *q2, double *pi1,
                         double *pi2, const double *R1, const double *R2, const double *tau,
@@ -59,6 +84,45 @@ void zsdyn_matrix_steps(int64_t k0, int64_t k1, int64_t B, int64_t n1, int64_t n
                               u[(B + b) * w + c], e);
             x1[a1] += alpha[c] * (R1[a1 * n2 + a2] - x1[a1]);
             x2[a2] += alpha[c] * (R2[a2 * n1 + a1] - x2[a2]);
+        }
+    }
+}
+
+/* B trajectories of one (schedule, K, T) group on (B * S, .) rows, row
+   b * S + s being state s of trajectory b; pi and tg have both players'
+   columns, player 1's first. u row i * B + b is player i's (i = 0, 1) or
+   the environment's (i = 2) of trajectory b. sums[(s * n1 + a1) * n2 + a2]
+   holds the S - 1 partial sums of that transition row. A frozen player 2's
+   columns of tg equal its columns of pi, and its q stays put. */
+void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1, int64_t n2,
+                       int64_t w, int64_t frozen, double gamma, double *q1, double *q2,
+                       double *v1, double *v2, double *pi, double *tg, int64_t *states,
+                       const double *R1, const double *R2, const double *sums,
+                       const double *tau, const double *eps, const double *u,
+                       const double *alpha, const double *beta)
+{
+    int64_t n = n1 + n2;
+    for (int64_t b = 0; b < B; b++) {
+        double *p = pi + b * S * n, *t = tg + b * S * n;
+        for (int64_t k = k0; k < k1; k++) {
+            int64_t c = k % w, s = states[b], r = b * S + s, a1, a2, next, j1, j2;
+            double *x1 = q1 + r * n1, *x2 = q2 + r * n2;
+            for (int64_t j = 0; j < S * n; j++)
+                p[j] += beta[c] * (t[j] - p[j]);
+            a1 = pick(pi + r * n, n1, u[b * w + c]);
+            a2 = pick(pi + r * n + n1, n2, u[(B + b) * w + c]);
+            j1 = (s * n1 + a1) * n2 + a2;
+            j2 = (s * n2 + a2) * n1 + a1;
+            next = 0;
+            for (int64_t j = 0; j < S - 1; j++)
+                next += u[(2 * B + b) * w + c] >= sums[j1 * (S - 1) + j];
+            x1[a1] += alpha[c] * (R1[j1] + gamma * v1[b * S + next] - x1[a1]);
+            target(x1, n1, tau[b], eps[b], tg + r * n);
+            if (!frozen) {
+                x2[a2] += alpha[c] * (R2[j2] + gamma * v2[b * S + next] - x2[a2]);
+                target(x2, n2, tau[b], eps[b], tg + r * n + n1);
+            }
+            states[b] = next;
         }
     }
 }

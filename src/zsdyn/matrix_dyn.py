@@ -86,7 +86,7 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     B, K = len(configs), max(c.K for c in configs)
     ends = np.array([c.K for c in configs], dtype=np.int64)
     strides = np.array([c.record_stride for c in configs])
-    taus, epss = np.array([c.tau for c in configs]), np.array([c.eps_bar for c in configs])
+    taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
     # generator i*B + b and row i*B + b of u belong to player i of trajectory b
     rngs = _generators([c.seed for c in configs], 2)
     u, alpha, beta = np.empty((2 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))

@@ -16,32 +16,28 @@ inner stepsize schedule restarts at k=0 every round.
 The explore variant mixes the softmax target with the uniform distribution,
 which floors every policy entry at eps_bar / n_actions.
 
-run_visbr steps the trajectories of configs that share (schedule, K, T),
-and so every step's beta, in lockstep as one group. Both players'
-policies, and each state's softmax target of q, are two (B*S, n1 + n2)
-float64 arrays pi and tg, player 1's columns first, where row b*S + s is
-state s of trajectory b; both players' columns are always present. Every
-state of every trajectory moves in the one expression pi += beta (tg - pi),
-the same three operations per entry as a list loop. The work at each
-trajectory's visited state s stays in _core's list code: sampling, the TD
-update of q, and the softmax that rewrites tg[s]. q moves only at s, so
-tg[st] stays the target of q[st]. The next state is bisect_right on the
-transition row's partial sums, cached once per call and added as
-pick_action adds them. A frozen player 2's target is its own table: its
-columns of pi and tg start equal, so the policy step leaves them exactly
-where they are, while its q and v stay 0. The v* and game tables are built
-once per call; v_err is recorded on every game.
+run_visbr steps the configs that share (schedule, K, T), and so every
+step's rates, as one group in the compiled C loop of _loops.c (loaded by
+_core._visbr_loop), from one stop to the next: a step at which some
+trajectory records, or the start of a chunk of uniforms. A group's q, v and
+policies are (B, S, .) float64 arrays, and tg caches each state's softmax
+target of q, both players' columns beside each other in pi and tg. A step
+moves every state by pi += beta (tg - pi), samples at the visited state,
+picks the next state by counting the transition row's partial sums (cached
+once per call), TD-updates q there and rewrites that state's target: q
+moves only there. A frozen player 2's columns of pi and tg start equal, so
+they stay put, while its q and v stay 0. The loop runs the float operations
+of _core._visbr_steps, the list loop that specifies it bit for bit and runs
+wherever it cannot be built. Recording and the round-end v stay here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _targets, pick_action, smoothed_policy
+from ._core import _UNIFORM_CHUNK, _generators, _visbr_loop, pick_action, smoothed_policy
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import DimensionMismatch, NotErgodic
 from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
@@ -51,7 +47,7 @@ from .ops import minimax_fixed_point, stationary_distribution
 
 VISBR_METRICS = ("ng", "min_pi", "q_inf", "lsum", "v_inf", "v_err")
 
-_SCORE_CHUNK = 128  # a group's recorded rows per stochastic_gaps call and reduction: bounds held memory
+_SCORE_CHUNK = 128  # recorded rows per stochastic_gaps call, or B if larger: bounds held memory
 
 
 def visbr_seed_sequences(seed: int):
@@ -85,24 +81,26 @@ def _ergodicity_warning(game: StochasticGame) -> tuple[str, ...]:
     return ()
 
 
-def _v_stats(v1: list, v2: list, v_star: tuple, frozen: bool) -> tuple:
-    # lsum, v_inf and v_err of the v every row of a round shares; a frozen
-    # player 2's v stays 0, so v_err then measures player 1 alone
-    err1 = max(abs(a - b) for a, b in zip(v1, v_star[0]))
-    err2 = max(abs(a - b) for a, b in zip(v2, v_star[1]))
-    return (max(abs(a + b) for a, b in zip(v1, v2)), max(abs(x) for x in v1 + v2),
-            err1 if frozen else max(err1, err2))
+def _v_stats(v1: np.ndarray, v2: np.ndarray, v_star: np.ndarray, frozen: bool) -> list:
+    # lsum, v_inf and v_err of each trajectory's (S,) v, which every row of a
+    # round shares; a frozen player 2's v stays 0, so v_err then measures
+    # player 1 alone. Player 2's v* is -v_star, as the game is zero-sum
+    err = np.abs(v1 - v_star).max(axis=1)
+    if not frozen:
+        err = np.maximum(err, np.abs(v2 + v_star).max(axis=1))
+    vinf = np.maximum(np.abs(v1), np.abs(v2)).max(axis=1)
+    return list(zip(np.abs(v1 + v2).max(axis=1).tolist(), vinf.tolist(), err.tolist()))
 
 
 def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
               frozen_pi2: np.ndarray | None = None) -> list[TrajectoryRecord]:
     """Run T outer rounds of K inner steps per config; one record each, in order.
 
-    The game and frozen_pi2 checks, the ergodicity warning, v*, the list
-    tables of the game and the transition rows' partial sums are built once
-    per call. Configs that share (schedule, K, T) step in lockstep as one
-    group; a trajectory's iterates depend on its own config only, so a
-    record is the same whichever configs share its call.
+    The game and frozen_pi2 checks, the ergodicity warning, v* and the
+    transition rows' partial sums are built once per call. Configs that
+    share (schedule, K, T) step as one group; a trajectory's iterates depend
+    on its own config only, so a record is the same whichever configs share
+    its call.
     Rows carry index (t, k): every stride multiple within a round, each
     round's final (t, K), the initial point (0, 0), and the final (T, 0)
     written after the last outer update. The iterates do not depend on T,
@@ -131,11 +129,11 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
                 f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
         _check_distributions(fixed2, "frozen_pi2")  # before the run, not at the first score
     ergodicity = _ergodicity_warning(game)
-    v1_star = minimax_fixed_point(game, 1, tol=1e-6)  # zero-sum, so player 2's v* is -v1*
-    v_star = (v1_star.tolist(), (-v1_star).tolist())
-    sums = [[[_partial_sums(p) for p in row] for row in state]
-            for state in game.transition.tolist()]
-    tables = (sums, game.R1.tolist(), game.R2.tolist())
+    v_star = minimax_fixed_point(game, 1, tol=1e-6)  # player 1's; player 2's is -v_star
+    # each transition row's partial sums up to its last entry but one, added
+    # left to right as pick_action adds them; p >= 0 keeps them sorted
+    tables = [np.cumsum(game.transition[..., :-1], axis=-1),
+              *(np.ascontiguousarray(R, dtype=np.float64) for R in (game.R1, game.R2))]
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         groups.setdefault((c.schedule, c.K, c.T), []).append(i)
@@ -147,132 +145,82 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
     return records
 
 
-def _partial_sums(p: list) -> list:
-    # p[0], p[0] + p[1], ... up to the last entry but one, added left to
-    # right as pick_action adds them: bisect_right(sums, u) is then
-    # pick_action(p, u), and p >= 0 keeps the sums sorted
-    return list(accumulate(p[:-1]))
-
-
 def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     # the trajectories of configs sharing (schedule, K, T), on the tables
-    # and v* that the call shares. Each starts from zero q as nested lists,
-    # uniform policies (fixed2 for a frozen player 2) and v = 0, with S0
-    # drawn from its environment stream.
-    S, n1, n2 = game.n_states, game.n_actions_1, game.n_actions_2
-    T, K, schedule = configs[0].T, configs[0].K, configs[0].schedule
-    gamma, frozen = game.gamma, fixed2 is not None
+    # and v* that the call shares, as (B, S, .) arrays: zero q and v, uniform
+    # policies (fixed2 for a frozen player 2) and S0 drawn from each
+    # environment stream. The loop steps them from one stop (a recording
+    # step or a chunk's start) to the next
+    S, n1, n2, B = game.n_states, game.n_actions_1, game.n_actions_2, len(configs)
+    T, K, schedule, frozen = configs[0].T, configs[0].K, configs[0].schedule, fixed2 is not None
     # generator i*B + b and row i*B + b of u are player 1's (i = 0),
     # player 2's (i = 1) or the environment's (i = 2) of trajectory b
-    B = len(configs)
     rngs = _generators([c.seed for c in configs], 3)
-    u = np.empty((3 * B, _UNIFORM_CHUNK))
-    start = game.initial_dist.tolist()
+    u, alpha, beta = np.empty((3 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
+    states = np.array([pick_action(game.initial_dist.tolist(), g.random()) for g in rngs[2 * B:]],
+                      dtype=np.int64)
+    q1, q2, v1, v2 = np.zeros((B, S, n1)), np.zeros((B, S, n2)), *np.zeros((2, B, S))
     # q starts at zero, so a learner's target starts as the softmax of zero
-    # rows; a frozen player's target is its own table. The targets depend on
-    # q only, which the end-of-round v update leaves alone, so the cache
-    # carries across rounds. The softmax takes one column per state; the
-    # copy keeps tg in C order, as pi, for the per-state row writes
+    # rows; a frozen player's target is its own table, which its policy
+    # starts at. Targets depend on q only, so the cache carries across rounds
     pi = np.tile(np.hstack((np.full((S, n1), 1.0 / n1),
-                            fixed2 if frozen else np.full((S, n2), 1.0 / n2))), (B, 1))
-    tg = np.vstack([np.hstack([_targets(np.zeros((n, S)), c.tau, c.eps_bar, False).T
-                               for n in (n1, n2)]) for c in configs]).copy()
+                            fixed2 if frozen else np.full((S, n2), 1.0 / n2))), (B, 1, 1))
+    tg = np.array([[smoothed_policy([0.0] * n1, c.tau, c.eps_bar, False)
+                    + smoothed_policy([0.0] * n2, c.tau, c.eps_bar, False)] * S for c in configs])
     if frozen:
-        tg[:, n1:] = pi[:, n1:]
-    # per trajectory, what a step reads and writes: the state, the first
-    # row of its block, q1, q2, v1, v2, tau and eps
-    runs = [[pick_action(start, rng.random()), b * S, [[0.0] * n1 for _ in range(S)],
-             [[0.0] * n2 for _ in range(S)], [0.0] * S, [0.0] * S, c.tau, c.eps_bar]
-            for b, (c, rng) in enumerate(zip(configs, rngs[2 * B:]))]
+        tg[..., n1:] = pi[..., n1:]
+    strides = [c.record_stride for c in configs]
+    taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
+    steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, taus, epss, frozen,
+                          game.gamma, u, alpha, beta)
+    due = {k for stride in strides for k in range(stride, K, stride)} | {K}
+    stops = sorted(due | set(range(0, K, _UNIFORM_CHUNK)))
     outs = [([], [], [], [], []) for _ in configs]  # index, ng, min_pi, q_inf, v rows
-    stats = [_v_stats(run[4], run[5], v_star, frozen) for run in runs]
-    held, held_q, owners = [], [], []  # recorded joint policies and flat q, not reduced yet
-    by_stride: dict[int, list[int]] = {}
-    for b, c in enumerate(configs):
-        by_stride.setdefault(c.record_stride, []).append(b)
+    held, owners = [], []  # recorded policies and q, not scored yet
 
     def score() -> None:
-        stack = np.array(held)
+        stack, h1, h2 = map(np.concatenate, zip(*held))
         for b, *row in zip(owners, stochastic_gaps(game, stack[..., :n1], stack[..., n1:]).tolist(),
                            stack[..., :n1 if frozen else None].min(axis=(1, 2)).tolist(),
-                           np.abs(held_q).max(axis=1).tolist()):
+                           np.maximum(*(np.abs(h).max(axis=(1, 2)) for h in (h1, h2))).tolist()):
             for col, x in zip(outs[b][1:4], row):
                 col.append(x)
-        del held[:], held_q[:], owners[:]
+        del held[:], owners[:]
 
-    def record(b: int, t: int, k: int) -> None:
-        _, first, q1, q2 = runs[b][:4]
-        outs[b][0].append((t, k))
-        outs[b][4].append(stats[b])
-        held.append(pi[first:first + S].copy())
-        held_q.append([x for row in q1 + q2 for x in row])
-        owners.append(b)
-        if len(held) == _SCORE_CHUNK:
+    def record(now: list, t: int, k: int) -> None:
+        if owners and len(owners) + len(now) > _SCORE_CHUNK:
             score()
+        for b in now:
+            outs[b][0].append((t, k))
+            outs[b][4].append(stats[b])
+        held.append((pi[now], q1[now], q2[now]))
+        owners.extend(now)
 
-    for b in range(B):
-        record(b, 0, 0)
+    stats = _v_stats(v1, v2, v_star, frozen)
+    record(list(range(B)), 0, 0)
     for t in range(T):
-        due = min(K, *by_stride)  # the next step at which some trajectory records
-        for k in range(0, K, _UNIFORM_CHUNK):
-            # the same streams as one draw of K per generator and round
-            n = min(_UNIFORM_CHUNK, K - k)
-            for rng, row in zip(rngs, u):
-                rng.random(out=row[:n])
-            draws = u[:, :n].T.reshape(n, 3, B).tolist()  # [step][i][b]
-            # beta as a numpy float64, which the array step takes faster than a float
-            rates = [(a, np.float64(r)) for a, r in map(schedule.rates, range(k, k + n))]
-            for done, (alpha, beta), step in zip(range(k + 1, k + n + 1), rates, draws):
-                # tg[s] is recomputed from the q row that a full rebuild
-                # would use; a frozen player 2 keeps its columns of tg[s]
-                pi += beta * (tg - pi)
-                for run, u1, u2, ue in zip(runs, *step):
-                    s, row, q1, q2, v1, v2, tau, eps = run
-                    row += s
-                    here = pi[row].tolist()
-                    a1 = pick_action(here[:n1], u1)
-                    a2 = pick_action(here[n1:], u2)
-                    s_next = bisect_right(sums[s][a1][a2], ue)
-                    row1 = q1[s]
-                    row1[a1] += alpha * (R1[s][a1][a2] + gamma * v1[s_next] - row1[a1])
-                    target = smoothed_policy(row1, tau, eps, False)
-                    if frozen:
-                        tg[row, :n1] = target
-                    else:  # the whole-row write is the faster one
-                        row2 = q2[s]
-                        row2[a2] += alpha * (R2[s][a2][a1] + gamma * v2[s_next] - row2[a2])
-                        target += smoothed_policy(row2, tau, eps, False)
-                        tg[row] = target
-                    run[0] = s_next
-                if done == due:
-                    for stride, members in by_stride.items():
-                        if done % stride == 0 or done == K:
-                            for b in members:
-                                record(b, t, done)
-                    due = min(K, *(done - done % stride + stride for stride in by_stride))
-            del draws  # so the next chunk's floats are not built while these are held
-        for b, run in enumerate(runs):
-            block = pi[run[1]:run[1] + S]
-            run[4] = _weighted_rows(block[:, :n1].tolist(), run[2])
-            run[5] = _weighted_rows(block[:, n1:].tolist(), run[3])
-            stats[b] = _v_stats(run[4], run[5], v_star, frozen)
-    for b in range(B):
-        record(b, T, 0)
-    if held:
-        score()
+        for k, done in zip(stops, stops[1:]):
+            if k % _UNIFORM_CHUNK == 0:
+                # the same streams as one draw of K per generator and round
+                for rng, row in zip(rngs, u):
+                    rng.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
+                alpha[:], beta[:] = schedule.rates(np.arange(k, k + _UNIFORM_CHUNK))
+            steps(k, done)
+            if done in due:
+                record([b for b, n in enumerate(strides) if done % n == 0 or done == K], t, done)
+        for v, q, p in ((v1, q1, pi[..., :n1]), (v2, q2, pi[..., n1:])):
+            v[:] = [_weighted_rows(*x) for x in zip(p.tolist(), q.tolist())]
+        stats = _v_stats(v1, v2, v_star, frozen)
+    record(list(range(B)), T, 0)
+    score()
 
-    records = []
-    for (_, first, q1, q2, v1, v2, _, _), (index, ng, min_pi, q_inf, v_rows), c in zip(
-            runs, outs, configs):
-        block = pi[first:first + S]
-        columns = zip(VISBR_METRICS, (ng, min_pi, q_inf, *zip(*v_rows)), strict=True)
-        records.append(TrajectoryRecord(
-            config_echo=c.to_dict(),
-            index=np.array(index, dtype=np.int64),
-            series={name: np.array(col) for name, col in columns},
-            final_policy=JointPolicy(pi1=block[:, :n1].copy(), pi2=block[:, n1:].copy()),
-            final_q=(np.array(q1), np.array(q2)),
-            final_v=(np.array(v1), np.array(v2)),
-            warnings=visbr_condition_warnings(c, game.gamma) + ergodicity,
-        ))
-    return records
+    return [TrajectoryRecord(
+        config_echo=c.to_dict(),
+        index=np.array(index, dtype=np.int64),
+        series={name: np.array(col) for name, col in
+                zip(VISBR_METRICS, (ng, min_pi, q_inf, *zip(*v_rows)), strict=True)},
+        final_policy=JointPolicy(pi1=pi[b, :, :n1].copy(), pi2=pi[b, :, n1:].copy()),
+        final_q=(q1[b].copy(), q2[b].copy()),
+        final_v=(v1[b].copy(), v2[b].copy()),
+        warnings=visbr_condition_warnings(c, game.gamma) + ergodicity,
+    ) for b, ((index, ng, min_pi, q_inf, v_rows), c) in enumerate(zip(outs, configs))]

@@ -3,15 +3,23 @@
 import pytest
 
 import zsdyn.matrix_dyn
+import zsdyn.visbr
 from zsdyn import _core
+
+# each kernel's module, the name it loads its step loop by, and its list loop
+KERNELS = ((zsdyn.matrix_dyn, "_matrix_loop", _core._matrix_steps),
+           (zsdyn.visbr, "_visbr_loop", _core._visbr_steps))
 
 
 @pytest.fixture
-def matrix_loops(monkeypatch):
-    """Iterating it runs its body on each matrix step loop: the compiled loop,
-    where it loaded, then the list loop, with the kernel monkeypatched to it."""
+def loops(monkeypatch):
+    """Iterating it runs its body on each kind of step loop: the compiled
+    loops, where they loaded, then the list loops, with both kernels
+    monkeypatched to them."""
     def each():
-        for loop in dict.fromkeys((_core._matrix_loop(), _core._matrix_steps)):
-            monkeypatch.setattr(zsdyn.matrix_dyn, "_matrix_loop", lambda loop=loop: loop)
-            yield loop
+        for kind in dict.fromkeys(("compiled" if _core._library() else "list", "list")):
+            for module, name, listed in KERNELS:
+                loop = getattr(_core, name)() if kind == "compiled" else listed
+                monkeypatch.setattr(module, name, lambda loop=loop: loop)
+            yield kind
     return each()

@@ -151,13 +151,13 @@ MATRIX_SWEEP = dict(
     out_dir="out")
 
 
-def test_golden_matrix_sweep(tmp_path, monkeypatch, matrix_loops):
+def test_golden_matrix_sweep(tmp_path, monkeypatch, loops):
     monkeypatch.chdir(tmp_path)
-    for _ in matrix_loops:
+    for _ in loops:
         _check("matrix", _sweep_digests(ExperimentConfig(**MATRIX_SWEEP)))
 
 
-def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch, matrix_loops):
+def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch, loops):
     # two K values (record_stride 10 does not divide 45) and two schedules
     # give four kernel groups; tau and eps_bar vary within each group
     monkeypatch.chdir(tmp_path)
@@ -171,11 +171,11 @@ def test_golden_matrix_grouped_sweep(tmp_path, monkeypatch, matrix_loops):
                             {"kind": "diminishing", "alpha": 4.0, "beta": 1.0, "h": 8.0}],
                "tau": [0.2, 0.5], "eps_bar": [0.05, 0.3]},
         out_dir="out")
-    for _ in matrix_loops:
+    for _ in loops:
         _check("matrix_grouped", _sweep_digests(cfg))
 
 
-def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch, matrix_loops):
+def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch, loops):
     # the 3x2 action counts catch a slip between the two players' rows in
     # the kernel; K=90 spans two
     # uniform chunks of 64
@@ -186,33 +186,38 @@ def test_golden_matrix_unequal_actions_sweep(tmp_path, monkeypatch, matrix_loops
              "tau": 0.5, "schedule": dict(SCHED), "K": 90, "record_stride": 15},
         n_trajectories=3, base_seed=808, sweep={"tau": [0.25, 0.5]},
         out_dir="out")
-    for _ in matrix_loops:
+    for _ in loops:
         _check("matrix_3x2", _sweep_digests(cfg))
 
 
-def test_golden_stochastic_sweep(tmp_path, monkeypatch):
+# the "stochastic" fixture
+STOCHASTIC_SWEEP = dict(
+    kind="stochastic", game=SG3,
+    run={"variant": "explore", "eps_bar": 0.2, "tau": 0.2,
+         "schedule": dict(SCHED), "T": 2, "K": 30, "record_stride": 10},
+    n_trajectories=2, base_seed=77, out_dir="out")
+
+
+def test_golden_stochastic_sweep(tmp_path, monkeypatch, loops):
     monkeypatch.chdir(tmp_path)
-    cfg = ExperimentConfig(
-        kind="stochastic", game=SG3,
-        run={"variant": "explore", "eps_bar": 0.2, "tau": 0.2,
-             "schedule": dict(SCHED), "T": 2, "K": 30, "record_stride": 10},
-        n_trajectories=2, base_seed=77, out_dir="out")
-    digests = _sweep_digests(cfg)
-    header = (tmp_path / "out" / "point_0000.csv").read_text().splitlines()[0]
-    assert header.endswith(",v_err")
-    _check("stochastic", digests)
+    for _ in loops:
+        digests = _sweep_digests(ExperimentConfig(**STOCHASTIC_SWEEP))
+        header = (tmp_path / "out" / "point_0000.csv").read_text().splitlines()[0]
+        assert header.endswith(",v_err")
+        _check("stochastic", digests)
 
 
-def test_golden_frozen_opponent_record():
+def test_golden_frozen_opponent_record(loops):
     game = z.load_game(SG3)
     config = z.VisbrConfig(tau=0.2, schedule=z.StepsizeSchedule.from_dict(SCHED),
                            T=2, K=30, seed=5, variant="explore", eps_bar=0.2,
                            record_stride=10)
     frozen = np.array([[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
-    _check("frozen", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))
+    for _ in loops:
+        _check("frozen", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))
 
 
-def test_golden_stochastic_unequal_actions_sweep(tmp_path, monkeypatch):
+def test_golden_stochastic_unequal_actions_sweep(tmp_path, monkeypatch, loops):
     # eps_bar 0.0 runs the explore variant like the plain one; recording
     # every step pins each intermediate policy, and the 3x2 action counts
     # catch a slip between the two players' columns
@@ -223,14 +228,16 @@ def test_golden_stochastic_unequal_actions_sweep(tmp_path, monkeypatch):
              "schedule": dict(SCHED), "T": 2, "K": 25, "record_stride": 1},
         n_trajectories=2, base_seed=4242, sweep={"eps_bar": [0.0, 0.2]},
         out_dir="out")
-    _check("stochastic_3x2", _sweep_digests(cfg))
+    for _ in loops:
+        _check("stochastic_3x2", _sweep_digests(cfg))
 
 
-def test_golden_frozen_opponent_unequal_actions_record():
+def test_golden_frozen_opponent_unequal_actions_record(loops):
     game = z.load_game(SG5)
     config = z.VisbrConfig(tau=0.3, schedule=z.StepsizeSchedule.from_dict(SCHED),
                            T=3, K=20, seed=9, variant="explore", eps_bar=0.1,
                            record_stride=1)
     frozen = np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875], [0.375, 0.625],
                        [1.0, 0.0]])
-    _check("frozen_3x2", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))
+    for _ in loops:
+        _check("frozen_3x2", _series_digests(z.run_visbr(game, [config], frozen_pi2=frozen)[0]))

@@ -1,5 +1,6 @@
-"""Loading the matrix kernel's compiled step loop, and its fallback."""
+"""Building and loading both kernels' compiled step loops, and their fallback."""
 
+import functools
 import hashlib
 import json
 import os
@@ -9,10 +10,11 @@ import sys
 
 import pytest
 
+import zsdyn as z
 from zsdyn import _core
 from zsdyn.harness import ExperimentConfig, run_experiment
 
-from test_golden import GOLDEN, MATRIX_SWEEP, SCHED, SG3
+from test_golden import GOLDEN, MATRIX_SWEEP, SCHED, SG3, STOCHASTIC_SWEEP
 
 SRC = os.path.dirname(_core.__file__)
 
@@ -31,12 +33,18 @@ def _fake_cc(tmp_path):
 @pytest.fixture
 def fresh_loader(tmp_path, monkeypatch):
     """_core's loader against a copy of _loops.c whose __pycache__ starts
-    empty; the loop it returns is not kept past the test."""
+    empty; the library it loads is not kept past the test."""
     shutil.copy(os.path.join(SRC, "_loops.c"), tmp_path)
     monkeypatch.setattr(_core, "__file__", str(tmp_path / "_core.py"))
-    _core._matrix_loop.cache_clear()
+    _core._library.cache_clear()
     yield tmp_path
-    _core._matrix_loop.cache_clear()
+    _core._library.cache_clear()
+
+
+def _compiled():
+    # whether both kernels bind their compiled loops
+    return (_core._matrix_loop() is not _core._matrix_steps
+            and _core._visbr_loop() is not _core._visbr_steps)
 
 
 def test_compiled_loop_loads_where_cc_exists():
@@ -44,60 +52,95 @@ def test_compiled_loop_loads_where_cc_exists():
     # other test on the list loop alone
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH: the list loop runs")
-    assert _core._matrix_loop() is not _core._matrix_steps
+    assert _compiled()
 
 
 def test_no_compiler_falls_back_to_the_list_loop(fresh_loader, tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
     monkeypatch.chdir(tmp_path)
     assert _core._matrix_loop() is _core._matrix_steps
+    assert _core._visbr_loop() is _core._visbr_steps
     assert os.listdir(tmp_path / "__pycache__") == []  # the failed build left nothing
-    run_experiment(ExperimentConfig(**MATRIX_SWEEP))
-    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-           for name in sorted(os.listdir(tmp_path / "out"))}
-    assert got == GOLDEN["matrix"]
+    for fixture, sweep in (("matrix", MATRIX_SWEEP), ("stochastic", STOCHASTIC_SWEEP)):
+        run_experiment(ExperimentConfig(**sweep), force=True)
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path / "out"))}
+        assert got == GOLDEN[fixture]
 
 
 def test_a_cached_object_loads_without_the_compiler(fresh_loader, tmp_path, monkeypatch):
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    assert _core._matrix_loop() is not _core._matrix_steps
+    assert _compiled()
     [built] = os.listdir(tmp_path / "__pycache__")
-    _core._matrix_loop.cache_clear()
+    _core._library.cache_clear()
     bin_dir = _fake_cc(tmp_path)
     monkeypatch.setenv("PATH", str(bin_dir))
-    assert _core._matrix_loop() is not _core._matrix_steps
+    assert _compiled()
     assert not (bin_dir / "cc.ran").exists()
     assert os.listdir(tmp_path / "__pycache__") == [built]
 
 
+def test_a_new_build_removes_the_objects_of_older_sources(fresh_loader, tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    cache = tmp_path / "__pycache__"
+    older = _core._build()
+    with open(tmp_path / "_loops.c", "a") as f:
+        f.write("/* an edit */\n")
+    newer = _core._build()
+    assert newer != older and os.listdir(cache) == [os.path.basename(newer)]
+
+
 # run in a fresh interpreter on a copy of the package, with a cc that marks
-# each call: prints whether the loader ran. numpy imports ctypes itself, so
-# whether ctypes is in sys.modules tells nothing
+# each call: imports zsdyn, runs the sweep given, if any, and prints whether
+# the loader ran. numpy imports ctypes itself, so whether ctypes is in
+# sys.modules tells nothing
 PROBE = """
 import json, sys
 import zsdyn
 from zsdyn import _core
 from zsdyn.harness import ExperimentConfig, run_experiment
-run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))
-print(_core._matrix_loop.cache_info().currsize)
+if sys.argv[1:]:
+    run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))
+print(_core._library.cache_info().currsize)
 """
 
 
-@pytest.mark.parametrize("kind", ["stochastic", "matrix"])
-def test_only_the_matrix_kernel_starts_the_build(tmp_path, kind):
-    # importing zsdyn and a stochastic sweep leave the compiled loop
-    # unbuilt and start no compiler; the matrix sweep shows that the
-    # probe sees both
+@pytest.mark.parametrize("kind", ["import", "stochastic", "matrix"])
+def test_only_a_kernel_call_starts_the_build(tmp_path, kind):
+    # importing zsdyn leaves the compiled loops unbuilt and starts no
+    # compiler; the first call of either kernel starts the build
     shutil.copytree(SRC, tmp_path / "pkg" / "zsdyn",
                     ignore=shutil.ignore_patterns("__pycache__"))
     bin_dir = _fake_cc(tmp_path)
-    game, run = ((SG3, {"T": 2}) if kind == "stochastic" else ("builtin:rps", {}))
-    sweep = {"kind": kind, "game": game, "n_trajectories": 2, "base_seed": 5,
-             "run": {"tau": 0.2, "schedule": dict(SCHED), "K": 10, **run}}
+    argv = []
+    if kind != "import":
+        game, run = ((SG3, {"T": 2}) if kind == "stochastic" else ("builtin:rps", {}))
+        argv.append(json.dumps({"kind": kind, "game": game, "n_trajectories": 2, "base_seed": 5,
+                                "run": {"tau": 0.2, "schedule": dict(SCHED), "K": 10, **run}}))
     env = dict(os.environ, PYTHONPATH=str(tmp_path / "pkg"), PATH=str(bin_dir))
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(sweep)], cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path,
                          env=env, capture_output=True, text=True, check=True).stdout
-    loaded = kind == "matrix"
+    loaded = kind != "import"
     assert out.split() == [str(int(loaded))]
     assert (bin_dir / "cc.ran").exists() == loaded
+
+
+def test_integer_config_values_give_the_bytes_of_floats(loops):
+    # configs built in Python keep int tau, eps_bar and rates; both kernels
+    # hand their loops float64 rows, so the records equal those of the
+    # same float values, series and final iterates alike
+    cases = (("matrix", z.load_game("builtin:rps"), z.MatrixRunConfig, z.run_matrix_dynamics),
+             ("stochastic", z.load_game(SG3), functools.partial(z.VisbrConfig, T=2), z.run_visbr))
+    for _ in loops:
+        for kind, game, make, run in cases:
+            got, want = (run(game, [make(
+                tau=tau, schedule=z.StepsizeSchedule(kind="constant", alpha=rate, beta=rate),
+                K=20, seed=3, variant="explore", eps_bar=eps, record_stride=5)])[0]
+                for tau, rate, eps in ((1, 1, 0), (1.0, 1.0, 0.0)))
+            iterates = zip((got.index, *got.series.values(), got.final_policy.pi1,
+                            got.final_policy.pi2, *got.final_q),
+                           (want.index, *want.series.values(), want.final_policy.pi1,
+                            want.final_policy.pi2, *want.final_q), strict=True)
+            assert all(g.tobytes() == w.tobytes() for g, w in iterates), kind

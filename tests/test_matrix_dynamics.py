@@ -159,7 +159,7 @@ def _uniform_game(shape, seed):
 LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
 
 
-def test_run_equals_stepping_bitwise(matrix_loops):
+def test_run_equals_stepping_bitwise(loops):
     # the kernel against _reference_steps, compared after every step, on
     # each loop. K=70 crosses a uniform chunk; the games are square and
     # not, and a one-action player samples without passing a partial sum,
@@ -178,7 +178,7 @@ def test_run_equals_stepping_bitwise(matrix_loops):
                       normalize_q_in_softmax=True))]
     cases = [(game, replace(config, K=70, record_stride=1)) for game, config in cases]
     wants = [_reference_steps(game, config) for game, config in cases]
-    for _ in matrix_loops:
+    for _ in loops:
         for (game, config), want in zip(cases, wants):
             [rec] = z.run_matrix_dynamics(game, [config])
             for trunc, ref in zip(_truncations(game, config), want, strict=True):
@@ -439,7 +439,7 @@ def test_entropy_is_the_batched_entropy_row():
 
 
 @LAYOUTS
-def test_records_do_not_depend_on_the_batch(shape, matrix_loops):
+def test_records_do_not_depend_on_the_batch(shape, loops):
     game = _uniform_game(shape, 5)
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
     configs = []
@@ -457,7 +457,7 @@ def test_records_do_not_depend_on_the_batch(shape, matrix_loops):
         configs.append(_config(**kw))
     configs.append(configs[2])  # a duplicate runs twice, with equal records
     random.Random(11).shuffle(configs)
-    for _ in matrix_loops:
+    for _ in loops:
         batched = z.run_matrix_dynamics(game, configs)
         assert len(batched) == len(configs)
         for config, rec in zip(configs, batched):

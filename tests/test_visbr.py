@@ -4,6 +4,7 @@ one-sided mode."""
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import zsdyn as z
 from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.visbr import _partial_sums, _weighted_rows
+from zsdyn.visbr import _weighted_rows
 
 
 def _sched(alpha=0.5, beta=0.01):
@@ -228,36 +229,40 @@ def _assert_run_equals_stepping(sg, config, frozen_pi2=None):
     return visited
 
 
-def test_run_equals_stepping():
+def test_run_equals_stepping(loops):
     sg = _random_sg(np.random.default_rng(21), n_states=2)
-    _assert_run_equals_stepping(sg, _config(T=3, K=7, seed=77, record_stride=1))
+    for _ in loops:
+        _assert_run_equals_stepping(sg, _config(T=3, K=7, seed=77, record_stride=1))
 
 
-def test_run_equals_stepping_with_cached_targets():
+def test_run_equals_stepping_with_cached_targets(loops):
     # run_visbr keeps each state's softmax target cached across steps and
     # rounds, the reference recomputes every target each step; with S=6
     # and unequal action counts the trajectory acts in several states, so
     # a stale cached target would show
     sg = _random_sg(np.random.default_rng(21), n_states=6, n1=3, n2=2)
     config = _config(T=3, K=7, seed=77, record_stride=1)
-    assert len(_assert_run_equals_stepping(sg, config)) >= 4
+    for _ in loops:
+        assert len(_assert_run_equals_stepping(sg, config)) >= 4
 
 
-def test_run_equals_stepping_on_a_larger_game():
+def test_run_equals_stepping_on_a_larger_game(loops):
     # 20 states of 3x3: the all-state policy step moves many rows that the
     # trajectory does not visit between two visits
     sg = _random_sg(np.random.default_rng(23), n_states=20, n1=3, n2=3, gamma=0.9)
     config = _config(T=3, K=40, seed=5, tau=0.2, variant="explore", eps_bar=0.1,
                      record_stride=1, schedule=_sched(beta=0.05))
-    assert len(_assert_run_equals_stepping(sg, config)) >= 10
+    for _ in loops:
+        assert len(_assert_run_equals_stepping(sg, config)) >= 10
 
 
-def test_run_equals_stepping_against_a_frozen_opponent():
+def test_run_equals_stepping_against_a_frozen_opponent(loops):
     rng = np.random.default_rng(29)
     sg = _random_sg(rng, n_states=5, n1=3, n2=2)
     config = _config(T=3, K=12, seed=41, record_stride=1, schedule=_sched(beta=0.05))
     frozen = _random_rows(rng, 5, 2)
-    assert len(_assert_run_equals_stepping(sg, config, frozen)) >= 3
+    for _ in loops:
+        assert len(_assert_run_equals_stepping(sg, config, frozen)) >= 3
 
 
 def test_environment_stream_consumption():
@@ -268,7 +273,7 @@ def test_environment_stream_consumption():
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_truncated_runs_are_prefixes(frozen):
+def test_truncated_runs_are_prefixes(frozen, loops):
     # a run with T=t records the first rows of a longer run, then its own
     # (t, 0) row after the round-end update, which leaves q and pi as they
     # are: its ng, min_pi and q_inf are those of (t - 1, K), and its v
@@ -277,18 +282,19 @@ def test_truncated_runs_are_prefixes(frozen):
     sg = _random_sg(rng, n_states=6, n1=3, n2=2)
     kw = {"frozen_pi2": _random_rows(rng, 6, 2)} if frozen else {}
     config = _config(T=4, K=7, seed=77, record_stride=3)
-    recs = z.run_visbr(sg, [replace(config, T=t) for t in range(1, config.T + 1)], **kw)
-    long = recs[-1]
-    rows = long.index.tolist()
-    for t, rec in enumerate(recs, 1):
-        n = len(rec.index) - 1
-        assert rec.index.tolist() == rows[:n] + [[t, 0]]
-        before = rows.index([t - 1, config.K])
-        after = rows.index([t, 3]) if t < config.T else before + 1
-        for name in long.series:
-            assert rec.metric(name)[:n].tobytes() == long.metric(name)[:n].tobytes(), name
-            source = before if name in ("ng", "min_pi", "q_inf") else after
-            assert rec.metric(name)[n] == long.metric(name)[source], (name, t)
+    for _ in loops:
+        recs = z.run_visbr(sg, [replace(config, T=t) for t in range(1, config.T + 1)], **kw)
+        long = recs[-1]
+        rows = long.index.tolist()
+        for t, rec in enumerate(recs, 1):
+            n = len(rec.index) - 1
+            assert rec.index.tolist() == rows[:n] + [[t, 0]]
+            before = rows.index([t - 1, config.K])
+            after = rows.index([t, 3]) if t < config.T else before + 1
+            for name in long.series:
+                assert rec.metric(name)[:n].tobytes() == long.metric(name)[:n].tobytes(), name
+                source = before if name in ("ng", "min_pi", "q_inf") else after
+                assert rec.metric(name)[n] == long.metric(name)[source], (name, t)
 
 
 def test_record_row_structure():
@@ -517,7 +523,7 @@ def _assert_group_equals_stepping(sg, configs, frozen_pi2=None):
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_a_group_equals_stepping(frozen):
+def test_a_group_equals_stepping(frozen, loops):
     # three trajectories step in lockstep on one policy stack; their seeds,
     # tau and eps_bar differ, so a row read from another trajectory's block
     # or a target built with another's tau would show
@@ -528,11 +534,12 @@ def test_a_group_equals_stepping(frozen):
                _config(T=3, K=9, seed=62, tau=0.2, record_stride=1, schedule=_sched(beta=0.05)),
                _config(T=3, K=9, seed=63, tau=0.8, variant="explore", eps_bar=0.2,
                        record_stride=1, schedule=_sched(beta=0.05))]
-    _assert_group_equals_stepping(sg, configs, frozen_pi2)
+    for _ in loops:
+        _assert_group_equals_stepping(sg, configs, frozen_pi2)
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_a_mixed_call_equals_one_config_calls(frozen):
+def test_a_mixed_call_equals_one_config_calls(frozen, loops):
     # groups of two and three configs that differ in schedule, K or T, each
     # member with its own tau, eps_bar and record_stride, plus a config
     # alone in its group
@@ -549,23 +556,25 @@ def test_a_mixed_call_equals_one_config_calls(frozen):
                _config(T=2, K=13, seed=6, record_stride=5),
                _config(T=2, K=10, seed=7, tau=0.4, variant="explore", eps_bar=0.3,
                        record_stride=7)]
-    recs = z.run_visbr(sg, configs, **kw)
-    assert len(recs) == len(configs)
-    for rec, config in zip(recs, configs):
-        [alone] = z.run_visbr(sg, [config], **kw)
-        assert rec == alone
-        for name in alone.series:
-            assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
+    for _ in loops:
+        recs = z.run_visbr(sg, configs, **kw)
+        assert len(recs) == len(configs)
+        for rec, config in zip(recs, configs):
+            [alone] = z.run_visbr(sg, [config], **kw)
+            assert rec == alone
+            for name in alone.series:
+                assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
 
 
 @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
        st.floats(0.0, 1.0, exclude_max=True))
 def test_bisected_partial_sums_pick_the_action_pick_action_picks(row, u):
-    # zero entries repeat a partial sum, which bisect_right must step past
-    # as pick_action's strict u < acc does; u = 0.0 and u equal to a
-    # partial sum are the boundary cases
-    sums = _partial_sums(row)
-    assert sums == sorted(sums)
+    # the kernels' partial sums (np.cumsum) add left to right, as
+    # pick_action does; zero entries repeat a partial sum, which bisect_right
+    # and the compiled loop's count must step past as pick_action's strict
+    # u < acc does; u = 0.0 and u equal to a partial sum are the boundary cases
+    sums = np.cumsum(row[:-1]).tolist()
+    assert sums == list(accumulate(row[:-1])) == sorted(sums)
     for x in (u, 0.0, *sums):
         assert bisect_right(sums, x) == pick_action(row, x), (row, x)
 
