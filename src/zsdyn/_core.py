@@ -15,6 +15,8 @@ _matrix_steps and _visbr_steps are those loops on lists: their bitwise
 specifications, and the fallback wherever the library is not built. The C
 loops keep the bits by the same float operations in the same order, no FMA
 contraction and the C library's exp and sqrt, as math.exp and math.sqrt.
+The same library holds the matrix-game simplex, which _lp_loop binds for
+ops._game_values; ops._simplex_max is its specification and fallback.
 
 It also seeds both kernels: _generators builds the streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
@@ -298,6 +300,7 @@ def _library():
     lib.zsdyn_matrix_steps.argtypes = [i] * 7 + [p] * 12
     lib.zsdyn_visbr_steps.argtypes = [i] * 8 + [d] + [p] * 15
     lib.zsdyn_matrix_steps.restype = lib.zsdyn_visbr_steps.restype = None
+    lib.zsdyn_game_lps.argtypes, lib.zsdyn_game_lps.restype = [i] * 3 + [d] + [p] * 5, i
     return lib
 
 
@@ -344,3 +347,22 @@ def _visbr_loop():
                       (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1), (B,), (B,), (3 * B, w),
                       (w,), (w,)], (states,))
     return compiled_steps
+
+
+def _lp_loop():
+    # solve(A, pivot_eps) -> (z, y): ops._simplex_max on each matrix of an
+    # (N, n, m) stack in one call of the compiled simplex; None where not built
+    lib = _library()
+    if lib is None:
+        return None
+
+    def solve(A, pivot_eps):
+        (N, n, m), A = A.shape, np.ascontiguousarray(A, np.float64)
+        z, y = np.empty((N, m)), np.empty((N, n))
+        scratch = np.empty((n + 1, m + n + 1)), np.empty(n, np.int64)  # tableau, basis
+        args = (a.ctypes.data for a in (A, z, y, *scratch))
+        if rc := lib.zsdyn_game_lps(N, n, m, pivot_eps, *args):
+            raise ArithmeticError(("LP is unbounded; a shifted game LP never is",
+                                   "simplex exceeded its pivot budget")[rc - 1])
+        return z, y
+    return solve

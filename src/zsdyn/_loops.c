@@ -1,12 +1,12 @@
-/* Both kernels' step loops, compiled: _core._matrix_steps and
-   _core._visbr_steps on C doubles.
+/* Both kernels' step loops and the matrix-game simplex, compiled:
+   _core._matrix_steps, _core._visbr_steps and ops._simplex_max on C doubles.
 
-   Each runs steps k0..k1-1 in place on C-contiguous arrays. Step k reads
-   the uniforms at column k % w of its (n, w) uniform rows, and the rates
-   alpha[k % w] and beta[k % w]. Every float operation is one that the list
-   loop does, in its order, with sums left to right. The bits hold only when
-   this is compiled with -ffp-contract=off and without -ffast-math, and exp
-   and sqrt come from the C library, as math.exp and math.sqrt do. */
+   Each step loop runs steps k0..k1-1 in place on C-contiguous arrays. Step k
+   reads the uniforms at column k % w of its (n, w) uniform rows, and the
+   rates alpha[k % w] and beta[k % w]. Every float operation is one that the
+   Python code does, in its order, with sums left to right. The bits hold
+   only when this is compiled with -ffp-contract=off and without -ffast-math,
+   and exp and sqrt come from the C library, as math.exp and math.sqrt do. */
 #include <math.h>
 #include <stdint.h>
 
@@ -125,4 +125,75 @@ void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1,
             states[b] = next;
         }
     }
+}
+
+/* ops._simplex_max(A[k]) for each matrix of the (N, n, m) stack A, whose
+   LPs are max 1'z s.t. A[k] z <= 1, z >= 0, on the (n + 1, m + n + 1)
+   tableau T and the n basic indices: the slack basis, Bland's entering
+   column, ties of the ratio test to the smaller basic index, then the pivot
+   row divided by the pivot and f times it taken from each row. The pivot
+   row goes last, with f = 0.0, as in numpy's outer-product update: it turns
+   a -0.0 into 0.0. Writes z (N, m) and the duals y (N, n); returns 0, or 1
+   for an unbounded LP and 2 when the pivot budget runs out. */
+int64_t zsdyn_game_lps(int64_t N, int64_t n, int64_t m, double pivot_eps, const double *A,
+                       double *z, double *y, double *T, int64_t *basis)
+{
+    int64_t w = m + n + 1, budget = 50 * (n + m) + 1000;
+    double *cost = T + n * w;
+    for (int64_t k = 0; k < N; k++) {
+        int64_t it;
+        for (int64_t i = 0; i < n; i++) { /* row i of [A[k] | I | 1] */
+            for (int64_t j = 0; j < w; j++)
+                T[i * w + j] = j < m ? A[(k * n + i) * m + j] : (j == m + i || j == w - 1);
+            basis[i] = m + i;
+        }
+        for (int64_t j = 0; j < w; j++)
+            cost[j] = j < m ? -1.0 : 0.0;
+        for (it = 0; it < budget; it++) {
+            int64_t enter = -1, leave = -1;
+            double best = INFINITY, *p, pivot;
+            for (int64_t j = 0; j < m + n && enter < 0; j++)
+                if (cost[j] < -pivot_eps)
+                    enter = j;
+            if (enter < 0)
+                break;
+            for (int64_t i = 0; i < n; i++) {
+                double coef = T[i * w + enter], ratio;
+                if (coef > pivot_eps) {
+                    ratio = T[i * w + w - 1] / coef;
+                    if (ratio < best - 1e-15) {
+                        best = ratio;
+                        leave = i;
+                    } else if (ratio <= best + 1e-15 && leave >= 0 && basis[i] < basis[leave]) {
+                        leave = i;
+                    }
+                }
+            }
+            if (leave < 0)
+                return 1;
+            p = T + leave * w;
+            pivot = p[enter];
+            for (int64_t j = 0; j < w; j++)
+                p[j] /= pivot;
+            for (int64_t i = 0; i <= n; i++) {
+                double *r = T + i * w, f = r[enter];
+                if (i != leave)
+                    for (int64_t j = 0; j < w; j++)
+                        r[j] -= f * p[j];
+            }
+            for (int64_t j = 0; j < w; j++)
+                p[j] -= 0.0 * p[j];
+            basis[leave] = enter;
+        }
+        if (it == budget)
+            return 2;
+        for (int64_t j = 0; j < m; j++)
+            z[k * m + j] = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            if (basis[i] < m)
+                z[k * m + basis[i]] = T[i * w + w - 1];
+            y[k * n + i] = cost[m + i];
+        }
+    }
+    return 0;
 }

@@ -90,8 +90,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_op == "value":
         if isinstance(game, MatrixGame):
             value = matrix_game_value(game.R1)
-            _print_json({"value": value.value,
-                         "maximin": value.maximin.tolist(),
+            _print_json({"value": value.value, "maximin": value.maximin.tolist(),
                          "minimax": value.minimax.tolist()})
         else:
             v1 = minimax_fixed_point(game, 1)  # zero-sum: v2 = -v1
@@ -118,8 +117,7 @@ def _cmd_oracle(args) -> int:
         raise ZsdynError("nashdist is defined for matrix games")
     nd = nash_distribution(game, args.tau, tol=args.tol, damping=args.damping,
                            max_iters=args.max_iters)
-    _print_json({"pi1": nd.joint.pi1.tolist(),
-                 "pi2": nd.joint.pi2.tolist(),
+    _print_json({"pi1": nd.joint.pi1.tolist(), "pi2": nd.joint.pi2.tolist(),
                  "residual": nd.residual})
     return 0
 
@@ -139,16 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("matrix-run", help="run the matrix-game dynamics")
-    p.add_argument("--game", required=True,
-                   help="game file, builtin:mp, builtin:rps, or builtin:appF:N=<int>")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("sg-run", help="run the stochastic-game dynamics")
-    p.add_argument("--game", required=True, help="stochastic game file")
-    p.add_argument("--config", required=True, help="experiment JSON")
-    p.add_argument("--out", required=True, help="output directory")
+    for name, kind, games in (
+            ("matrix-run", "matrix", "game file, builtin:mp, builtin:rps, or builtin:appF:N=<int>"),
+            ("sg-run", "stochastic", "stochastic game file")):
+        p = sub.add_parser(name, help=f"run the {kind}-game dynamics")
+        p.add_argument("--game", required=True, help=games)
+        p.add_argument("--config", required=True, help="experiment JSON")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("oracle", help="exact solvers")
     orc = p.add_subparsers(dest="oracle_op", required=True)

@@ -55,12 +55,8 @@ def _field_table(cls: type) -> dict[str, tuple[bool, Callable | None]]:
     table = {}
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
-        if hint is float:
-            convert = _float
-        elif DictConfig in getattr(hint, "__mro__", ()):
-            convert = hint.from_dict
-        else:
-            convert = None
+        nested = DictConfig in getattr(hint, "__mro__", ())
+        convert = _float if hint is float else hint.from_dict if nested else None
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
         table[f.name] = (required, convert)

@@ -168,8 +168,7 @@ def validate_matrix_game(R1, R2=None, require_zero_sum: bool = True) -> MatrixGa
     already-validated game returns an equal game.
     """
     if isinstance(R1, MatrixGame):
-        game = R1
-        return validate_matrix_game(game.R1, game.R2, require_zero_sum)
+        return validate_matrix_game(R1.R1, R1.R2, require_zero_sum)
     r1, r2, zero_sum = _payoff_pair(R1, R2, 2, require_zero_sum)
     return MatrixGame(R1=_frozen(r1), R2=_frozen(r2), zero_sum=zero_sum)
 
@@ -236,8 +235,7 @@ def validate_stochastic_game(transition, R1, R2=None, gamma: float | None = None
     else:
         p_o = _as_float_array(initial_dist, "initial_dist", 1)
         if p_o.shape != (n_states,):
-            raise DimensionMismatch(
-                f"initial_dist must have shape {(n_states,)}, got {p_o.shape}")
+            raise DimensionMismatch(f"initial_dist must have shape {(n_states,)}, got {p_o.shape}")
         _check_distributions(p_o, "initial_dist")
 
     return StochasticGame(transition=_frozen(p), R1=_frozen(r1), R2=_frozen(r2),
@@ -439,20 +437,14 @@ def load_game(source):
 
 def game_hash(game) -> str:
     """Stable hex digest of a validated game's numeric content."""
-    h = hashlib.blake2b(digest_size=16)
     if isinstance(game, MatrixGame):
-        h.update(b"matrix")
-        h.update(np.array(game.R1.shape, dtype=np.int64).tobytes())
-        h.update(game.R1.tobytes())
-        h.update(game.R2.tobytes())
+        parts = (b"matrix", np.array(game.R1.shape, dtype=np.int64), game.R1, game.R2)
     elif isinstance(game, StochasticGame):
-        h.update(b"stochastic")
-        h.update(np.array(game.transition.shape, dtype=np.int64).tobytes())
-        h.update(game.transition.tobytes())
-        h.update(game.R1.tobytes())
-        h.update(game.R2.tobytes())
-        h.update(np.float64(game.gamma).tobytes())
-        h.update(game.initial_dist.tobytes())
+        parts = (b"stochastic", np.array(game.transition.shape, dtype=np.int64),
+                 game.transition, game.R1, game.R2, np.float64(game.gamma), game.initial_dist)
     else:
         raise TypeError(f"unsupported game type {type(game).__name__}")
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.tobytes())
     return h.hexdigest()

@@ -223,8 +223,7 @@ def rate_fit(series: AggregateSeries, k_min: int, stat: str = "mean") -> float:
     if k.size < 2:
         raise ValueError(f"need at least 2 rows with k >= {k_min}, got {k.size}")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise NonPositiveValues(
-            f"rate_fit needs positive finite values beyond k_min={k_min}")
+        raise NonPositiveValues(f"rate_fit needs positive finite values beyond k_min={k_min}")
     if np.any(k <= 0.0):
         raise NonPositiveValues("rate_fit needs positive k indices")
     return float(np.polyfit(np.log(k), np.log(values), 1)[0])
@@ -330,8 +329,7 @@ def run_experiment(config: ExperimentConfig, *, force: bool = False,
         existing = [name for name in sorted(os.listdir(out_dir)) if name == "manifest.json"
                     or (name.startswith("point_") and name.endswith(".csv"))]
         if existing and not force:
-            raise OutputExists(
-                f"{out_dir} already holds {existing[:3]}; pass force to overwrite")
+            raise OutputExists(f"{out_dir} already holds {existing[:3]}; pass force to overwrite")
 
     game = load_game(config.game)
     _require(isinstance(game, MatrixGame if config.kind == "matrix" else StochasticGame),

@@ -3,10 +3,13 @@
 Softmax and entropy (validated one-column cases of _core's batched
 primitives), guaranteed exploration floors, one-step lookahead and minimax
 Bellman operators, the exact matrix-game value (dense simplex, Bland's
-rule), one policy-iteration MDP core serving the best-response oracle and
-the Hoffman-Karp minimax fixed point (both certified by their Bellman
-residuals), exact policy evaluation, and the ergodicity diagnostic.
-Everything here is a pure function of its arguments.
+rule; _game_values solves a stack of games in one call of the simplex
+compiled from _loops.c, or per matrix by _simplex_max, its bitwise
+specification, where that is not built), one policy-iteration MDP core
+serving the best-response oracle and the Hoffman-Karp minimax fixed point
+(both certified by their Bellman residuals), exact policy evaluation, and
+the ergodicity diagnostic. Everything here is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._core import _entropy, _targets
+from ._core import _entropy, _lp_loop, _targets
 from .errors import (
     DimensionMismatch,
     MissingGamma,
@@ -101,26 +104,20 @@ def exploration_bound(setting: str, variant: str, params: SoftmaxParams,
     """
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
-    if setting == "matrix":
-        if variant == "plain":
-            value = _softmax_floor(2.0 / params.tau, a_max)
-        elif variant == "explore":
-            value = params.eps_bar / a_max + (1.0 - params.eps_bar) * _softmax_floor(
-                2.0 / params.tau, a_max)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    elif setting == "stochastic":
-        if variant == "plain":
-            if gamma is None:
-                raise MissingGamma("the plain stochastic bound needs gamma")
-            value = _softmax_floor(2.0 / ((1.0 - gamma) * params.tau), a_max)
-        elif variant == "explore":
-            value = params.eps_bar / a_max
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    else:
+    if setting not in ("matrix", "stochastic"):
         raise ValueError(f"unknown setting {setting!r}")
-    return float(value)
+    if variant not in ("plain", "explore"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if setting == "stochastic":
+        if variant == "explore":
+            return float(params.eps_bar / a_max)
+        if gamma is None:
+            raise MissingGamma("the plain stochastic bound needs gamma")
+        return float(_softmax_floor(2.0 / ((1.0 - gamma) * params.tau), a_max))
+    floor = _softmax_floor(2.0 / params.tau, a_max)
+    if variant == "plain":
+        return float(floor)
+    return float(params.eps_bar / a_max + (1.0 - params.eps_bar) * floor)
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +133,22 @@ class GameValue(NamedTuple):
 _PIVOT_EPS = 1e-12
 
 
-def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Maximize c^T z subject to A z <= b, z >= 0, with b >= 0.
+def _simplex_max(A: np.ndarray):
+    """Maximize 1^T z subject to A z <= 1, z >= 0.
 
     Dense tableau simplex from the slack basis. Entering and leaving
     variables follow Bland's smallest-index rule so degenerate ties cannot
-    cycle. Returns (z, y, objective) where y holds the dual multipliers of
-    the rows, read off the slack columns of the final cost row.
+    cycle. Returns (z, y) where y holds the dual multipliers of the rows,
+    read off the slack columns of the final cost row. The bitwise
+    specification of the compiled simplex, zsdyn_game_lps, and its fallback.
     """
     n_rows, n_cols = A.shape
-    width = n_cols + n_rows + 1
-    T = np.zeros((n_rows + 1, width))
+    T = np.zeros((n_rows + 1, n_cols + n_rows + 1))
     T[:n_rows, :n_cols] = A
-    T[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
-    T[:n_rows, -1] = b
-    T[-1, :n_cols] = -c
+    T[:n_rows, n_cols:-1] = np.eye(n_rows)
+    T[:n_rows, -1] = 1.0
+    T[-1, :n_cols] = -1.0
     basis = list(range(n_cols, n_cols + n_rows))
-
     max_pivots = 50 * (n_rows + n_cols) + 1000  # Bland terminates; cap is defensive
     for _ in range(max_pivots):
         enter = -1
@@ -187,8 +183,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     for i, var in enumerate(basis):
         if var < n_cols:
             z[var] = T[i, -1]
-    y = T[-1, n_cols:n_cols + n_rows].copy()
-    return z, y, float(c @ z)
+    return z, T[-1, n_cols:n_cols + n_rows].copy()
 
 
 def matrix_game_value(X) -> GameValue:
@@ -205,19 +200,23 @@ def matrix_game_value(X) -> GameValue:
         raise DimensionMismatch(f"X must be a non-empty matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput("matrix_game_value input contains non-finite entries")
-    shift = 1.0 + float(np.abs(arr).max())
-    shifted = arr + shift
-    n, m = shifted.shape
-    z, y, w = _simplex_max(shifted, np.ones(n), np.ones(m))
-    if not (w > 0.0 and np.isfinite(w)):
-        raise ArithmeticError(f"degenerate LP objective {w}")
-    minimax = z / w
-    y_sum = float(y.sum())
-    if y_sum <= 0.0:
-        raise ArithmeticError("simplex returned a non-positive dual vector")
-    maximin = y / y_sum
-    value = 1.0 / w - shift
-    return GameValue(value=float(value), maximin=maximin, minimax=minimax)
+    (value,), (maximin,), (minimax,) = _game_values(arr[None])
+    return GameValue(float(value), maximin, minimax)
+
+
+def _game_values(X: np.ndarray):
+    # values, maximins and minimaxes of the (N, n, m) stack X of games, each
+    # solved as matrix_game_value says, in one call of the compiled simplex
+    # or by _simplex_max per matrix where it is not built: the same bits
+    shift = 1.0 + np.abs(X).max(axis=(1, 2))
+    A, solve = X + shift[:, None, None], _lp_loop()
+    z, y = solve(A, _PIVOT_EPS) if solve else map(np.array, zip(*map(_simplex_max, A)))
+    # _simplex_max's objective, one dot per matrix: z.sum(axis=1) differs in the last bit
+    w = np.array([float(np.ones(len(row)) @ row) for row in z])
+    y_sum = y.sum(axis=1)
+    if not (np.isfinite(w) & (w > 0.0) & (y_sum > 0.0)).all():
+        raise ArithmeticError(f"degenerate LP: objectives {w}, dual sums {y_sum}")
+    return 1.0 / w - shift, y / y_sum[:, None], z / w[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,7 @@ def matrix_game_value(X) -> GameValue:
 def _check_values(game: StochasticGame, v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (game.n_states,):
-        raise DimensionMismatch(
-            f"v must have shape {(game.n_states,)}, got {arr.shape}")
+        raise DimensionMismatch(f"v must have shape {(game.n_states,)}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput("value vector contains non-finite entries")
     return arr
@@ -251,7 +249,7 @@ def bellman_T(game: StochasticGame, v, player: int) -> np.ndarray:
 
 def minimax_bellman(game: StochasticGame, v, player: int) -> np.ndarray:
     """Per-state game value of the lookahead tensor: a gamma-contraction."""
-    return np.array([matrix_game_value(X).value for X in bellman_T(game, v, player)])
+    return _game_values(bellman_T(game, v, player))[0]
 
 
 def minimax_fixed_point(game: StochasticGame, player: int, tol: float = 1e-6) -> np.ndarray:
@@ -272,11 +270,10 @@ def minimax_fixed_point(game: StochasticGame, player: int, tol: float = 1e-6) ->
     margin = 64 * np.finfo(np.float64).eps * (1.0 / (1.0 - gamma) + bound)
     v = np.full(game.n_states, -bound) + 0.0  # + 0.0 turns -0.0 into 0.0
     for _ in range(1000):
-        solved = [matrix_game_value(X) for X in bellman_T(game, v, player)]
-        residual = float(np.abs(np.array([g.value for g in solved]) - v).max())
+        value, sigma, _ = _game_values(bellman_T(game, v, player))
+        residual = float(np.abs(value - v).max())
         if residual <= tol * (1.0 - gamma) / 2.0:
             return v
-        sigma = np.array([g.maximin for g in solved])
         v_next = -_solve_mdp(*_marginalize(game, 3 - player, sigma[None], reward), gamma)[0][0]
         if not float((v_next - v).max()) > margin:
             break  # v has stopped improving: tol cannot be certified

@@ -125,8 +125,7 @@ def run_visbr(game: StochasticGame, configs: Sequence[VisbrConfig], *,
     if frozen_pi2 is not None:
         fixed2 = np.asarray(frozen_pi2, dtype=np.float64)
         if fixed2.shape != (S, n2):
-            raise DimensionMismatch(
-                f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
+            raise DimensionMismatch(f"frozen_pi2 must have shape {(S, n2)}, got {fixed2.shape}")
         _check_distributions(fixed2, "frozen_pi2")  # before the run, not at the first score
     ergodicity = _ergodicity_warning(game)
     v_star = minimax_fixed_point(game, 1, tol=1e-6)  # player 1's; player 2's is -v_star

@@ -3,19 +3,22 @@
 import pytest
 
 import zsdyn.matrix_dyn
+import zsdyn.ops
 import zsdyn.visbr
 from zsdyn import _core
 
-# each kernel's module, the name it loads its step loop by, and its list loop
+# each kernel's module, the name it loads its step loop by, and its list
+# loop; the matrix-game LP's loader returns None for ops._simplex_max
 KERNELS = ((zsdyn.matrix_dyn, "_matrix_loop", _core._matrix_steps),
-           (zsdyn.visbr, "_visbr_loop", _core._visbr_steps))
+           (zsdyn.visbr, "_visbr_loop", _core._visbr_steps),
+           (zsdyn.ops, "_lp_loop", None))
 
 
 @pytest.fixture
 def loops(monkeypatch):
-    """Iterating it runs its body on each kind of step loop: the compiled
-    loops, where they loaded, then the list loops, with both kernels
-    monkeypatched to them."""
+    """Iterating it runs its body on each kind of loop: the compiled loops
+    and simplex, where they loaded, then the list loops and the numpy
+    simplex, with both kernels and the LP monkeypatched to them."""
     def each():
         for kind in dict.fromkeys(("compiled" if _core._library() else "list", "list")):
             for module, name, listed in KERNELS:

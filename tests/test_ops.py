@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn import ops
+from zsdyn import _core, ops
 
 E = math.e
 
@@ -351,6 +351,48 @@ def test_value_rejects_bad_input():
         z.matrix_game_value([1.0, 2.0])
 
 
+def _outcome(solve, *args):
+    # what solve returns, or the message of the ArithmeticError it raises
+    try:
+        return solve(*args)
+    except ArithmeticError as err:
+        return str(err)
+
+
+def test_compiled_simplex_matches_simplex_max_bitwise(monkeypatch):
+    # the compiled simplex against _simplex_max, its specification, on
+    # stacks of 1-8 games of 1-40 actions a side, half of them rounded to
+    # thirds for ratio-test ties, scaled by 1e-8 to 1e8; then _game_values
+    # on both paths, and matrix_game_value per matrix, bit for bit
+    solve = _core._lp_loop()
+    if solve is None:
+        pytest.skip("no cc on PATH: the numpy simplex runs")
+    unbounded = np.array([[[-1.0, 0.5]]])
+    assert _outcome(solve, unbounded, ops._PIVOT_EPS) == _outcome(ops._simplex_max, unbounded[0])
+    rng = np.random.default_rng(97)
+    for trial in range(120):
+        X = rng.uniform(-1.0, 1.0, (rng.integers(1, 9), *rng.integers(1, 41, 2)))
+        if trial % 2:
+            X = np.round(3.0 * X) / 3.0
+        X *= 10.0 ** rng.integers(-8, 9)
+        A = X + (1.0 + np.abs(X).max(axis=(1, 2)))[:, None, None]
+        want, got = [_outcome(ops._simplex_max, a) for a in A], _outcome(solve, A, ops._PIVOT_EPS)
+        if any(isinstance(w, str) for w in want):  # the stack stops at its first failure
+            assert got == next(w for w in want if isinstance(w, str))
+            continue
+        for k, (zk, yk) in enumerate(want):
+            assert got[0][k].tobytes() == zk.tobytes() and got[1][k].tobytes() == yk.tobytes()
+        compiled = ops._game_values(X)
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "_lp_loop", lambda: None)
+            listed = ops._game_values(X)
+        assert all(c.tobytes() == li.tobytes() for c, li in zip(compiled, listed, strict=True))
+        for k, x in enumerate(X):
+            one = z.matrix_game_value(x)
+            assert (np.float64(one.value).tobytes(), one.maximin.tobytes(),
+                    one.minimax.tobytes()) == tuple(c[k].tobytes() for c in compiled)
+
+
 # --- Bellman operators -----------------------------------------------------
 
 def _random_sg(rng, n_states=2, n1=2, n2=2, gamma=0.9):
@@ -459,18 +501,19 @@ def _assert_certified_fixed_point(sg, player, tol, reference):
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
-def test_minimax_fixed_point_matches_value_iteration(gamma):
-    rng = np.random.default_rng(int(gamma * 1000))
-    for _ in range(10):
-        n_states = int(rng.integers(1, 6))
-        n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
-        sg = _sparse_sg(rng, n_states, n1, n2, gamma)
-        reference = _value_iteration(sg, 1, 1e-11)
-        _assert_certified_fixed_point(sg, 1, 1e-6, reference)
-        _assert_certified_fixed_point(sg, 2, 1e-6, -reference)  # zero-sum: v2* = -v1*
+def test_minimax_fixed_point_matches_value_iteration(gamma, loops):
+    for _ in loops:
+        rng = np.random.default_rng(int(gamma * 1000))
+        for _ in range(10):
+            n_states = int(rng.integers(1, 6))
+            n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
+            sg = _sparse_sg(rng, n_states, n1, n2, gamma)
+            reference = _value_iteration(sg, 1, 1e-11)
+            _assert_certified_fixed_point(sg, 1, 1e-6, reference)
+            _assert_certified_fixed_point(sg, 2, 1e-6, -reference)  # zero-sum: v2* = -v1*
 
 
-def test_minimax_fixed_point_reads_only_the_player_payoff():
+def test_minimax_fixed_point_reads_only_the_player_payoff(loops):
     # in a general-sum game each player's fixed point is the zero-sum value
     # of its own payoff table: the opponent's table must not enter it
     rng = np.random.default_rng(83)
@@ -481,9 +524,11 @@ def test_minimax_fixed_point_reads_only_the_player_payoff():
     assert not sg.zero_sum
     own = {1: z.validate_stochastic_game(P, R1, gamma=0.9),
            2: z.validate_stochastic_game(P, -np.swapaxes(R2, 1, 2), gamma=0.9)}
-    for player in (1, 2):
-        v = _assert_certified_fixed_point(sg, player, 1e-6, _value_iteration(sg, player, 1e-11))
-        assert np.array_equal(v, z.minimax_fixed_point(own[player], player))
+    for _ in loops:
+        for player in (1, 2):
+            v = _assert_certified_fixed_point(sg, player, 1e-6,
+                                              _value_iteration(sg, player, 1e-11))
+            assert np.array_equal(v, z.minimax_fixed_point(own[player], player))
 
 
 def test_minimax_fixed_point_lp_budget(monkeypatch):
@@ -491,12 +536,12 @@ def test_minimax_fixed_point_lp_budget(monkeypatch):
     # here); value iteration from v = 0 took 1,640 rounds on this game
     rng = np.random.default_rng(89)
     sg = _random_sg(rng, n_states=20, n1=3, n2=3, gamma=0.99)
-    calls, solve = [], ops.matrix_game_value  # every LP goes through this name
-    monkeypatch.setattr(ops, "matrix_game_value", lambda X: calls.append(X) or solve(X))
+    calls, solve = [], ops._game_values  # every LP goes through this name, a stack per call
+    monkeypatch.setattr(ops, "_game_values", lambda X: calls.append(len(X)) or solve(X))
     for player in (1, 2):
         calls.clear()
         v = z.minimax_fixed_point(sg, player)
-        assert len(calls) <= 20 * sg.n_states
+        assert 0 < sum(calls) <= 20 * sg.n_states
         assert float(np.abs(z.minimax_bellman(sg, v, player) - v).max()) <= 1e-6 * 0.01 / 2
     # a tolerance below float resolution, or NaN, is refused once v stops
     # improving, not ground through a round budget
@@ -505,7 +550,7 @@ def test_minimax_fixed_point_lp_budget(monkeypatch):
             calls.clear()
             with pytest.raises(z.NoConvergence):
                 z.minimax_fixed_point(sg, player, tol=tol)
-            assert len(calls) <= 20 * sg.n_states
+            assert 0 < sum(calls) <= 20 * sg.n_states
 
 
 # --- best response and policy evaluation -----------------------------------
