@@ -1,22 +1,24 @@
 """Float-order-sensitive primitives of both kernels and the smoothing oracles.
 
-List code (smoothed_policy, pick_action) for the kernels' list loops, on
+List code (smoothed_policy, pick_action) for the list step loop, on
 vectors of length 2 or 3 where lists beat numpy, and batched code on
-action-major (n, B) stacks, one vector per column, for the matrix gaps and
-the oracles (_targets, _entropy: ops.softmax and ops.entropy are their
-one-column cases). Both sum left to right and take exp and log from the C
-library: the list code through math.exp and math.log, the batched code
-through numpy's complex exp (_exp) and math.log (_log). Tests pin _exp to
-math.exp and the list and batched softmaxes to each other bitwise.
+action-major (n, B) stacks, one vector per column, for the matrix gaps, the
+kernels' initial targets and the oracles (_targets, _entropy: ops.softmax
+and ops.entropy are their one-column cases). Both sum left to right and take
+exp and log from the C library: the list code through math.exp and
+math.log, the batched code through numpy's complex exp (_exp) and math.log
+(_log). Tests pin _exp to math.exp and the list and batched softmaxes to
+each other bitwise.
 
-Each kernel steps in a C loop of _loops.c, which _library compiles on the
-first kernel call, never at import, and loads through ctypes.
-_matrix_steps and _visbr_steps are those loops on lists: their bitwise
-specifications, and the fallback wherever the library is not built. The C
-loops keep the bits by the same float operations in the same order, no FMA
-contraction and the C library's exp and sqrt, as math.exp and math.sqrt.
-The same library holds the matrix-game simplex, which _lp_loop binds for
-ops._game_values; ops._simplex_max is its specification and fallback.
+Both kernels step in one C loop of _loops.c, which _library compiles on the
+first kernel call, never at import, and loads through ctypes; _visbr_loop
+binds it, and a matrix run is its one-state case with gamma = 0.
+_visbr_steps is that loop on lists: its bitwise specification, and the
+fallback wherever the library is not built. The C loop keeps the bits by
+the same float operations in the same order, no FMA contraction and the C
+library's exp and sqrt, as math.exp and math.sqrt. The same library holds
+the matrix-game simplex, which _lp_loop binds for ops._game_values;
+ops._simplex_max is its specification and fallback.
 
 It also seeds both kernels: _generators builds the streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
@@ -82,61 +84,42 @@ def pick_action(pi: list, u: float) -> int:
     return last
 
 
-def _matrix_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha, beta):
-    # The matrix dynamics' step loop on lists: the compiled loop's bitwise
-    # specification and its fallback. It binds the (B, n_i) rows q and pi,
-    # which it updates in place, to the payoffs R1 (n1, n2) and R2 (n2, n1),
-    # each trajectory's tau, eps and K (ends), and the (2B, w) uniforms and
-    # (w,) rates, which step k reads at column k % w: row i*B + b of u
-    # belongs to player i of trajectory b. steps(k0, k1) runs steps k0..k1-1
-    # of every trajectory b while k < ends[b].
-    R, B = (R1.tolist(), R2.tolist()), len(ends)
-
-    def steps(k0: int, k1: int) -> None:
-        w, rates = u.shape[1], list(zip(alpha.tolist(), beta.tolist()))
-        for b in np.flatnonzero(ends > k0).tolist():
-            q, pi = [q1[b].tolist(), q2[b].tolist()], [pi1[b].tolist(), pi2[b].tolist()]
-            us, t, e = (u[b].tolist(), u[B + b].tolist()), float(tau[b]), float(eps[b])
-            for k in range(k0, min(k1, int(ends[b]))):
-                al, be = rates[k % w]
-                a = []
-                for i in (0, 1):
-                    target = smoothed_policy(q[i], t, e, normalize)
-                    pi[i] = [p + be * (g - p) for p, g in zip(pi[i], target)]
-                    a.append(pick_action(pi[i], us[i][k % w]))
-                for i in (0, 1):
-                    q[i][a[i]] += al * (R[i][a[i]][a[1 - i]] - q[i][a[i]])
-            q1[b], q2[b], pi1[b], pi2[b] = *q, *pi
-    return steps
-
-
-def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, frozen, gamma,
-                 u, alpha, beta):
-    # The stochastic dynamics' step loop: the compiled loop's bitwise
-    # specification and its fallback, on the arrays zsdyn_visbr_steps takes.
-    # steps(k0, k1) runs steps k0..k1-1: all policy rows move in one array
-    # expression, the same three operations per entry as a loop, then list
-    # code runs at each visited state; bisect_right on the partial sums
-    # counts those that u passes. A frozen player 2's columns keep tg = pi.
+def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, frozen,
+                 normalize, gamma, u, alpha, beta):
+    # The dynamics' step loop: the compiled loop's bitwise specification and
+    # its fallback, on the arrays zsdyn_visbr_steps takes. steps(k0, k1) runs
+    # steps k0..k1-1 of each trajectory b while k < ends[b]: the live
+    # trajectories' policy rows move in one array expression, the same three
+    # operations per entry as a loop, then list code runs at each visited
+    # state; bisect_right on the partial sums counts those that u passes. A
+    # frozen player 2's columns keep tg = pi.
     R1, R2, sums, n1, B = R1.tolist(), R2.tolist(), sums.tolist(), q1.shape[2], len(states)
-    taus, epss = tau.tolist(), eps.tolist()
+    taus, epss, last = tau.tolist(), eps.tolist(), ends.tolist()
 
     def steps(k0: int, k1: int) -> None:
         w, us, at, rates = u.shape[1], u.T.tolist(), states.tolist(), [*zip(alpha.tolist(), beta)]
         qs, vs = (q1.tolist(), q2.tolist()), (v1.tolist(), v2.tolist())
-        for k in range(k0, k1):
-            (al, be), uk = rates[k % w], us[k % w]
-            np.add(pi, be * (tg - pi), out=pi)
-            for b, s in enumerate(at):
-                here, x1, x2 = pi[b, s].tolist(), qs[0][b][s], qs[1][b][s]
-                a1, a2 = pick_action(here[:n1], uk[b]), pick_action(here[n1:], uk[B + b])
-                at[b] = nxt = bisect_right(sums[s][a1][a2], uk[2 * B + b])
-                x1[a1] += al * (R1[s][a1][a2] + gamma * vs[0][b][nxt] - x1[a1])
-                target = smoothed_policy(x1, taus[b], epss[b], False)
-                if not frozen:
-                    x2[a2] += al * (R2[s][a2][a1] + gamma * vs[1][b][nxt] - x2[a2])
-                    target += smoothed_policy(x2, taus[b], epss[b], False)
-                tg[b, s, :len(target)] = target
+        # the live trajectories change only at an end
+        cuts = sorted({k0, k1, *(e for e in last if k0 < e < k1)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            live = [b for b, e in enumerate(last) if e > lo]
+            for k in range(lo, hi):
+                (al, be), uk = rates[k % w], us[k % w]
+                if len(live) == B:
+                    np.add(pi, be * (tg - pi), out=pi)
+                else:
+                    pi[live] += be * (tg[live] - pi[live])
+                for b in live:
+                    s = at[b]
+                    here, x1, x2 = pi[b, s].tolist(), qs[0][b][s], qs[1][b][s]
+                    a1, a2 = pick_action(here[:n1], uk[b]), pick_action(here[n1:], uk[B + b])
+                    at[b] = nxt = bisect_right(sums[s][a1][a2], uk[2 * B + b])
+                    x1[a1] += al * (R1[s][a1][a2] + gamma * vs[0][b][nxt] - x1[a1])
+                    target = smoothed_policy(x1, taus[b], epss[b], normalize)
+                    if not frozen:
+                        x2[a2] += al * (R2[s][a2][a1] + gamma * vs[1][b][nxt] - x2[a2])
+                        target += smoothed_policy(x2, taus[b], epss[b], normalize)
+                    tg[b, s, :len(target)] = target
         q1[:], q2[:], states[:] = *qs, at
     return steps
 
@@ -174,6 +157,16 @@ def _targets(q: np.ndarray, tau, eps, normalize: bool) -> np.ndarray:
         q = q / np.where(nrm > 0.0, nrm, 1.0)
     e = _exp((q - q.max(axis=0)) / tau)
     return eps / len(q) + (1.0 - eps) * (e / _row_sum(e))
+
+
+def _start(B: int, S: int, n1: int, n2: int, tau, eps, normalize: bool) -> tuple:
+    # a step loop's (B, S, .) start: zero q1, q2, v1 and v2, uniform
+    # policies, and as their targets the smoothed_policy of zero q, one
+    # _targets call per player; both players' columns of pi and tg side by side
+    pi = np.hstack((np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)))
+    tg = np.hstack([_targets(np.zeros((n, B)), tau, eps, normalize).T for n in (n1, n2)])
+    return (np.zeros((B, S, n1)), np.zeros((B, S, n2)), *np.zeros((2, B, S)),
+            np.tile(pi, (B, S, 1)), np.repeat(tg[:, None], S, axis=1))
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -289,7 +282,7 @@ def _build() -> str:
 def _library():
     # the compiled loops, built on the first kernel call and never at import;
     # None wherever there is no cc, the compile fails or the object does not
-    # load (each an OSError), and then both kernels run their list loops
+    # load (each an OSError), and then both kernels run the list step loop
     import ctypes
 
     try:
@@ -297,9 +290,7 @@ def _library():
     except OSError:
         return None
     i, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.zsdyn_matrix_steps.argtypes = [i] * 7 + [p] * 12
-    lib.zsdyn_visbr_steps.argtypes = [i] * 8 + [d] + [p] * 15
-    lib.zsdyn_matrix_steps.restype = lib.zsdyn_visbr_steps.restype = None
+    lib.zsdyn_visbr_steps.argtypes, lib.zsdyn_visbr_steps.restype = [i] * 9 + [d] + [p] * 16, None
     lib.zsdyn_game_lps.argtypes, lib.zsdyn_game_lps.restype = [i] * 3 + [d] + [p] * 5, i
     return lib
 
@@ -317,35 +308,22 @@ def _bind(fn, sizes: tuple, held: tuple, shapes: list, ints: tuple) -> object:
     return lambda k0, k1, held=held: fn(k0, k1, *args)
 
 
-def _matrix_loop():
-    # _matrix_steps, or the compiled loop that binds the same arrays
-    lib = _library()
-    if lib is None:
-        return _matrix_steps
-
-    def compiled_steps(q1, q2, pi1, pi2, R1, R2, tau, eps, normalize, ends, u, alpha, beta):
-        B, (n1, n2), w = len(ends), R1.shape, u.shape[1]
-        return _bind(lib.zsdyn_matrix_steps, (B, n1, n2, w, int(normalize)),
-                     (q1, q2, pi1, pi2, R1, R2, tau, eps, ends, u, alpha, beta),
-                     [(B, n1), (B, n2)] * 2 + [(n1, n2), (n2, n1)] + [(B,)] * 3
-                     + [(2 * B, w), (w,), (w,)], (ends,))
-    return compiled_steps
-
-
 def _visbr_loop():
     # _visbr_steps, or the compiled loop that binds the same arrays
     lib = _library()
     if lib is None:
         return _visbr_steps
 
-    def compiled_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, frozen, gamma,
-                       u, alpha, beta):
+    def compiled_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, frozen,
+                       normalize, gamma, u, alpha, beta):
         B, (S, n1, n2), w = len(states), R1.shape, u.shape[1]
-        return _bind(lib.zsdyn_visbr_steps, (B, S, n1, n2, w, int(frozen), float(gamma)),
-                     (q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, u, alpha, beta),
+        return _bind(lib.zsdyn_visbr_steps,
+                     (B, S, n1, n2, w, int(frozen), int(normalize), float(gamma)),
+                     (q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, u, alpha,
+                      beta),
                      [(B, S, n1), (B, S, n2), (B, S), (B, S), *[(B, S, n1 + n2)] * 2, (B,),
-                      (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1), (B,), (B,), (3 * B, w),
-                      (w,), (w,)], (states,))
+                      (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1), (B,), (B,), (B,),
+                      (3 * B, w), (w,), (w,)], (states, ends))
     return compiled_steps
 
 

@@ -1,7 +1,8 @@
-/* Both kernels' step loops and the matrix-game simplex, compiled:
-   _core._matrix_steps, _core._visbr_steps and ops._simplex_max on C doubles.
+/* The dynamics' step loop and the matrix-game simplex, compiled:
+   _core._visbr_steps and ops._simplex_max on C doubles. A matrix game runs
+   in the step loop as a one-state stochastic game with gamma = 0.
 
-   Each step loop runs steps k0..k1-1 in place on C-contiguous arrays. Step k
+   The step loop runs steps k0..k1-1 in place on C-contiguous arrays. Step k
    reads the uniforms at column k % w of its (n, w) uniform rows, and the
    rates alpha[k % w] and beta[k % w]. Every float operation is one that the
    Python code does, in its order, with sums left to right. The bits hold
@@ -9,30 +10,6 @@
    and exp and sqrt come from the C library, as math.exp and math.sqrt do. */
 #include <math.h>
 #include <stdint.h>
-
-/* the exps of smoothed_policy(q) into e, returning their total: the
-   softmax of q / tau, of the l2-normalized q when normalize is set */
-static double softmax(const double *q, int64_t n, double tau, int64_t normalize, double *e)
-{
-    double nrm = 1.0, m, tot = 0.0;
-    if (normalize) {
-        double sq = 0.0;
-        for (int64_t j = 0; j < n; j++)
-            sq += q[j] * q[j];
-        if (sqrt(sq) > 0.0)
-            nrm = sqrt(sq);
-    }
-    for (int64_t j = 0; j < n; j++)
-        e[j] = q[j] / nrm;
-    m = e[0];
-    for (int64_t j = 1; j < n; j++)
-        m = e[j] > m ? e[j] : m;
-    for (int64_t j = 0; j < n; j++) {
-        e[j] = exp((e[j] - m) / tau);
-        tot += e[j];
-    }
-    return tot;
-}
 
 /* pick_action(p, u): the count of the partial sums p[0] + ... + p[j],
    j < n - 1, that u passes; p >= 0 keeps them sorted */
@@ -47,64 +24,51 @@ static int64_t pick(const double *p, int64_t n, double u)
     return a;
 }
 
-/* pi += beta (smoothed_policy(q) - pi), then the action that u picks */
-static int64_t move(const double *q, double *pi, int64_t n, double tau, double eps,
-                    int64_t normalize, double beta, double u, double *e)
+/* t = smoothed_policy(q): the softmax of q / tau, of the l2-normalized q
+   when normalize is set, eps-mixed with uniform */
+static void target(const double *q, int64_t n, double tau, double eps, int64_t normalize,
+                   double *t)
 {
-    double tot = softmax(q, n, tau, normalize, e);
+    double nrm = 1.0, m, tot = 0.0;
+    if (normalize) {
+        double sq = 0.0;
+        for (int64_t j = 0; j < n; j++)
+            sq += q[j] * q[j];
+        if (sqrt(sq) > 0.0)
+            nrm = sqrt(sq);
+    }
     for (int64_t j = 0; j < n; j++)
-        pi[j] += beta * (eps / n + (1.0 - eps) * (e[j] / tot) - pi[j]);
-    return pick(pi, n, u);
-}
-
-/* t = smoothed_policy(q), not normalized */
-static void target(const double *q, int64_t n, double tau, double eps, double *t)
-{
-    double tot = softmax(q, n, tau, 0, t);
+        t[j] = q[j] / nrm;
+    m = t[0];
+    for (int64_t j = 1; j < n; j++)
+        m = t[j] > m ? t[j] : m;
+    for (int64_t j = 0; j < n; j++) {
+        t[j] = exp((t[j] - m) / tau);
+        tot += t[j];
+    }
     for (int64_t j = 0; j < n; j++)
         t[j] = eps / n + (1.0 - eps) * (t[j] / tot);
 }
 
-/* B trajectories on (B, n_i) rows per player, each trajectory b while
-   k < ends[b]; u row i * B + b is player i's of trajectory b */
-void zsdyn_matrix_steps(int64_t k0, int64_t k1, int64_t B, int64_t n1, int64_t n2,
-                        int64_t w, int64_t normalize, double *q1, double *q2, double *pi1,
-                        double *pi2, const double *R1, const double *R2, const double *tau,
-                        const double *eps, const int64_t *ends, const double *u,
-                        const double *alpha, const double *beta)
-{
-    double e[n1 > n2 ? n1 : n2];
-    for (int64_t b = 0; b < B; b++) {
-        double *x1 = q1 + b * n1, *x2 = q2 + b * n2, *p1 = pi1 + b * n1, *p2 = pi2 + b * n2;
-        for (int64_t k = k0; k < k1 && k < ends[b]; k++) {
-            int64_t c = k % w;
-            int64_t a1 = move(x1, p1, n1, tau[b], eps[b], normalize, beta[c],
-                              u[b * w + c], e);
-            int64_t a2 = move(x2, p2, n2, tau[b], eps[b], normalize, beta[c],
-                              u[(B + b) * w + c], e);
-            x1[a1] += alpha[c] * (R1[a1 * n2 + a2] - x1[a1]);
-            x2[a2] += alpha[c] * (R2[a2 * n1 + a1] - x2[a2]);
-        }
-    }
-}
-
 /* B trajectories of one (schedule, K, T) group on (B * S, .) rows, row
-   b * S + s being state s of trajectory b; pi and tg have both players'
-   columns, player 1's first. u row i * B + b is player i's (i = 0, 1) or
-   the environment's (i = 2) of trajectory b. sums[(s * n1 + a1) * n2 + a2]
-   holds the S - 1 partial sums of that transition row. A frozen player 2's
-   columns of tg equal its columns of pi, and its q stays put. */
+   b * S + s being state s of trajectory b, each trajectory b while
+   k < ends[b]; pi and tg have both players' columns, player 1's first. u row
+   i * B + b is player i's (i = 0, 1) or the environment's (i = 2) of
+   trajectory b. sums[(s * n1 + a1) * n2 + a2] holds the S - 1 partial sums
+   of that transition row, so at S = 1 the environment's row is never read.
+   A frozen player 2's columns of tg equal its columns of pi, and its q stays
+   put. */
 void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1, int64_t n2,
-                       int64_t w, int64_t frozen, double gamma, double *q1, double *q2,
-                       double *v1, double *v2, double *pi, double *tg, int64_t *states,
-                       const double *R1, const double *R2, const double *sums,
-                       const double *tau, const double *eps, const double *u,
-                       const double *alpha, const double *beta)
+                       int64_t w, int64_t frozen, int64_t normalize, double gamma, double *q1,
+                       double *q2, double *v1, double *v2, double *pi, double *tg,
+                       int64_t *states, const double *R1, const double *R2, const double *sums,
+                       const double *tau, const double *eps, const int64_t *ends,
+                       const double *u, const double *alpha, const double *beta)
 {
     int64_t n = n1 + n2;
     for (int64_t b = 0; b < B; b++) {
         double *p = pi + b * S * n, *t = tg + b * S * n;
-        for (int64_t k = k0; k < k1; k++) {
+        for (int64_t k = k0; k < k1 && k < ends[b]; k++) {
             int64_t c = k % w, s = states[b], r = b * S + s, a1, a2, next, j1, j2;
             double *x1 = q1 + r * n1, *x2 = q2 + r * n2;
             for (int64_t j = 0; j < S * n; j++)
@@ -117,10 +81,10 @@ void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1,
             for (int64_t j = 0; j < S - 1; j++)
                 next += u[(2 * B + b) * w + c] >= sums[j1 * (S - 1) + j];
             x1[a1] += alpha[c] * (R1[j1] + gamma * v1[b * S + next] - x1[a1]);
-            target(x1, n1, tau[b], eps[b], tg + r * n);
+            target(x1, n1, tau[b], eps[b], normalize, tg + r * n);
             if (!frozen) {
                 x2[a2] += alpha[c] * (R2[j2] + gamma * v2[b * S + next] - x2[a2]);
-                target(x2, n2, tau[b], eps[b], tg + r * n + n1);
+                target(x2, n2, tau[b], eps[b], normalize, tg + r * n + n1);
             }
             states[b] = next;
         }

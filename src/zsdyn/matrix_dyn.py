@@ -13,18 +13,21 @@ policy pi. One iteration, in this order:
 Neither player sees the opponent's policy, estimate, or action; the realized
 own payoff is the only coupling.
 
-One kernel runs B trajectories. It holds q and pi as (B, n_i) row arrays
-per player, one row per trajectory with its own tau, eps_bar and K, and
-steps them in one compiled C loop (_loops.c, loaded by _core._matrix_loop)
-from one stop to the next: a step at which some trajectory records, or the
-start of a chunk of uniforms. Trajectory b steps only while k < its K, so
-each leaves the batch at its own K. run_matrix_dynamics batches the configs
-that share schedule and normalize_q_in_softmax; recording (matrix_gaps)
-stays here. The loop runs the float operations of _core._matrix_steps, the
-list loop that specifies it bit for bit and runs wherever it cannot be
-built, in their order: sums left to right, exp and sqrt from the C
-library, no FMA contraction. So a trajectory's bytes depend neither on its
-batch nor on the loop that ran it.
+A matrix game is the one-state stochastic game with gamma = 0, and one
+kernel runs B trajectories of it in the step loop that run_visbr uses
+(_loops.c, loaded by _core._visbr_loop): q, the policies and their cached
+softmax targets as (B, 1, .) arrays with v = 0, one row per trajectory with
+its own tau, eps_bar and K, stepped from one stop to the next: a step at which
+some trajectory records, or the start of a chunk of uniforms. Trajectory b
+steps only while k < its K, so each leaves the batch at its own K, and the
+loop reads no environment uniform at S = 1, so none is drawn.
+run_matrix_dynamics batches the configs that share schedule and
+normalize_q_in_softmax, which the loop's softmax reads; recording
+(matrix_gaps) stays here. The loop runs the float operations of
+_core._visbr_steps, the list loop that specifies it bit for bit and runs
+wherever it cannot be built, in their order: sums left to right, exp and
+sqrt from the C library, no FMA contraction. So a trajectory's bytes depend
+neither on its batch nor on the loop that ran it.
 
 Player i draws from stream i of player_seed_sequences(seed); _core's
 _generators seeds all 2B generators from one vectorized pass of
@@ -37,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _matrix_loop
+from ._core import _UNIFORM_CHUNK, _generators, _start, _visbr_loop
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .games import JointPolicy, MatrixGame, TrajectoryRecord, check_zero_sum_game
 from .metrics import matrix_gaps
@@ -79,27 +82,30 @@ def run_matrix_dynamics(game: MatrixGame,
 
 
 def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
-    # configs share schedule and normalize_q_in_softmax; trajectory b steps
-    # while k < its K, and the loop runs from one stop (a recording step or
-    # a chunk's start) to the next
-    first = configs[0]
+    # configs share schedule and normalize_q_in_softmax. They step as
+    # trajectories of a one-state stochastic game with gamma = 0, so state 0
+    # and v = 0 throughout; at S = 1 the loop reads no environment uniform,
+    # and none is drawn. Trajectory b steps while k < its K, and the loop runs
+    # from one stop (a recording step or a chunk's start) to the next
+    first, (n1, n2) = configs[0], (game.n_actions_1, game.n_actions_2)
     B, K = len(configs), max(c.K for c in configs)
     ends = np.array([c.K for c in configs], dtype=np.int64)
     strides = np.array([c.record_stride for c in configs])
     taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
     # generator i*B + b and row i*B + b of u belong to player i of trajectory b
     rngs = _generators([c.seed for c in configs], 2)
-    u, alpha, beta = np.empty((2 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
-    q1, q2 = (np.zeros((B, n)) for n in (game.n_actions_1, game.n_actions_2))
-    pi1, pi2 = (np.full((B, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2))
-    R1, R2 = (np.ascontiguousarray(R, dtype=np.float64) for R in (game.R1, game.R2))
-    steps = _matrix_loop()(q1, q2, pi1, pi2, R1, R2, taus, epss, first.normalize_q_in_softmax,
-                           ends, u, alpha, beta)
+    u, alpha, beta = np.zeros((3 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
+    normalize = first.normalize_q_in_softmax
+    q1, q2, v1, v2, pi, tg = _start(B, 1, n1, n2, taus, epss, normalize)
+    R1, R2 = (np.ascontiguousarray(R, dtype=np.float64)[None] for R in (game.R1, game.R2))
+    steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, np.zeros(B, np.int64), R1, R2,
+                          np.empty((1, n1, n2, 0)), taus, epss, ends, False, normalize, 0.0,
+                          u, alpha, beta)
     due = np.zeros(K + 1, dtype=bool)  # the steps at which some trajectory records
     for s, e in set(zip(strides.tolist(), ends.tolist())):
         due[s:e + 1:s] = due[e] = True
     stops = sorted({*np.flatnonzero(due).tolist(), *range(0, K, _UNIFORM_CHUNK)})
-    rows, gaps, held, finals = [], [], [], {}
+    rows, gaps, held = [], [], []
     for k, done in zip(stops, stops[1:]):
         if k % _UNIFORM_CHUNK == 0:  # each running generator's uniforms for the chunk
             for i in np.flatnonzero(np.tile(ends, 2) > k).tolist():
@@ -109,12 +115,10 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
         if not due[done]:
             continue
         now = np.flatnonzero((ends >= done) & ((done % strides == 0) | (ends == done)))
-        end = np.flatnonzero(ends == done)  # each ending here keeps its (q1, q2, pi1, pi2)
-        finals.update(zip(end.tolist(), zip(*(x[end] for x in (q1, q2, pi1, pi2)))))
-        p1, p2, a1, a2 = (x.take(now, axis=0) for x in (pi1, pi2, q1, q2))
-        rows.append((np.full(len(now), done), now, np.minimum(p1.min(axis=1), p2.min(axis=1)),
+        p, a1, a2 = pi[now, 0], q1[now, 0], q2[now, 0]
+        rows.append((np.full(len(now), done), now, p.min(axis=1),
                      np.maximum(np.abs(a1).max(axis=1), np.abs(a2).max(axis=1))))
-        held.append((p1.T, p2.T, taus[now]))
+        held.append((p[:, :n1].T, p[:, n1:].T, taus[now]))
         live = np.count_nonzero(ends > done)  # the most rows the next stop can add
         if sum(len(h[2]) for h in held) + live > _SCORE_CHUNK or done == K:
             p1, p2, t = (np.concatenate(x, axis=-1) for x in zip(*held))
@@ -129,12 +133,14 @@ def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[Traject
     # the warnings read only tau and the schedule the batch shares
     warnings = {t: matrix_condition_warnings(c, game.a_max)
                 for t, c in {c.tau: c for c in configs}.items()}
+    # the loop leaves each trajectory as it stood at its own K
+    q1, q2, pi1, pi2 = q1[:, 0], q2[:, 0], pi[:, 0, :n1].copy(), pi[:, 0, n1:].copy()
     return [TrajectoryRecord(
         config_echo=c.to_dict(),
         index=index[mine[b]],
         series=dict(zip(MATRIX_METRICS, series.take(mine[b], axis=1))),
-        final_policy=JointPolicy(pi1=finals[b][2], pi2=finals[b][3]),
-        final_q=finals[b][:2],
+        final_policy=JointPolicy(pi1=pi1[b], pi2=pi2[b]),
+        final_q=(q1[b], q2[b]),
         final_v=None,
         warnings=warnings[c.tau],
     ) for b, c in enumerate(configs)]

@@ -29,6 +29,9 @@ moves only there. A frozen player 2's columns of pi and tg start equal, so
 they stay put, while its q and v stay 0. The loop runs the float operations
 of _core._visbr_steps, the list loop that specifies it bit for bit and runs
 wherever it cannot be built. Recording and the round-end v stay here.
+run_matrix_dynamics steps a matrix game in the same loop, as the one-state
+case with gamma = 0 and its own recorder; its normalize_q_in_softmax is
+passed to the loop, and here it is off.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _visbr_loop, pick_action, smoothed_policy
+from ._core import _UNIFORM_CHUNK, _generators, _start, _visbr_loop, pick_action
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import DimensionMismatch, NotErgodic
 from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
@@ -158,20 +161,15 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     u, alpha, beta = np.empty((3 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
     states = np.array([pick_action(game.initial_dist.tolist(), g.random()) for g in rngs[2 * B:]],
                       dtype=np.int64)
-    q1, q2, v1, v2 = np.zeros((B, S, n1)), np.zeros((B, S, n2)), *np.zeros((2, B, S))
-    # q starts at zero, so a learner's target starts as the softmax of zero
-    # rows; a frozen player's target is its own table, which its policy
-    # starts at. Targets depend on q only, so the cache carries across rounds
-    pi = np.tile(np.hstack((np.full((S, n1), 1.0 / n1),
-                            fixed2 if frozen else np.full((S, n2), 1.0 / n2))), (B, 1, 1))
-    tg = np.array([[smoothed_policy([0.0] * n1, c.tau, c.eps_bar, False)
-                    + smoothed_policy([0.0] * n2, c.tau, c.eps_bar, False)] * S for c in configs])
-    if frozen:
-        tg[..., n1:] = pi[..., n1:]
     strides = [c.record_stride for c in configs]
     taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
-    steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, taus, epss, frozen,
-                          game.gamma, u, alpha, beta)
+    # a frozen player's target is its own table, which its policy starts at.
+    # Targets depend on q only, so the cache carries across rounds
+    q1, q2, v1, v2, pi, tg = _start(B, S, n1, n2, taus, epss, False)
+    if frozen:
+        pi[..., n1:] = tg[..., n1:] = fixed2
+    steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, taus, epss,
+                          np.full(B, K, np.int64), frozen, False, game.gamma, u, alpha, beta)
     due = {k for stride in strides for k in range(stride, K, stride)} | {K}
     stops = sorted(due | set(range(0, K, _UNIFORM_CHUNK)))
     outs = [([], [], [], [], []) for _ in configs]  # index, ng, min_pi, q_inf, v rows

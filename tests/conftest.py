@@ -7,18 +7,18 @@ import zsdyn.ops
 import zsdyn.visbr
 from zsdyn import _core
 
-# each kernel's module, the name it loads its step loop by, and its list
+# each kernel's module, the name it loads the step loop by, and the list
 # loop; the matrix-game LP's loader returns None for ops._simplex_max
-KERNELS = ((zsdyn.matrix_dyn, "_matrix_loop", _core._matrix_steps),
+KERNELS = ((zsdyn.matrix_dyn, "_visbr_loop", _core._visbr_steps),
            (zsdyn.visbr, "_visbr_loop", _core._visbr_steps),
            (zsdyn.ops, "_lp_loop", None))
 
 
 @pytest.fixture
 def loops(monkeypatch):
-    """Iterating it runs its body on each kind of loop: the compiled loops
-    and simplex, where they loaded, then the list loops and the numpy
-    simplex, with both kernels and the LP monkeypatched to them."""
+    """Iterating it runs its body on each kind of loop: the compiled step
+    loop and simplex, where they loaded, then the list step loop and the
+    numpy simplex, with both kernels and the LP monkeypatched to them."""
     def each():
         for kind in dict.fromkeys(("compiled" if _core._library() else "list", "list")):
             for module, name, listed in KERNELS:

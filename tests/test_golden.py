@@ -7,8 +7,8 @@ eps_bar), a matrix sweep on a game with unequal action counts, a stochastic swee
 column), and a frozen-opponent run_visbr record, a mode run_experiment
 cannot reach, pinned through the bytes of its series. A larger stochastic
 game with unequal action counts gets both a sweep, recorded at every step,
-and a frozen-opponent record. The matrix sweeps run on both of the
-matrix kernel's step loops, the compiled one and the list one.
+and a frozen-opponent record. Every fixture runs on both kinds of step
+loop, the compiled one and the list one.
 
 A mismatch means an output byte changed. If the change is intended, copy
 the new digest map from the failure message into GOLDEN and record the

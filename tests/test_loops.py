@@ -1,5 +1,5 @@
-"""Building and loading both kernels' compiled step loops and the compiled
-matrix-game simplex, and their fallbacks."""
+"""Building and loading the compiled step loop and the compiled matrix-game
+simplex, and their fallbacks."""
 
 import functools
 import hashlib
@@ -43,9 +43,8 @@ def fresh_loader(tmp_path, monkeypatch):
 
 
 def _compiled():
-    # whether both kernels bind their compiled loops and the LP its simplex
-    return (_core._matrix_loop() is not _core._matrix_steps
-            and _core._visbr_loop() is not _core._visbr_steps and _core._lp_loop() is not None)
+    # whether the kernels bind the compiled step loop and the LP its simplex
+    return _core._visbr_loop() is not _core._visbr_steps and _core._lp_loop() is not None
 
 
 def test_compiled_loop_loads_where_cc_exists():
@@ -59,7 +58,6 @@ def test_compiled_loop_loads_where_cc_exists():
 def test_no_compiler_falls_back_to_the_list_loop(fresh_loader, tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
     monkeypatch.chdir(tmp_path)
-    assert _core._matrix_loop() is _core._matrix_steps
     assert _core._visbr_loop() is _core._visbr_steps
     assert _core._lp_loop() is None
     assert os.listdir(tmp_path / "__pycache__") == []  # the failed build left nothing

@@ -4,13 +4,14 @@ recording, and their invariants."""
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import (_UNIFORM_CHUNK, _entropy, _exp, _matrix_steps, _row_sum, _targets,
-                         pick_action, smoothed_policy)
+from zsdyn._core import (_UNIFORM_CHUNK, _entropy, _exp, _row_sum, _targets,
+                         _visbr_steps, pick_action, smoothed_policy)
 from zsdyn.config import matrix_condition_warnings
 from zsdyn.metrics import matrix_gaps
 
@@ -48,23 +49,30 @@ def _plays(game, config, steps):
 
 
 def _reference_steps(game, config):
-    # The list loop _matrix_steps on one trajectory, a step at a time, with
-    # each player's uniforms drawn for all K steps at once and the rates of
-    # schedule.rates(k): (q1, q2, pi1, pi2) after each step. The kernel
-    # draws its uniforms and rates in chunks, batches trajectories and stops
-    # at recording steps, so this checks those from outside.
+    # The list step loop on one trajectory of the one-state game with
+    # gamma = 0, a step at a time, with each player's uniforms drawn for all
+    # K steps at once and the rates of schedule.rates(k): (q1, q2, pi1, pi2)
+    # after each step. The kernel draws its uniforms and rates in chunks,
+    # batches trajectories and stops at recording steps, so this checks
+    # those from outside.
+    n1, n2 = game.n_actions_1, game.n_actions_2
     u = np.array([np.random.default_rng(c).random(config.K)
-                  for c in z.player_seed_sequences(config.seed)])
+                  for c in z.player_seed_sequences(config.seed)] + [np.zeros(config.K)])
     alpha, beta = np.array([config.schedule.rates(k) for k in range(config.K)]).T
-    state = [np.zeros((1, n)) for n in (game.n_actions_1, game.n_actions_2)]
-    state += [np.full((1, n), 1.0 / n) for n in (game.n_actions_1, game.n_actions_2)]
-    steps = _matrix_steps(*state, game.R1, game.R2, np.array([config.tau]),
-                          np.array([config.eps_bar]), config.normalize_q_in_softmax,
-                          np.array([config.K]), u, alpha, beta)
+    tau, eps, normalize = config.tau, config.eps_bar, config.normalize_q_in_softmax
+    q1, q2, v1, v2 = np.zeros((1, 1, n1)), np.zeros((1, 1, n2)), *np.zeros((2, 1, 1))
+    pi = np.array([[[1.0 / n1] * n1 + [1.0 / n2] * n2]])
+    tg = np.array([[smoothed_policy([0.0] * n1, tau, eps, normalize)
+                    + smoothed_policy([0.0] * n2, tau, eps, normalize)]])
+    steps = _visbr_steps(q1, q2, v1, v2, pi, tg, np.zeros(1, np.int64), game.R1[None],
+                         game.R2[None], np.empty((1, n1, n2, 0)), np.array([tau]),
+                         np.array([eps]), np.array([config.K]), False, normalize, 0.0, u,
+                         alpha, beta)
     out = []
     for k in range(config.K):
         steps(k, k + 1)
-        out.append(tuple(x[0].copy() for x in state))
+        out.append((q1[0, 0].copy(), q2[0, 0].copy(), pi[0, 0, :n1].copy(),
+                    pi[0, 0, n1:].copy()))
     return out
 
 
@@ -192,6 +200,35 @@ def test_run_equals_stepping_bitwise(loops):
                 assert rec.series["q_inf"][row] == max(np.abs(q1).max(), np.abs(q2).max())
             for got, w in zip(_iterates(rec), want[-1]):
                 assert got.tobytes() == w.tobytes()
+
+
+def test_a_matrix_run_is_a_one_state_stochastic_run(loops):
+    # the design's invariant: a matrix game is the one-state stochastic game
+    # whose transition is all ones, and run_visbr at T=1 steps it as
+    # run_matrix_dynamics does. Player i's stream is spawn(3)[i] there and
+    # spawn(2)[i] here, the same stream, and v stays 0 until the round ends,
+    # so gamma does not enter: final q and both final policies agree bit for
+    # bit. rps's R2 has a -0.0 diagonal
+    dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
+    const = z.StepsizeSchedule(kind="constant", alpha=0.5, beta=0.1)
+    for _ in loops:
+        for source in ("builtin:mp", "builtin:rps", "builtin:appF:N=5"):
+            game = z.load_game(source)
+            one = z.validate_stochastic_game(
+                np.ones((1, game.n_actions_1, game.n_actions_2, 1)), game.R1[None],
+                game.R2[None], gamma=0.5)
+            for schedule, (variant, eps_bar) in product((const, dim),
+                                                        (("plain", 0.0), ("explore", 0.2))):
+                kws = [dict(tau=0.3 + 0.1 * seed, schedule=schedule, K=150, seed=seed,
+                            variant=variant, eps_bar=eps_bar, record_stride=150)
+                       for seed in range(3)]
+                matrix = z.run_matrix_dynamics(game, [z.MatrixRunConfig(**kw) for kw in kws])
+                stochastic = z.run_visbr(one, [z.VisbrConfig(**kw, T=1) for kw in kws])
+                for m, st in zip(matrix, stochastic, strict=True):
+                    for got, want in zip((*m.final_q, m.final_policy.pi1, m.final_policy.pi2),
+                                         (*st.final_q, st.final_policy.pi1,
+                                          st.final_policy.pi2)):
+                        assert got.tobytes() == want[0].tobytes()
 
 
 def test_truncated_runs_end_where_a_longer_run_stands():
@@ -467,11 +504,11 @@ def test_records_do_not_depend_on_the_batch(shape, loops):
 
 
 @LAYOUTS
-def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape):
+def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape, loops):
     # configs that differ only in K and record_stride, among them the
     # truncations K=1..12 of one config, share one batch that drops each
     # trajectory at its K, mid-chunk or at a chunk's start (K=64); each
-    # record is byte for byte its one-config run
+    # record is byte for byte its one-config run on the same loop
     game = _uniform_game(shape, 11)
     base = _config(seed=4, tau=0.6, variant="explore", eps_bar=0.1)
     configs = [replace(base, K=k, record_stride=k) for k in range(1, 13)]
@@ -479,45 +516,49 @@ def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape):
                 for s, (K, stride) in enumerate([(70, 1), (70, 9), (65, 64), (130, 7),
                                                  (9, 4), (130, 130), (64, 5)])]
     random.Random(5).shuffle(configs)
-    batches, binds, calls = [], [], []
-    run_batch, loop = z.matrix_dyn._run_batch, z.matrix_dyn._matrix_loop()
+    run_batch = z.matrix_dyn._run_batch
+    for _ in loops:
+        batches, binds, calls = [], [], []
+        loop = z.matrix_dyn._visbr_loop()
 
-    def bind(*arrays):
-        state, ends = arrays[:4], arrays[9]  # q1, q2, pi1, pi2; each trajectory's K
-        binds.append(ends.tolist())
-        steps = loop(*arrays)
+        def bind(*arrays):
+            # q1, q2, v1, v2, pi, tg, states; each trajectory's K
+            state, ends = arrays[:7], arrays[12]
+            binds.append(ends.tolist())
+            steps = loop(*arrays)
 
-        def counted(k0, k1):
-            calls.append((k0, k1))
-            before, gone = [x.copy() for x in state], ends <= k0
-            steps(k0, k1)
-            # a trajectory past its K is left as it stands
-            assert all(np.array_equal(x[gone], y[gone]) for x, y in zip(state, before))
-        return counted
+            def counted(k0, k1):
+                calls.append((k0, k1))
+                before, gone = [x.copy() for x in state], ends <= k0
+                steps(k0, k1)
+                # a trajectory past its K is left as it stands
+                assert all(np.array_equal(x[gone], y[gone]) for x, y in zip(state, before))
+            return counted
 
-    monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
-                        lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
-    monkeypatch.setattr("zsdyn.matrix_dyn._matrix_loop", lambda: bind)
-    mixed = z.run_matrix_dynamics(game, configs)
-    assert batches == [len(configs)] and binds == [[c.K for c in configs]]
-    # the calls run steps 0..129 once each, none across a uniform chunk's
-    # start; with the rows left alone past their K, trajectory b is stepped
-    # at k = 0..K_b - 1, its own K times
-    assert [k0 for k0, _ in calls] == [0] + [k1 for _, k1 in calls[:-1]]
-    assert calls[-1][1] == 130
-    assert all(k0 < k1 and k0 // _UNIFORM_CHUNK == (k1 - 1) // _UNIFORM_CHUNK
-               for k0, k1 in calls)
-    monkeypatch.undo()
-    for config, rec in zip(configs, mixed):
-        [alone] = z.run_matrix_dynamics(game, [config])
-        assert rec.index.tobytes() == alone.index.tobytes()
-        assert rec.index[-1, 1] == config.K
-        assert len(rec.index) == -(-config.K // config.record_stride)
-        for name in z.MATRIX_METRICS:
-            assert rec.series[name].tobytes() == alone.series[name].tobytes(), name
-        for got, want in zip(_iterates(rec), _iterates(alone)):
-            assert got.tobytes() == want.tobytes()
-        assert rec == alone
+        monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
+                            lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
+        monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: bind)
+        mixed = z.run_matrix_dynamics(game, configs)
+        assert batches == [len(configs)] and binds == [[c.K for c in configs]]
+        # the calls run steps 0..129 once each, none across a uniform chunk's
+        # start; with the rows left alone past their K, trajectory b is
+        # stepped at k = 0..K_b - 1, its own K times
+        assert [k0 for k0, _ in calls] == [0] + [k1 for _, k1 in calls[:-1]]
+        assert calls[-1][1] == 130
+        assert all(k0 < k1 and k0 // _UNIFORM_CHUNK == (k1 - 1) // _UNIFORM_CHUNK
+                   for k0, k1 in calls)
+        monkeypatch.setattr("zsdyn.matrix_dyn._run_batch", run_batch)
+        monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: loop)
+        for config, rec in zip(configs, mixed):
+            [alone] = z.run_matrix_dynamics(game, [config])
+            assert rec.index.tobytes() == alone.index.tobytes()
+            assert rec.index[-1, 1] == config.K
+            assert len(rec.index) == -(-config.K // config.record_stride)
+            for name in z.MATRIX_METRICS:
+                assert rec.series[name].tobytes() == alone.series[name].tobytes(), name
+            for got, want in zip(_iterates(rec), _iterates(alone)):
+                assert got.tobytes() == want.tobytes()
+            assert rec == alone
 
 
 @LAYOUTS
