@@ -2,13 +2,13 @@
 
 List code (smoothed_policy, pick_action) for the list step loop, on
 vectors of length 2 or 3 where lists beat numpy, and batched code on
-action-major (n, B) stacks, one vector per column, for the matrix gaps, the
-kernels' initial targets and the oracles (_targets, _entropy: ops.softmax
-and ops.entropy are their one-column cases). Both sum left to right and take
-exp and log from the C library: the list code through math.exp and
-math.log, the batched code through numpy's complex exp (_exp) and math.log
-(_log). Tests pin _exp to math.exp and the list and batched softmaxes to
-each other bitwise.
+action-major (n, B) stacks, one vector per column, for the kernels' initial
+targets, the oracles (_targets, _entropy: ops.softmax and ops.entropy are
+their one-column cases) and the numpy body of metrics.matrix_gaps. Both sum
+left to right and take exp and log from the C library: the list code
+through math.exp and math.log, the batched code through numpy's complex
+exp (_exp) and math.log (_log). Tests pin _exp to math.exp and the list and
+batched softmaxes to each other bitwise.
 
 Both kernels step in one C loop of _loops.c, which _library compiles on the
 first kernel call, never at import, and loads through ctypes; _visbr_loop
@@ -16,9 +16,11 @@ binds it, and a matrix run is its one-state case with gamma = 0.
 _visbr_steps is that loop on lists: its bitwise specification, and the
 fallback wherever the library is not built. The C loop keeps the bits by
 the same float operations in the same order, no FMA contraction and the C
-library's exp and sqrt, as math.exp and math.sqrt. The same library holds
-the matrix-game simplex, which _lp_loop binds for ops._game_values;
-ops._simplex_max is its specification and fallback.
+library's exp, log and sqrt, as math.exp, math.log and math.sqrt. The same
+library holds the matrix-game simplex, which _lp_loop binds for
+ops._game_values, with ops._simplex_max as its specification and fallback,
+and the gap scorer that records matrix runs, which _gaps_loop binds for
+metrics.matrix_gaps, whose numpy body is its specification and fallback.
 
 It also seeds both kernels: _generators builds the streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
@@ -292,6 +294,7 @@ def _library():
     i, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.zsdyn_visbr_steps.argtypes, lib.zsdyn_visbr_steps.restype = [i] * 9 + [d] + [p] * 16, None
     lib.zsdyn_game_lps.argtypes, lib.zsdyn_game_lps.restype = [i] * 3 + [d] + [p] * 5, i
+    lib.zsdyn_matrix_gaps.argtypes, lib.zsdyn_matrix_gaps.restype = [i] * 3 + [p] * 7, None
     return lib
 
 
@@ -344,3 +347,25 @@ def _lp_loop():
                                    "simplex exceeded its pivot budget")[rc - 1])
         return z, y
     return solve
+
+
+def _gaps_loop():
+    # score(R1, R2, pi1, pi2, tau) -> (ng, ngtau): metrics.matrix_gaps on the
+    # action-major (n_i, N) stacks in one call of the compiled scorer; None
+    # where not built
+    lib = _library()
+    if lib is None:
+        return None
+
+    def score(R1, R2, pi1, pi2, tau):
+        (n1, N), n2 = pi1.shape, len(pi2)
+        held = [np.ascontiguousarray(a, np.float64) for a in (R1, R2, pi1, pi2, tau)]
+        shapes = [(n1, n2), (n2, n1), (n1, N), (n2, N), (N,)]
+        if [a.shape for a in held] != shapes:
+            raise ValueError(f"the compiled scorer needs R1, R2, pi1, pi2 and tau of shapes "
+                             f"{shapes}, got {[a.shape for a in held]}")
+        gaps, x = np.empty((2, N)), np.empty(max(n1, n2))  # x: the scorer's scratch
+        args = (a.ctypes.data for a in (*held, gaps, x))
+        lib.zsdyn_matrix_gaps(N, n1, n2, *args)
+        return gaps[0], gaps[1]
+    return score

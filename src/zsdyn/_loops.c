@@ -1,13 +1,15 @@
-/* The dynamics' step loop and the matrix-game simplex, compiled:
-   _core._visbr_steps and ops._simplex_max on C doubles. A matrix game runs
-   in the step loop as a one-state stochastic game with gamma = 0.
+/* The dynamics' step loop, the matrix-game simplex and the matrix-game gap
+   scorer, compiled: _core._visbr_steps, ops._simplex_max and
+   metrics.matrix_gaps on C doubles. A matrix game runs in the step loop as
+   a one-state stochastic game with gamma = 0.
 
    The step loop runs steps k0..k1-1 in place on C-contiguous arrays. Step k
    reads the uniforms at column k % w of its (n, w) uniform rows, and the
    rates alpha[k % w] and beta[k % w]. Every float operation is one that the
    Python code does, in its order, with sums left to right. The bits hold
    only when this is compiled with -ffp-contract=off and without -ffast-math,
-   and exp and sqrt come from the C library, as math.exp and math.sqrt do. */
+   and exp, log and sqrt come from the C library, as math.exp, math.log and
+   math.sqrt do. */
 #include <math.h>
 #include <stdint.h>
 
@@ -91,9 +93,10 @@ void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1,
     }
 }
 
-/* ops._simplex_max(A[k]) for each matrix of the (N, n, m) stack A, whose
-   LPs are max 1'z s.t. A[k] z <= 1, z >= 0, on the (n + 1, m + n + 1)
-   tableau T and the n basic indices: the slack basis, Bland's entering
+/* ops._simplex_max(A[k], pivot_eps) for each matrix of the (N, n, m) stack
+   A, whose LPs are max 1'z s.t. A[k] z <= 1, z >= 0, on the
+   (n + 1, m + n + 1) tableau T and the n basic indices: the slack basis,
+   Bland's entering
    column, ties of the ratio test to the smaller basic index, then the pivot
    row divided by the pivot and f times it taken from each row. The pivot
    row goes last, with f = 0.0, as in numpy's outer-product update: it turns
@@ -160,4 +163,52 @@ int64_t zsdyn_game_lps(int64_t N, int64_t n, int64_t m, double pivot_eps, const 
         }
     }
     return 0;
+}
+
+/* One player's terms of metrics.matrix_gaps for column c: x = R own-major
+   (n, no) times the opponent's column of opp (no, N), summed over j in
+   order from 0.0, its max m, and then m - own . x into *ng and
+   m + tau log(sum exp((x - m) / tau)) - own . x - tau H(own) into *ngtau,
+   each added to what they hold. x is the caller's scratch of n doubles. */
+static void player_gaps(int64_t N, int64_t n, int64_t no, int64_t c, const double *R,
+                        const double *own, const double *opp, double tau, double *x,
+                        double *ng, double *ngtau)
+{
+    double m, total = 0.0, ach = 0.0, h = 0.0;
+    for (int64_t a = 0; a < n; a++) {
+        x[a] = 0.0 + R[a * no] * opp[c];
+        for (int64_t j = 1; j < no; j++)
+            x[a] += R[a * no + j] * opp[j * N + c];
+    }
+    m = x[0]; /* np.max: a NaN wins */
+    for (int64_t a = 1; a < n; a++)
+        m = x[a] > m || x[a] != x[a] ? x[a] : m;
+    for (int64_t a = 0; a < n; a++)
+        total += exp((x[a] - m) / tau);
+    for (int64_t a = 0; a < n; a++)
+        ach += own[a * N + c] * x[a];
+    for (int64_t a = 0; a < n; a++) {
+        double p = own[a * N + c];
+        h += -(p * log(p > 0.0 ? p : 1.0));
+    }
+    *ng += m - ach;
+    *ngtau += m + tau * log(total) - ach - tau * h;
+}
+
+/* metrics.matrix_gaps: (ng, ngtau) of each column c of the action-major
+   policy stacks pi1 (n1, N) and pi2 (n2, N) at temperature tau[c], player
+   1's terms added to 0.0 first, each clamped to 0.0 from below (a NaN too);
+   R1 is (n1, n2), R2 (n2, n1), and x the caller's scratch of
+   max(n1, n2) doubles. gaps is (2, N): ng, then ngtau. */
+void zsdyn_matrix_gaps(int64_t N, int64_t n1, int64_t n2, const double *R1, const double *R2,
+                       const double *pi1, const double *pi2, const double *tau, double *gaps,
+                       double *x)
+{
+    for (int64_t c = 0; c < N; c++) {
+        double ng = 0.0, ngtau = 0.0;
+        player_gaps(N, n1, n2, c, R1, pi1, pi2, tau[c], x, &ng, &ngtau);
+        player_gaps(N, n2, n1, c, R2, pi2, pi1, tau[c], x, &ng, &ngtau);
+        gaps[c] = ng > 0.0 ? ng : 0.0;
+        gaps[N + c] = ngtau > 0.0 ? ngtau : 0.0;
+    }
 }

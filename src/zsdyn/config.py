@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
@@ -168,8 +169,9 @@ class RunConfig(DictConfig):
         _require(self.variant in _VARIANTS,
                  f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         tau, eps_bar = self.tau, self.eps_bar
-        _require(_is_real(tau) and math.isfinite(tau) and tau > 0.0,
-                 f"tau must be positive and finite, got {tau!r}")
+        # a subnormal tau overflows (x - m) / tau in the batched softmax and gaps
+        _require(_is_real(tau) and math.isfinite(tau) and tau >= sys.float_info.min,
+                 f"tau must be finite and at least {sys.float_info.min}, got {tau!r}")
         _require(_is_real(eps_bar) and 0.0 <= eps_bar <= 1.0,
                  f"eps_bar must lie in [0, 1], got {eps_bar!r}")
         if self.variant == "plain":

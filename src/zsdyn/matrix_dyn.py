@@ -22,12 +22,15 @@ some trajectory records, or the start of a chunk of uniforms. Trajectory b
 steps only while k < its K, so each leaves the batch at its own K, and the
 loop reads no environment uniform at S = 1, so none is drawn.
 run_matrix_dynamics batches the configs that share schedule and
-normalize_q_in_softmax, which the loop's softmax reads; recording
-(matrix_gaps) stays here. The loop runs the float operations of
-_core._visbr_steps, the list loop that specifies it bit for bit and runs
-wherever it cannot be built, in their order: sums left to right, exp and
-sqrt from the C library, no FMA contraction. So a trajectory's bytes depend
-neither on its batch nor on the loop that ran it.
+normalize_q_in_softmax, which the loop's softmax reads. Recording stays
+here: each chunk of up to 256 recorded policies is scored in one
+metrics.matrix_gaps call, which runs the compiled gap scorer of the same
+library, or its numpy body where that is not built. The loop runs the
+float operations of _core._visbr_steps, the list loop that specifies it
+bit for bit and runs wherever it cannot be built, in their order: sums
+left to right, exp and sqrt from the C library, no FMA contraction; the
+scorer keeps its numpy body's bits the same way. So a trajectory's bytes
+depend neither on its batch nor on the loop or scorer that ran it.
 
 Player i draws from stream i of player_seed_sequences(seed); _core's
 _generators seeds all 2B generators from one vectorized pass of

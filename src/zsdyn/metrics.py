@@ -17,9 +17,11 @@ matrix-game gaps for action-major (n_i, N) policy stacks, one policy per
 column as the matrix kernel holds them, and the stochastic gap for
 (N, S, n_i) stacks of policy tables. A policy's gaps are the same bits in
 any batch, and the public gap functions are the one-column and one-row
-cases. The softmax, entropy, the C library's exp and log, and left-to-right
-sums come from _core, so the Nash distribution's softmax reply is the
-matrix kernel's.
+cases. matrix_gaps runs in the compiled scorer of _loops.c, which takes exp
+and log from the C library; where that is not built it runs its numpy
+body, the scorer's bitwise specification, on _core's entropy, exp, log and
+left-to-right sums. The softmax comes from _core too, so the Nash
+distribution's softmax reply is the matrix kernel's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import _entropy, _exp, _log, _row_sum, _targets
+from ._core import _entropy, _exp, _gaps_loop, _log, _row_sum, _targets
 from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotZeroSum
 from .games import (JointPolicy, MatrixGame, StochasticGame, _check_distributions,
                     validate_joint_policy)
@@ -181,7 +183,13 @@ def matrix_gaps(R1: np.ndarray, R2: np.ndarray, pi1: np.ndarray, pi2: np.ndarray
     computed once and shared by both gaps: the plain gap uses max(x), the
     regularized one tau * logsumexp(x / tau) and the entropy of pi^i. No
     result depends on the other columns of the batch.
+
+    Runs in one call of the compiled scorer where _loops.c is built; this
+    numpy body is its bitwise specification and the fallback elsewhere.
     """
+    score = _gaps_loop()
+    if score is not None:
+        return score(R1, R2, pi1, pi2, tau)
     ng = ngtau = 0.0
     for R, own, opp in ((R1, pi1, pi2), (R2, pi2, pi1)):
         x = _row_sum(R.T[:, :, None] * opp[:, None, :])

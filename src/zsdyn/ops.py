@@ -15,6 +15,7 @@ arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +45,10 @@ class SoftmaxParams:
     eps_bar: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        # a subnormal tau overflows (x - m) / tau in the batched softmax and gaps
+        if not (self.tau >= sys.float_info.min and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be finite and at least {sys.float_info.min}, "
+                             f"got {self.tau}")
         if not (0.0 <= self.eps_bar <= 1.0):
             raise ValueError(f"eps_bar must lie in [0, 1], got {self.eps_bar}")
 
@@ -133,14 +136,15 @@ class GameValue(NamedTuple):
 _PIVOT_EPS = 1e-12
 
 
-def _simplex_max(A: np.ndarray):
+def _simplex_max(A: np.ndarray, pivot_eps: float):
     """Maximize 1^T z subject to A z <= 1, z >= 0.
 
     Dense tableau simplex from the slack basis. Entering and leaving
     variables follow Bland's smallest-index rule so degenerate ties cannot
-    cycle. Returns (z, y) where y holds the dual multipliers of the rows,
-    read off the slack columns of the final cost row. The bitwise
-    specification of the compiled simplex, zsdyn_game_lps, and its fallback.
+    cycle; a reduced cost or pivot entry counts only beyond pivot_eps.
+    Returns (z, y) where y holds the dual multipliers of the rows, read off
+    the slack columns of the final cost row. The bitwise specification of
+    the compiled simplex, zsdyn_game_lps, and its fallback.
     """
     n_rows, n_cols = A.shape
     T = np.zeros((n_rows + 1, n_cols + n_rows + 1))
@@ -153,7 +157,7 @@ def _simplex_max(A: np.ndarray):
     for _ in range(max_pivots):
         enter = -1
         for j in range(n_cols + n_rows):
-            if T[-1, j] < -_PIVOT_EPS:
+            if T[-1, j] < -pivot_eps:
                 enter = j
                 break
         if enter < 0:
@@ -162,7 +166,7 @@ def _simplex_max(A: np.ndarray):
         best = math.inf
         for i in range(n_rows):
             coef = T[i, enter]
-            if coef > _PIVOT_EPS:
+            if coef > pivot_eps:
                 ratio = T[i, -1] / coef
                 if ratio < best - 1e-15:
                     best = ratio
@@ -207,10 +211,23 @@ def matrix_game_value(X) -> GameValue:
 def _game_values(X: np.ndarray):
     # values, maximins and minimaxes of the (N, n, m) stack X of games, each
     # solved as matrix_game_value says, in one call of the compiled simplex
-    # or by _simplex_max per matrix where it is not built: the same bits
+    # or by _simplex_max per matrix where it is not built: the same bits.
+    # The simplex's tolerances are absolute, made for the A of games with
+    # |X| <= 1, whose shift lies in [1, 2]. Where a shift is 4 or more, A is
+    # solved divided by the power of two 2^s that brings it into [2, 4); each
+    # pivot commutes with that scaling exactly, so the solution has the
+    # unscaled one's bits wherever no comparison with a tolerance changes
     shift = 1.0 + np.abs(X).max(axis=(1, 2))
-    A, solve = X + shift[:, None, None], _lp_loop()
-    z, y = solve(A, _PIVOT_EPS) if solve else map(np.array, zip(*map(_simplex_max, A)))
+    A, solve, scaled = X + shift[:, None, None], _lp_loop(), float(shift.max()) >= 4.0
+    if scaled:
+        s = np.maximum(np.frexp(shift)[1] - 2, 0)[:, None]
+        A = np.ldexp(A, -s[:, :, None])
+    if solve:
+        z, y = solve(A, _PIVOT_EPS)
+    else:
+        z, y = map(np.array, zip(*(_simplex_max(a, _PIVOT_EPS) for a in A)))
+    if scaled:  # the unscaled LP's z; y is scaled by 2^s, which y / y_sum drops
+        z = np.ldexp(z, -s)
     # _simplex_max's objective, one dot per matrix: z.sum(axis=1) differs in the last bit
     w = np.array([float(np.ones(len(row)) @ row) for row in z])
     y_sum = y.sum(axis=1)

@@ -1,6 +1,7 @@
 """Stepsize schedules, run configs, and condition checkers."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,23 @@ def test_visbr_config_validation():
         z.VisbrConfig(tau=0.5, schedule=_sched(), T=0, K=10, seed=1)
     with pytest.raises(z.BadConfig):
         z.VisbrConfig(tau=0.5, schedule=_sched(), T=3, K=10, seed=1, eps_bar=0.2)
+
+
+@pytest.mark.parametrize("tau", [1e-310, 5e-324])
+def test_subnormal_tau_is_rejected(tau):
+    # (x - m) / tau would overflow to -inf in the batched softmax and the
+    # numpy gap scorer; the smallest normal float is the least tau accepted
+    game = z.load_game("builtin:rps")
+    joint = z.JointPolicy(np.full(3, 1.0 / 3.0), np.full(3, 1.0 / 3.0))
+    for make in (z.MatrixRunConfig, lambda **kw: z.VisbrConfig(T=2, **kw)):
+        with pytest.raises(z.BadConfig, match="tau"):
+            make(tau=tau, schedule=_sched(), K=10, seed=1)
+        make(tau=sys.float_info.min, schedule=_sched(), K=10, seed=1)
+    for call in (lambda: z.SoftmaxParams(tau), lambda: z.softmax([0.1, 0.2], tau),
+                 lambda: z.regularized_nash_gap(game, joint, tau),
+                 lambda: z.generalized_gap_vx(game.R1, game.R2, joint, tau)):
+        with pytest.raises(ValueError, match="tau"):
+            call()
 
 
 def test_run_configs_are_keyword_only():

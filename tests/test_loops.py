@@ -1,5 +1,5 @@
-"""Building and loading the compiled step loop and the compiled matrix-game
-simplex, and their fallbacks."""
+"""Building and loading the compiled step loop, the compiled matrix-game
+simplex and the compiled matrix-gap scorer, and their fallbacks."""
 
 import functools
 import hashlib
@@ -43,8 +43,10 @@ def fresh_loader(tmp_path, monkeypatch):
 
 
 def _compiled():
-    # whether the kernels bind the compiled step loop and the LP its simplex
-    return _core._visbr_loop() is not _core._visbr_steps and _core._lp_loop() is not None
+    # whether the kernels bind the compiled step loop, the LP its simplex
+    # and matrix_gaps its scorer
+    return (_core._visbr_loop() is not _core._visbr_steps and _core._lp_loop() is not None
+            and _core._gaps_loop() is not None)
 
 
 def test_compiled_loop_loads_where_cc_exists():
@@ -59,7 +61,7 @@ def test_no_compiler_falls_back_to_the_list_loop(fresh_loader, tmp_path, monkeyp
     monkeypatch.setenv("PATH", str(tmp_path / "nowhere"))
     monkeypatch.chdir(tmp_path)
     assert _core._visbr_loop() is _core._visbr_steps
-    assert _core._lp_loop() is None
+    assert _core._lp_loop() is None and _core._gaps_loop() is None
     assert os.listdir(tmp_path / "__pycache__") == []  # the failed build left nothing
     for fixture, sweep in (("matrix", MATRIX_SWEEP), ("stochastic", STOCHASTIC_SWEEP)):
         run_experiment(ExperimentConfig(**sweep), force=True)
@@ -93,31 +95,34 @@ def test_a_new_build_removes_the_objects_of_older_sources(fresh_loader, tmp_path
 
 
 # run in a fresh interpreter on a copy of the package, with a cc that marks
-# each call: imports zsdyn, solves rock-paper-scissors or runs the sweep
-# given, if any, and prints whether the loader ran. numpy imports ctypes
-# itself, so whether ctypes is in sys.modules tells nothing
+# each call: imports zsdyn, solves rock-paper-scissors, scores a policy on
+# it or runs the sweep given, if any, and prints whether the loader ran.
+# numpy imports ctypes itself, so whether ctypes is in sys.modules tells nothing
 PROBE = """
 import json, sys
 import zsdyn
 from zsdyn import _core
 from zsdyn.harness import ExperimentConfig, run_experiment
+rps = zsdyn.rock_paper_scissors()
 if sys.argv[1:] == ["lp"]:
-    zsdyn.matrix_game_value(zsdyn.rock_paper_scissors().R1)
+    zsdyn.matrix_game_value(rps.R1)
+elif sys.argv[1:] == ["gap"]:
+    zsdyn.nash_gap_matrix(rps, zsdyn.JointPolicy([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
 elif sys.argv[1:]:
     run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))
 print(_core._library.cache_info().currsize)
 """
 
 
-@pytest.mark.parametrize("kind", ["import", "stochastic", "matrix", "lp"])
+@pytest.mark.parametrize("kind", ["import", "stochastic", "matrix", "lp", "gap"])
 def test_only_a_kernel_call_starts_the_build(tmp_path, kind):
     # importing zsdyn leaves the compiled loops unbuilt and starts no
-    # compiler; the first call of either kernel, or the first matrix-game
-    # LP, starts the build
+    # compiler; the first call of either kernel, the first matrix-game LP
+    # or the first matrix-game gap starts the build
     shutil.copytree(SRC, tmp_path / "pkg" / "zsdyn",
                     ignore=shutil.ignore_patterns("__pycache__"))
     bin_dir = _fake_cc(tmp_path)
-    argv = ["lp"] if kind == "lp" else []
+    argv = [kind] if kind in ("lp", "gap") else []
     if kind in ("stochastic", "matrix"):
         game, run = ((SG3, {"T": 2}) if kind == "stochastic" else ("builtin:rps", {}))
         argv.append(json.dumps({"kind": kind, "game": game, "n_trajectories": 2, "base_seed": 5,

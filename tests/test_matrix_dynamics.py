@@ -3,6 +3,8 @@ recording, and their invariants."""
 
 import math
 import random
+import sys
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -578,3 +580,23 @@ def test_records_do_not_depend_on_the_score_chunk(monkeypatch, shape):
             for name in ("ng", "ngtau", "min_pi", "q_inf"):
                 assert rec.metric(name).tobytes() == ref.metric(name).tobytes()
             assert rec == ref
+
+
+def test_tau_at_dbl_min_runs_without_warnings(loops):
+    # the least tau a config accepts keeps (x - m) / tau finite in the numpy
+    # softmax and gap scorer, and every path gives the same bytes
+    game, tau = z.load_game("builtin:rps"), sys.float_info.min
+    configs = [_config(tau=tau, K=50, record_stride=5, variant=variant, eps_bar=eps,
+                       normalize_q_in_softmax=normalize)
+               for (variant, eps), normalize in product((("plain", 0.0), ("explore", 0.1)),
+                                                        (False, True))]
+    joint = z.JointPolicy(np.array([0.5, 0.5, 0.0]), np.full(3, 1.0 / 3.0))
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in loops:
+            records = z.run_matrix_dynamics(game, configs)
+            runs.append([r.series[m].tobytes() for r in records for m in z.MATRIX_METRICS]
+                        + [z.softmax([0.1, 0.3, -0.2], tau).tobytes(),
+                           z.regularized_nash_gap(game, joint, tau)])
+    assert all(run == runs[0] for run in runs)

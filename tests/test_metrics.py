@@ -1,11 +1,16 @@
 """Gap metrics and the smoothed equilibrium solver."""
 
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zsdyn as z
+from zsdyn import _core, metrics
 from zsdyn.metrics import matrix_gaps, stochastic_gaps
 
 
@@ -535,3 +540,34 @@ def test_batched_gaps_match_array_metrics():
             assert ng[row] == pytest.approx(z.nash_gap_matrix(game, joint), abs=1e-12)
             assert ngtau[row] == pytest.approx(
                 z.regularized_nash_gap(game, joint, float(tau[row])), abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1.0, 1e-8, 1e-300]), st.booleans())
+def test_compiled_gaps_are_matrix_gaps_bitwise(n1, n2, N, seed, scale, zero_sum):
+    # the compiled scorer against the numpy body of matrix_gaps, its
+    # specification: payoffs of thirds (ties in the max) scaled until
+    # products and gaps underflow, policies with zero entries and point
+    # masses, tau log-uniform from DBL_MIN to 1e3 with both ends
+    if _core._gaps_loop() is None:
+        pytest.skip("no cc on PATH: matrix_gaps runs its numpy body")
+    rng = np.random.default_rng(seed)
+    R1 = np.round(3.0 * rng.uniform(-1.0, 1.0, (n1, n2))) / 3.0 * scale
+    R2 = -R1.T if zero_sum else rng.uniform(-1.0, 1.0, (n2, n1)) * scale
+
+    def policies(n):
+        p, kind = rng.dirichlet(np.ones(n), N).T, rng.integers(0, 3, N)
+        p[:, kind == 1] *= rng.random((n, np.count_nonzero(kind == 1))) < 0.5
+        p[:, kind == 2] = np.eye(n)[:, rng.integers(0, n, np.count_nonzero(kind == 2))]
+        p[0, p.sum(axis=0) == 0.0] = 1.0
+        return p / p.sum(axis=0)
+
+    pi1, pi2 = policies(n1), policies(n2)
+    tau = np.maximum(10.0 ** rng.uniform(math.log10(sys.float_info.min), 3.0, N),
+                     sys.float_info.min)
+    tau[[0, -1]] = sys.float_info.min, 1e3
+    got = matrix_gaps(R1, R2, pi1, pi2, tau)
+    with mock.patch.object(metrics, "_gaps_loop", lambda: None):
+        want = matrix_gaps(R1, R2, pi1, pi2, tau)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

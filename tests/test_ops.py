@@ -320,28 +320,58 @@ def _degenerate_matrices(rng):
         yield saddle
 
 
-def test_value_matches_highs_linprog():
+def _highs_value(X):
+    # variables (x, v): maximize v s.t. v <= (x @ X)_j, sum x = 1, x >= 0
     scipy_optimize = pytest.importorskip("scipy.optimize")
+    n, m = X.shape
+    res = scipy_optimize.linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[-X.T, np.ones(m)], b_ub=np.zeros(m),
+        A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
 
-    def highs_value(X):
-        # variables (x, v): maximize v s.t. v <= (x @ X)_j, sum x = 1, x >= 0
-        n, m = X.shape
-        res = scipy_optimize.linprog(
-            c=np.r_[np.zeros(n), -1.0],
-            A_ub=np.c_[-X.T, np.ones(m)], b_ub=np.zeros(m),
-            A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
-            bounds=[(0.0, None)] * n + [(None, None)], method="highs")
-        assert res.status == 0, res.message
-        return -res.fun
 
+def test_value_matches_highs_linprog():
+    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2024)
     games = [rng.uniform(-1.0, 1.0, tuple(rng.integers(1, 7, 2))) for _ in range(200)]
     games += list(_degenerate_matrices(rng))
     for X in games:
         out = z.matrix_game_value(X)
-        assert out.value == pytest.approx(highs_value(X), abs=1e-9), X
+        assert out.value == pytest.approx(_highs_value(X), abs=1e-9), X
         assert float((out.maximin @ X).min()) >= out.value - 1e-9
         assert float((X @ out.minimax).max()) <= out.value + 1e-9
+
+
+# times 1e8 / 3: a valid game on which the simplex, whose tolerances are
+# absolute, stopped with "LP is unbounded" while _game_values handed it the
+# LP unscaled
+THIRDS_OF_1E8 = np.array([[3, -3, -3, -1, 1, 3, 3, -3, 1, 0, 0, -1, 2, 2, 1, -2],
+                          [-2, -2, 0, 2, -1, 2, 0, -2, -3, 3, -3, -2, 3, 2, 2, 1],
+                          [-2, 2, -3, 1, 3, 1, -2, -1, -3, -3, -3, 1, -1, -3, -1, -2],
+                          [3, -1, 1, -1, -2, -3, -2, 3, 3, -2, 3, 3, 1, -3, 2, 1],
+                          [3, 0, 1, -1, 2, -3, -2, 1, 1, -2, 1, 0, 2, -2, 2, -3],
+                          [0, -3, -2, 0, -3, 3, 3, 1, 1, 0, 0, 2, -2, 3, 0, 3]])
+
+
+def test_value_of_large_games_matches_highs_to_their_scale(loops):
+    # that game, and games of thirds scaled by 1e2 to 1e8, two of which the
+    # unscaled LP solved to a wrong value without an error
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1)
+    games = [THIRDS_OF_1E8 / 3.0 * 1e8] + [
+        np.round(3.0 * rng.uniform(-1.0, 1.0, tuple(rng.integers(2, 17, 2)))) / 3.0
+        * 10.0 ** rng.integers(2, 9) for _ in range(200)]
+    want = [_highs_value(X) for X in games]
+    for _ in loops:
+        for X, value in zip(games, want):
+            out, tol = z.matrix_game_value(X), 1e-9 * float(np.abs(X).max())
+            assert out.value == pytest.approx(value, abs=tol), X
+            assert out.maximin.min() >= -1e-12 and out.minimax.min() >= -1e-12
+            assert float((out.maximin @ X).min()) >= out.value - tol
+            assert float((X @ out.minimax).max()) <= out.value + tol
 
 
 def test_value_rejects_bad_input():
@@ -368,7 +398,8 @@ def test_compiled_simplex_matches_simplex_max_bitwise(monkeypatch):
     if solve is None:
         pytest.skip("no cc on PATH: the numpy simplex runs")
     unbounded = np.array([[[-1.0, 0.5]]])
-    assert _outcome(solve, unbounded, ops._PIVOT_EPS) == _outcome(ops._simplex_max, unbounded[0])
+    assert (_outcome(solve, unbounded, ops._PIVOT_EPS)
+            == _outcome(ops._simplex_max, unbounded[0], ops._PIVOT_EPS))
     rng = np.random.default_rng(97)
     for trial in range(120):
         X = rng.uniform(-1.0, 1.0, (rng.integers(1, 9), *rng.integers(1, 41, 2)))
@@ -376,7 +407,8 @@ def test_compiled_simplex_matches_simplex_max_bitwise(monkeypatch):
             X = np.round(3.0 * X) / 3.0
         X *= 10.0 ** rng.integers(-8, 9)
         A = X + (1.0 + np.abs(X).max(axis=(1, 2)))[:, None, None]
-        want, got = [_outcome(ops._simplex_max, a) for a in A], _outcome(solve, A, ops._PIVOT_EPS)
+        want = [_outcome(ops._simplex_max, a, ops._PIVOT_EPS) for a in A]
+        got = _outcome(solve, A, ops._PIVOT_EPS)
         if any(isinstance(w, str) for w in want):  # the stack stops at its first failure
             assert got == next(w for w in want if isinstance(w, str))
             continue
@@ -502,13 +534,17 @@ def _assert_certified_fixed_point(sg, player, tol, reference):
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
 def test_minimax_fixed_point_matches_value_iteration(gamma, loops):
+    # the games and their value-iteration references are built once, as
+    # value iteration at gamma = 0.99 costs most of the test
+    rng = np.random.default_rng(int(gamma * 1000))
+    cases = []
+    for _ in range(10):
+        n_states = int(rng.integers(1, 6))
+        n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
+        sg = _sparse_sg(rng, n_states, n1, n2, gamma)
+        cases.append((sg, _value_iteration(sg, 1, 1e-11)))
     for _ in loops:
-        rng = np.random.default_rng(int(gamma * 1000))
-        for _ in range(10):
-            n_states = int(rng.integers(1, 6))
-            n1, n2 = (int(n) for n in rng.integers(1, 4, size=2))
-            sg = _sparse_sg(rng, n_states, n1, n2, gamma)
-            reference = _value_iteration(sg, 1, 1e-11)
+        for sg, reference in cases:
             _assert_certified_fixed_point(sg, 1, 1e-6, reference)
             _assert_certified_fixed_point(sg, 2, 1e-6, -reference)  # zero-sum: v2* = -v1*
 
