@@ -12,19 +12,23 @@ batched softmaxes to each other bitwise.
 
 Both kernels step in one C loop of _loops.c, which _library compiles on the
 first kernel call, never at import, and loads through ctypes; _visbr_loop
-binds it, and a matrix run is its one-state case with gamma = 0.
-_visbr_steps is that loop on lists: its bitwise specification, and the
-fallback wherever the library is not built. The C loop keeps the bits by
-the same float operations in the same order, no FMA contraction and the C
+binds it, and a matrix run is its one-state case with gamma = 0. The loop
+draws its own uniforms, from numpy's PCG64 in C, and its own rates, so a
+call stops only where its caller records. _visbr_steps is that loop on
+lists: its bitwise specification, and the fallback wherever the library is
+not built; its uniforms come from numpy Generators, per _UNIFORM_CHUNK
+steps, and its rates from schedule.rates. The C loop keeps the bits by the
+same float operations in the same order, no FMA contraction and the C
 library's exp, log and sqrt, as math.exp, math.log and math.sqrt. The same
 library holds the matrix-game simplex, which _lp_loop binds for
 ops._game_values, with ops._simplex_max as its specification and fallback,
 and the gap scorer that records matrix runs, which _gaps_loop binds for
 metrics.matrix_gaps, whose numpy body is its specification and fallback.
 
-It also seeds both kernels: _generators builds the streams
-default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds from one
-vectorized pass of SeedSequence's hash.
+It also seeds both kernels: _streams holds the PCG64 streams
+default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds as 4 words
+each, computed in one vectorized pass of SeedSequence's hash, and _uniforms
+draws from them.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# steps whose uniforms each generator draws at once: bounds the memory of long
-# runs and leaves the stream as one rng.random(K) per K steps would draw it
+from .errors import NoConvergence
+
+# steps whose uniforms the list loop draws from each stream at once: bounds
+# the memory of long runs and leaves the stream as one draw per step leaves it
 _UNIFORM_CHUNK = 64
 
 
@@ -87,26 +93,37 @@ def pick_action(pi: list, u: float) -> int:
 
 
 def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, frozen,
-                 normalize, gamma, u, alpha, beta):
+                 normalize, gamma, streams, schedule):
     # The dynamics' step loop: the compiled loop's bitwise specification and
     # its fallback, on the arrays zsdyn_visbr_steps takes. steps(k0, k1) runs
     # steps k0..k1-1 of each trajectory b while k < ends[b]: the live
     # trajectories' policy rows move in one array expression, the same three
     # operations per entry as a loop, then list code runs at each visited
     # state; bisect_right on the partial sums counts those that u passes. A
-    # frozen player 2's columns keep tg = pi.
-    R1, R2, sums, n1, B = R1.tolist(), R2.tolist(), sums.tolist(), q1.shape[2], len(states)
+    # frozen player 2's columns keep tg = pi. Row i*B + b of streams is
+    # player i's, or at S > 1 the environment's (i = 2), of trajectory b; the
+    # rows become Generators when it is bound, and those carry the streams
+    # from then on: each live trajectory's uniforms come from
+    # Generator.random once per _UNIFORM_CHUNK steps, the rates from
+    # schedule.rates(k).
+    (S, n1, _), B = R1.shape, len(states)
+    R1, R2, sums = R1.tolist(), R2.tolist(), sums.tolist()
     taus, epss, last = tau.tolist(), eps.tolist(), ends.tolist()
+    gens = [np.random.Generator(_bit_generator(row)) for row in streams]
+    us = [[]] * len(gens)  # each stream's uniforms of the current chunk
 
     def steps(k0: int, k1: int) -> None:
-        w, us, at, rates = u.shape[1], u.T.tolist(), states.tolist(), [*zip(alpha.tolist(), beta)]
-        qs, vs = (q1.tolist(), q2.tolist()), (v1.tolist(), v2.tolist())
+        at, qs, vs = states.tolist(), (q1.tolist(), q2.tolist()), (v1.tolist(), v2.tolist())
         # the live trajectories change only at an end
         cuts = sorted({k0, k1, *(e for e in last if k0 < e < k1)})
         for lo, hi in zip(cuts, cuts[1:]):
             live = [b for b, e in enumerate(last) if e > lo]
+            drawn = [i + b for i in range(0, len(gens), B) for b in live]
             for k in range(lo, hi):
-                (al, be), uk = rates[k % w], us[k % w]
+                if (c := k % _UNIFORM_CHUNK) == 0:
+                    for i in drawn:
+                        us[i] = gens[i].random(min(_UNIFORM_CHUNK, last[i % B] - k)).tolist()
+                al, be = schedule.rates(k)
                 if len(live) == B:
                     np.add(pi, be * (tg - pi), out=pi)
                 else:
@@ -114,8 +131,8 @@ def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, f
                 for b in live:
                     s = at[b]
                     here, x1, x2 = pi[b, s].tolist(), qs[0][b][s], qs[1][b][s]
-                    a1, a2 = pick_action(here[:n1], uk[b]), pick_action(here[n1:], uk[B + b])
-                    at[b] = nxt = bisect_right(sums[s][a1][a2], uk[2 * B + b])
+                    a1, a2 = pick_action(here[:n1], us[b][c]), pick_action(here[n1:], us[B + b][c])
+                    at[b] = nxt = bisect_right(sums[s][a1][a2], us[2 * B + b][c]) if S > 1 else 0
                     x1[a1] += al * (R1[s][a1][a2] + gamma * vs[0][b][nxt] - x1[a1])
                     target = smoothed_policy(x1, taus[b], epss[b], normalize)
                     if not frozen:
@@ -228,10 +245,51 @@ def _state_words():
     return StateWords
 
 
-def _generators(seeds: Sequence[int], n: int) -> list:
-    # default_rng(SeedSequence(seeds[b]).spawn(n)[i]) as generator i*B + b
-    words, g = _stream_words(seeds, n).reshape(-1, 4), _state_words()
-    return [np.random.Generator(np.random.PCG64(g(w))) for w in words]
+_LOW64 = 2 ** 64 - 1
+
+
+def _streams(seeds: Sequence[int], n: int) -> np.ndarray:
+    # row i*B + b: the PCG64 stream of default_rng(SeedSequence(seeds[b]).spawn(n)[i])
+    # as (state, increment), each high word first, seeded from its
+    # _stream_words as numpy's pcg64_set_seed seeds it: in C where the
+    # library is built, by numpy where not
+    words, lib = _stream_words(seeds, n).reshape(-1, 4), _library()
+    if lib is None:
+        return np.array([_stream_row(np.random.PCG64(_state_words()(w))) for w in words],
+                        dtype=np.uint64)
+    lib.zsdyn_pcg64_seed(len(words), words.ctypes.data)
+    return words
+
+
+def _bit_generator(row: np.ndarray) -> np.random.PCG64:
+    # a numpy PCG64 standing where the stream of a row of _streams stands
+    bg = np.random.PCG64(_state_words()(row))  # any 4 words; the state is set next
+    hi, lo, inc_hi, inc_lo = map(int, row)
+    bg.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+    return bg
+
+
+def _stream_row(bg: np.random.PCG64) -> list:
+    # the row of _streams standing where bg stands
+    st = bg.state["state"]
+    return [st["state"] >> 64, st["state"] & _LOW64, st["inc"] >> 64, st["inc"] & _LOW64]
+
+
+def _uniforms(streams: np.ndarray, m: int) -> np.ndarray:
+    # (len(streams), m): m draws of Generator.random from each stream, which
+    # moves past them; in C where the library is built, by numpy where not
+    if streams.dtype != np.uint64 or streams.shape[1:] != (4,) or not streams.flags.c_contiguous:
+        raise ValueError("streams must be a C-contiguous (n, 4) uint64 array")
+    lib, out = _library(), np.empty((len(streams), m))
+    if lib is None:
+        gens = [np.random.Generator(_bit_generator(row)) for row in streams]
+        for g, row in zip(gens, out):
+            row[:] = g.random(m)
+        streams[:] = np.array([_stream_row(g.bit_generator) for g in gens], dtype=np.uint64)
+    else:
+        lib.zsdyn_uniforms(len(streams), m, streams.ctypes.data, out.ctypes.data)
+    return out
 
 
 # the compile command of _loops.c: no FMA contraction (gcc contracts by default
@@ -292,41 +350,40 @@ def _library():
     except OSError:
         return None
     i, d, p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.zsdyn_visbr_steps.argtypes, lib.zsdyn_visbr_steps.restype = [i] * 9 + [d] + [p] * 16, None
+    lib.zsdyn_visbr_steps.argtypes = [i] * 9 + [d] * 4 + [p] * 14
+    lib.zsdyn_visbr_steps.restype = None
+    lib.zsdyn_pcg64_seed.argtypes, lib.zsdyn_pcg64_seed.restype = [i, p], None
+    lib.zsdyn_uniforms.argtypes, lib.zsdyn_uniforms.restype = [i, i, p, p], None
     lib.zsdyn_game_lps.argtypes, lib.zsdyn_game_lps.restype = [i] * 3 + [d] + [p] * 5, i
     lib.zsdyn_matrix_gaps.argtypes, lib.zsdyn_matrix_gaps.restype = [i] * 3 + [p] * 7, None
     return lib
 
 
-def _bind(fn, sizes: tuple, held: tuple, shapes: list, ints: tuple) -> object:
-    # steps(k0, k1) calling fn on the sizes and the data pointers of held,
-    # each checked to be a C-contiguous array of its shape, int64 if it is in
-    # ints and float64 otherwise; steps holds the arrays, so they outlive the
-    # pointers
-    for a, shape in zip(held, shapes, strict=True):
-        if (a.shape != shape or not a.flags.c_contiguous
-                or a.dtype != (np.int64 if any(a is x for x in ints) else np.float64)):
-            raise ValueError(f"the compiled loop needs a C-contiguous {shape} array")
-    args = (*sizes, *(a.ctypes.data for a in held))
-    return lambda k0, k1, held=held: fn(k0, k1, *args)
-
-
 def _visbr_loop():
-    # _visbr_steps, or the compiled loop that binds the same arrays
+    # _visbr_steps, or the compiled loop that binds the same arguments: each
+    # array checked to be C-contiguous, of its shape and of its dtype (int64
+    # states and ends, uint64 streams, float64 otherwise), and held by steps,
+    # so the arrays outlive their pointers
     lib = _library()
     if lib is None:
         return _visbr_steps
 
     def compiled_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, frozen,
-                       normalize, gamma, u, alpha, beta):
-        B, (S, n1, n2), w = len(states), R1.shape, u.shape[1]
-        return _bind(lib.zsdyn_visbr_steps,
-                     (B, S, n1, n2, w, int(frozen), int(normalize), float(gamma)),
-                     (q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, u, alpha,
-                      beta),
-                     [(B, S, n1), (B, S, n2), (B, S), (B, S), *[(B, S, n1 + n2)] * 2, (B,),
-                      (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1), (B,), (B,), (B,),
-                      (3 * B, w), (w,), (w,)], (states, ends))
+                       normalize, gamma, streams, schedule):
+        B, (S, n1, n2) = len(states), R1.shape
+        held = (q1, q2, v1, v2, pi, tg, states, streams, R1, R2, sums, tau, eps, ends)
+        shapes = [(B, S, n1), (B, S, n2), (B, S), (B, S), *[(B, S, n1 + n2)] * 2, (B,),
+                  ((2 + (S > 1)) * B, 4), (S, n1, n2), (S, n2, n1), (S, n1, n2, S - 1),
+                  (B,), (B,), (B,)]
+        dtypes = [np.float64] * 6 + [np.int64, np.uint64] + [np.float64] * 5 + [np.int64]
+        for a, shape, dtype in zip(held, shapes, dtypes, strict=True):
+            if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
+                raise ValueError(f"the compiled loop needs a C-contiguous {shape} "
+                                 f"{dtype.__name__} array, got {a.shape} {a.dtype}")
+        args = (B, S, n1, n2, int(frozen), int(normalize), int(schedule.kind == "diminishing"),
+                *map(float, (gamma, schedule.alpha, schedule.beta, schedule.h)),
+                *(a.ctypes.data for a in held))
+        return lambda k0, k1, held=held: lib.zsdyn_visbr_steps(k0, k1, *args)
     return compiled_steps
 
 
@@ -342,9 +399,11 @@ def _lp_loop():
         z, y = np.empty((N, m)), np.empty((N, n))
         scratch = np.empty((n + 1, m + n + 1)), np.empty(n, np.int64)  # tableau, basis
         args = (a.ctypes.data for a in (A, z, y, *scratch))
-        if rc := lib.zsdyn_game_lps(N, n, m, pivot_eps, *args):
-            raise ArithmeticError(("LP is unbounded; a shifted game LP never is",
-                                   "simplex exceeded its pivot budget")[rc - 1])
+        rc = lib.zsdyn_game_lps(N, n, m, pivot_eps, *args)
+        if rc == 1:
+            raise ArithmeticError("LP is unbounded; a shifted game LP never is")
+        if rc == 2:
+            raise NoConvergence("simplex exceeded its pivot budget")
         return z, y
     return solve
 

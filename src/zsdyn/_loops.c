@@ -3,15 +3,69 @@
    metrics.matrix_gaps on C doubles. A matrix game runs in the step loop as
    a one-state stochastic game with gamma = 0.
 
-   The step loop runs steps k0..k1-1 in place on C-contiguous arrays. Step k
-   reads the uniforms at column k % w of its (n, w) uniform rows, and the
-   rates alpha[k % w] and beta[k % w]. Every float operation is one that the
-   Python code does, in its order, with sums left to right. The bits hold
-   only when this is compiled with -ffp-contract=off and without -ffast-math,
-   and exp, log and sqrt come from the C library, as math.exp, math.log and
-   math.sqrt do. */
+   The step loop runs steps k0..k1-1 in place on C-contiguous arrays, and
+   draws its own uniforms and rates: each player's, and at S > 1 the
+   environment's, next uniform from the trajectory's PCG64 streams, and the
+   rates alpha / (k + h) and beta / (k + h) of a diminishing schedule, or
+   alpha and beta. Every float operation is one that the Python code does, in
+   its order, with sums left to right. The bits hold only when this is
+   compiled with -ffp-contract=off and without -ffast-math, and exp, log and
+   sqrt come from the C library, as math.exp, math.log and math.sqrt do. */
 #include <math.h>
 #include <stdint.h>
+
+/* numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG stepped before each
+   output, whose 64-bit output is the xor of its halves rotated right by its
+   top 6 bits; random() is the top 53 bits of an output times 2^-53. A
+   stream is 4 words: state and increment, each high word first */
+typedef unsigned __int128 u128;
+
+static const u128 PCG_MULT = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+
+static inline double uniform(u128 *state, u128 inc)
+{
+    uint64_t x;
+    unsigned rot;
+    *state = *state * PCG_MULT + inc;
+    x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    rot = (unsigned)(*state >> 122);
+    x = (x >> rot) | (x << ((64 - rot) & 63));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static inline u128 load(const uint64_t *w) { return (u128)w[0] << 64 | w[1]; }
+
+static inline void store(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+/* pcg64_set_seed for each of the n streams, in place: of the 4 words of
+   SeedSequence.generate_state(4, np.uint64), the last two shifted left and
+   made odd become the increment, and the first two, added to the increment
+   and stepped once, the state, as pcg64_srandom_r leaves them */
+void zsdyn_pcg64_seed(int64_t n, uint64_t *streams)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t *w = streams + 4 * i;
+        u128 inc = load(w + 2) << 1 | 1, state = (inc + load(w)) * PCG_MULT + inc;
+        store(w, state);
+        store(w + 2, inc);
+    }
+}
+
+/* out[i * m + j]: the j-th of m draws of Generator.random from stream i of n,
+   each stream left after its draws */
+void zsdyn_uniforms(int64_t n, int64_t m, uint64_t *streams, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        u128 state = load(streams + 4 * i), inc = load(streams + 4 * i + 2);
+        for (int64_t j = 0; j < m; j++)
+            out[i * m + j] = uniform(&state, inc);
+        store(streams + 4 * i, state);
+    }
+}
 
 /* pick_action(p, u): the count of the partial sums p[0] + ... + p[j],
    j < n - 1, that u passes; p >= 0 keeps them sorted */
@@ -52,44 +106,63 @@ static void target(const double *q, int64_t n, double tau, double eps, int64_t n
         t[j] = eps / n + (1.0 - eps) * (t[j] / tot);
 }
 
-/* B trajectories of one (schedule, K, T) group on (B * S, .) rows, row
+/* B trajectories of one (schedule, K) group on (B * S, .) rows, row
    b * S + s being state s of trajectory b, each trajectory b while
-   k < ends[b]; pi and tg have both players' columns, player 1's first. u row
-   i * B + b is player i's (i = 0, 1) or the environment's (i = 2) of
-   trajectory b. sums[(s * n1 + a1) * n2 + a2] holds the S - 1 partial sums
-   of that transition row, so at S = 1 the environment's row is never read.
-   A frozen player 2's columns of tg equal its columns of pi, and its q stays
-   put. */
+   k < ends[b]; pi and tg have both players' columns, player 1's first.
+   Stream i * B + b is player i's (i = 0, 1) or, at S > 1, the
+   environment's (i = 2) of trajectory b; a trajectory's streams live in
+   locals while it steps and are stored back before the next one. sums[(s *
+   n1 + a1) * n2 + a2] holds the S - 1 partial sums of that transition row,
+   so at S = 1 the environment is never drawn. A frozen player 2's columns
+   of tg equal its columns of pi, and its q stays put. */
 void zsdyn_visbr_steps(int64_t k0, int64_t k1, int64_t B, int64_t S, int64_t n1, int64_t n2,
-                       int64_t w, int64_t frozen, int64_t normalize, double gamma, double *q1,
-                       double *q2, double *v1, double *v2, double *pi, double *tg,
-                       int64_t *states, const double *R1, const double *R2, const double *sums,
-                       const double *tau, const double *eps, const int64_t *ends,
-                       const double *u, const double *alpha, const double *beta)
+                       int64_t frozen, int64_t normalize, int64_t diminishing, double gamma,
+                       double alpha, double beta, double h, double *q1, double *q2, double *v1,
+                       double *v2, double *pi, double *tg, int64_t *states, uint64_t *streams,
+                       const double *R1, const double *R2, const double *sums,
+                       const double *tau, const double *eps, const int64_t *ends)
 {
     int64_t n = n1 + n2;
     for (int64_t b = 0; b < B; b++) {
         double *p = pi + b * S * n, *t = tg + b * S * n;
+        uint64_t *w1 = streams + 4 * b, *w2 = streams + 4 * (B + b), *we = w2;
+        u128 s1 = load(w1), i1 = load(w1 + 2), s2 = load(w2), i2 = load(w2 + 2), se = 0, ie = 0;
+        if (S > 1) {
+            we = streams + 4 * (2 * B + b);
+            se = load(we);
+            ie = load(we + 2);
+        }
         for (int64_t k = k0; k < k1 && k < ends[b]; k++) {
-            int64_t c = k % w, s = states[b], r = b * S + s, a1, a2, next, j1, j2;
-            double *x1 = q1 + r * n1, *x2 = q2 + r * n2;
+            int64_t s = states[b], r = b * S + s, a1, a2, next, j1, j2;
+            double *x1 = q1 + r * n1, *x2 = q2 + r * n2, al = alpha, be = beta;
+            if (diminishing) { /* schedule.rates(k) */
+                al = alpha / ((double)k + h);
+                be = beta / ((double)k + h);
+            }
             for (int64_t j = 0; j < S * n; j++)
-                p[j] += beta[c] * (t[j] - p[j]);
-            a1 = pick(pi + r * n, n1, u[b * w + c]);
-            a2 = pick(pi + r * n + n1, n2, u[(B + b) * w + c]);
+                p[j] += be * (t[j] - p[j]);
+            a1 = pick(pi + r * n, n1, uniform(&s1, i1));
+            a2 = pick(pi + r * n + n1, n2, uniform(&s2, i2));
             j1 = (s * n1 + a1) * n2 + a2;
             j2 = (s * n2 + a2) * n1 + a1;
             next = 0;
-            for (int64_t j = 0; j < S - 1; j++)
-                next += u[(2 * B + b) * w + c] >= sums[j1 * (S - 1) + j];
-            x1[a1] += alpha[c] * (R1[j1] + gamma * v1[b * S + next] - x1[a1]);
+            if (S > 1) {
+                double u = uniform(&se, ie);
+                for (int64_t j = 0; j < S - 1; j++)
+                    next += u >= sums[j1 * (S - 1) + j];
+            }
+            x1[a1] += al * (R1[j1] + gamma * v1[b * S + next] - x1[a1]);
             target(x1, n1, tau[b], eps[b], normalize, tg + r * n);
             if (!frozen) {
-                x2[a2] += alpha[c] * (R2[j2] + gamma * v2[b * S + next] - x2[a2]);
+                x2[a2] += al * (R2[j2] + gamma * v2[b * S + next] - x2[a2]);
                 target(x2, n2, tau[b], eps[b], normalize, tg + r * n + n1);
             }
             states[b] = next;
         }
+        store(w1, s1);
+        store(w2, s2);
+        if (S > 1)
+            store(we, se);
     }
 }
 

@@ -42,7 +42,7 @@ class NotErgodic(ZsdynError):
 
 
 class NoConvergence(ZsdynError):
-    """A fixed-point iteration exhausted its iteration budget."""
+    """A fixed-point iteration or the simplex exhausted its iteration budget."""
 
 
 class BadGameSource(ZsdynError, ValueError):

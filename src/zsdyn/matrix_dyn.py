@@ -17,10 +17,11 @@ A matrix game is the one-state stochastic game with gamma = 0, and one
 kernel runs B trajectories of it in the step loop that run_visbr uses
 (_loops.c, loaded by _core._visbr_loop): q, the policies and their cached
 softmax targets as (B, 1, .) arrays with v = 0, one row per trajectory with
-its own tau, eps_bar and K, stepped from one stop to the next: a step at which
-some trajectory records, or the start of a chunk of uniforms. Trajectory b
-steps only while k < its K, so each leaves the batch at its own K, and the
-loop reads no environment uniform at S = 1, so none is drawn.
+its own tau, eps_bar and K. The loop draws each trajectory's uniforms from
+its PCG64 streams and its rates from the schedule itself, so a kernel call
+runs from one step at which some trajectory records to the next. Trajectory
+b steps only while k < its K, so each leaves the batch at its own K, and
+the loop draws no environment uniform at S = 1.
 run_matrix_dynamics batches the configs that share schedule and
 normalize_q_in_softmax, which the loop's softmax reads. Recording stays
 here: each chunk of up to 256 recorded policies is scored in one
@@ -33,8 +34,8 @@ scorer keeps its numpy body's bits the same way. So a trajectory's bytes
 depend neither on its batch nor on the loop or scorer that ran it.
 
 Player i draws from stream i of player_seed_sequences(seed); _core's
-_generators seeds all 2B generators from one vectorized pass of
-SeedSequence's hash, at B=128 in 0.11-0.17x the time of 2B SeedSequences.
+_streams seeds all 2B streams from one vectorized pass of SeedSequence's
+hash.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _start, _visbr_loop
+from ._core import _start, _streams, _visbr_loop
 from .config import MatrixRunConfig, matrix_condition_warnings
 from .games import JointPolicy, MatrixGame, TrajectoryRecord, check_zero_sum_game
 from .metrics import matrix_gaps
@@ -87,36 +88,28 @@ def run_matrix_dynamics(game: MatrixGame,
 def _run_batch(game: MatrixGame, configs: list[MatrixRunConfig]) -> list[TrajectoryRecord]:
     # configs share schedule and normalize_q_in_softmax. They step as
     # trajectories of a one-state stochastic game with gamma = 0, so state 0
-    # and v = 0 throughout; at S = 1 the loop reads no environment uniform,
-    # and none is drawn. Trajectory b steps while k < its K, and the loop runs
-    # from one stop (a recording step or a chunk's start) to the next
+    # and v = 0 throughout, and the loop draws no environment uniform.
+    # Trajectory b steps while k < its K, and the loop runs from one
+    # recording step to the next
     first, (n1, n2) = configs[0], (game.n_actions_1, game.n_actions_2)
     B, K = len(configs), max(c.K for c in configs)
     ends = np.array([c.K for c in configs], dtype=np.int64)
     strides = np.array([c.record_stride for c in configs])
     taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
-    # generator i*B + b and row i*B + b of u belong to player i of trajectory b
-    rngs = _generators([c.seed for c in configs], 2)
-    u, alpha, beta = np.zeros((3 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
     normalize = first.normalize_q_in_softmax
     q1, q2, v1, v2, pi, tg = _start(B, 1, n1, n2, taus, epss, normalize)
     R1, R2 = (np.ascontiguousarray(R, dtype=np.float64)[None] for R in (game.R1, game.R2))
+    # stream i*B + b is player i's of trajectory b
     steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, np.zeros(B, np.int64), R1, R2,
                           np.empty((1, n1, n2, 0)), taus, epss, ends, False, normalize, 0.0,
-                          u, alpha, beta)
+                          _streams([c.seed for c in configs], 2), first.schedule)
     due = np.zeros(K + 1, dtype=bool)  # the steps at which some trajectory records
     for s, e in set(zip(strides.tolist(), ends.tolist())):
         due[s:e + 1:s] = due[e] = True
-    stops = sorted({*np.flatnonzero(due).tolist(), *range(0, K, _UNIFORM_CHUNK)})
+    stops = [0, *np.flatnonzero(due).tolist()]
     rows, gaps, held = [], [], []
     for k, done in zip(stops, stops[1:]):
-        if k % _UNIFORM_CHUNK == 0:  # each running generator's uniforms for the chunk
-            for i in np.flatnonzero(np.tile(ends, 2) > k).tolist():
-                rngs[i].random(out=u[i, :min(_UNIFORM_CHUNK, ends[i % B] - k)])
-            alpha[:], beta[:] = first.schedule.rates(np.arange(k, k + _UNIFORM_CHUNK))
         steps(k, done)
-        if not due[done]:
-            continue
         now = np.flatnonzero((ends >= done) & ((done % strides == 0) | (ends == done)))
         p, a1, a2 = pi[now, 0], q1[now, 0], q2[now, 0]
         rows.append((np.full(len(now), done), now, p.min(axis=1),

@@ -143,8 +143,9 @@ def _simplex_max(A: np.ndarray, pivot_eps: float):
     variables follow Bland's smallest-index rule so degenerate ties cannot
     cycle; a reduced cost or pivot entry counts only beyond pivot_eps.
     Returns (z, y) where y holds the dual multipliers of the rows, read off
-    the slack columns of the final cost row. The bitwise specification of
-    the compiled simplex, zsdyn_game_lps, and its fallback.
+    the slack columns of the final cost row. An unbounded LP raises
+    ArithmeticError, and running out of pivots NoConvergence. The bitwise
+    specification of the compiled simplex, zsdyn_game_lps, and its fallback.
     """
     n_rows, n_cols = A.shape
     T = np.zeros((n_rows + 1, n_cols + n_rows + 1))
@@ -181,7 +182,7 @@ def _simplex_max(A: np.ndarray, pivot_eps: float):
         T -= np.outer(col, T[leave])
         basis[leave] = enter
     else:
-        raise ArithmeticError("simplex exceeded its pivot budget")
+        raise NoConvergence("simplex exceeded its pivot budget")
 
     z = np.zeros(n_cols)
     for i, var in enumerate(basis):

@@ -18,20 +18,21 @@ which floors every policy entry at eps_bar / n_actions.
 
 run_visbr steps the configs that share (schedule, K, T), and so every
 step's rates, as one group in the compiled C loop of _loops.c (loaded by
-_core._visbr_loop), from one stop to the next: a step at which some
-trajectory records, or the start of a chunk of uniforms. A group's q, v and
-policies are (B, S, .) float64 arrays, and tg caches each state's softmax
-target of q, both players' columns beside each other in pi and tg. A step
-moves every state by pi += beta (tg - pi), samples at the visited state,
-picks the next state by counting the transition row's partial sums (cached
-once per call), TD-updates q there and rewrites that state's target: q
-moves only there. A frozen player 2's columns of pi and tg start equal, so
-they stay put, while its q and v stay 0. The loop runs the float operations
-of _core._visbr_steps, the list loop that specifies it bit for bit and runs
-wherever it cannot be built. Recording and the round-end v stay here.
-run_matrix_dynamics steps a matrix game in the same loop, as the one-state
-case with gamma = 0 and its own recorder; its normalize_q_in_softmax is
-passed to the loop, and here it is off.
+_core._visbr_loop), from one step at which some trajectory records to the
+next: the loop draws each trajectory's uniforms from its PCG64 streams and
+its rates from the schedule itself. A group's q, v and policies are
+(B, S, .) float64 arrays, and tg caches each state's softmax target of q,
+both players' columns beside each other in pi and tg. A step moves every
+state by pi += beta (tg - pi), samples at the visited state, picks the next
+state by counting the transition row's partial sums (cached once per call),
+TD-updates q there and rewrites that state's target: q moves only there. A
+frozen player 2's columns of pi and tg start equal, so they stay put, while
+its q and v stay 0. The loop runs the float operations of
+_core._visbr_steps, the list loop that specifies it bit for bit and runs
+wherever it cannot be built. Recording, the start state and the round-end
+v stay here. run_matrix_dynamics steps a matrix game in the same loop, as
+the one-state case with gamma = 0 and its own recorder; its
+normalize_q_in_softmax is passed to the loop, and here it is off.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._core import _UNIFORM_CHUNK, _generators, _start, _visbr_loop, pick_action
+from ._core import _start, _streams, _uniforms, _visbr_loop, pick_action
 from .config import VisbrConfig, visbr_condition_warnings
 from .errors import DimensionMismatch, NotErgodic
 from .games import (JointPolicy, StochasticGame, TrajectoryRecord,
@@ -57,7 +58,8 @@ def visbr_seed_sequences(seed: int):
     """Child seeds (player 1, player 2, environment).
 
     Player i consumes one uniform per inner step; the environment consumes
-    one for the initial state and one per inner step.
+    one for the initial state and one per inner step, and none in a
+    one-state game, where it has no state to pick.
     """
     ss = np.random.SeedSequence(seed)
     return tuple(ss.spawn(3))
@@ -151,16 +153,16 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     # the trajectories of configs sharing (schedule, K, T), on the tables
     # and v* that the call shares, as (B, S, .) arrays: zero q and v, uniform
     # policies (fixed2 for a frozen player 2) and S0 drawn from each
-    # environment stream. The loop steps them from one stop (a recording
-    # step or a chunk's start) to the next
+    # environment stream. The loop steps them from one recording step to the next
     S, n1, n2, B = game.n_states, game.n_actions_1, game.n_actions_2, len(configs)
-    T, K, schedule, frozen = configs[0].T, configs[0].K, configs[0].schedule, fixed2 is not None
-    # generator i*B + b and row i*B + b of u are player 1's (i = 0),
-    # player 2's (i = 1) or the environment's (i = 2) of trajectory b
-    rngs = _generators([c.seed for c in configs], 3)
-    u, alpha, beta = np.empty((3 * B, _UNIFORM_CHUNK)), *np.empty((2, _UNIFORM_CHUNK))
-    states = np.array([pick_action(game.initial_dist.tolist(), g.random()) for g in rngs[2 * B:]],
-                      dtype=np.int64)
+    T, K, frozen = configs[0].T, configs[0].K, fixed2 is not None
+    # stream i*B + b is player 1's (i = 0), player 2's (i = 1) or, where
+    # there are states to pick, the environment's (i = 2) of trajectory b
+    streams = _streams([c.seed for c in configs], 2 + (S > 1))
+    states = np.zeros(B, dtype=np.int64)
+    if S > 1:
+        states[:] = [pick_action(game.initial_dist.tolist(), u)
+                     for u in _uniforms(streams[2 * B:], 1)[:, 0].tolist()]
     strides = [c.record_stride for c in configs]
     taus, epss = np.array([[c.tau for c in configs], [c.eps_bar for c in configs]], np.float64)
     # a frozen player's target is its own table, which its policy starts at.
@@ -169,9 +171,9 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     if frozen:
         pi[..., n1:] = tg[..., n1:] = fixed2
     steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, taus, epss,
-                          np.full(B, K, np.int64), frozen, False, game.gamma, u, alpha, beta)
-    due = {k for stride in strides for k in range(stride, K, stride)} | {K}
-    stops = sorted(due | set(range(0, K, _UNIFORM_CHUNK)))
+                          np.full(B, K, np.int64), frozen, False, game.gamma, streams,
+                          configs[0].schedule)
+    stops = [0, *sorted({k for stride in strides for k in range(stride, K, stride)} | {K})]
     outs = [([], [], [], [], []) for _ in configs]  # index, ng, min_pi, q_inf, v rows
     held, owners = [], []  # recorded policies and q, not scored yet
 
@@ -197,14 +199,8 @@ def _group(game, configs, sums, R1, R2, fixed2, v_star, ergodicity):
     record(list(range(B)), 0, 0)
     for t in range(T):
         for k, done in zip(stops, stops[1:]):
-            if k % _UNIFORM_CHUNK == 0:
-                # the same streams as one draw of K per generator and round
-                for rng, row in zip(rngs, u):
-                    rng.random(out=row[:min(_UNIFORM_CHUNK, K - k)])
-                alpha[:], beta[:] = schedule.rates(np.arange(k, k + _UNIFORM_CHUNK))
             steps(k, done)
-            if done in due:
-                record([b for b, n in enumerate(strides) if done % n == 0 or done == K], t, done)
+            record([b for b, n in enumerate(strides) if done % n == 0 or done == K], t, done)
         for v, q, p in ((v1, q1, pi[..., :n1]), (v2, q2, pi[..., n1:])):
             v[:] = [_weighted_rows(*x) for x in zip(p.tolist(), q.tolist())]
         stats = _v_stats(v1, v2, v_star, frozen)

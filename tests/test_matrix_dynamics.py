@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import zsdyn as z
-from zsdyn._core import (_UNIFORM_CHUNK, _entropy, _exp, _row_sum, _targets,
-                         _visbr_steps, pick_action, smoothed_policy)
+from zsdyn._core import _entropy, _exp, _row_sum, _targets, pick_action, smoothed_policy
 from zsdyn.config import matrix_condition_warnings
 from zsdyn.metrics import matrix_gaps
 
@@ -51,30 +50,29 @@ def _plays(game, config, steps):
 
 
 def _reference_steps(game, config):
-    # The list step loop on one trajectory of the one-state game with
-    # gamma = 0, a step at a time, with each player's uniforms drawn for all
-    # K steps at once and the rates of schedule.rates(k): (q1, q2, pi1, pi2)
-    # after each step. The kernel draws its uniforms and rates in chunks,
+    # One trajectory of the dynamics of the module docstring on plain lists,
+    # a step at a time, with each player's uniforms drawn for all K steps at
+    # once by numpy and the rates of schedule.rates(k): (q1, q2, pi1, pi2)
+    # after each step. The kernel draws its uniforms and rates itself,
     # batches trajectories and stops at recording steps, so this checks
-    # those from outside.
-    n1, n2 = game.n_actions_1, game.n_actions_2
-    u = np.array([np.random.default_rng(c).random(config.K)
-                  for c in z.player_seed_sequences(config.seed)] + [np.zeros(config.K)])
-    alpha, beta = np.array([config.schedule.rates(k) for k in range(config.K)]).T
+    # those from outside. The q update adds gamma * v = 0.0 * 0.0, as the
+    # kernel's one-state game does
+    u1, u2 = (np.random.default_rng(c).random(config.K).tolist()
+              for c in z.player_seed_sequences(config.seed))
+    R1, R2 = game.R1.tolist(), game.R2.tolist()
     tau, eps, normalize = config.tau, config.eps_bar, config.normalize_q_in_softmax
-    q1, q2, v1, v2 = np.zeros((1, 1, n1)), np.zeros((1, 1, n2)), *np.zeros((2, 1, 1))
-    pi = np.array([[[1.0 / n1] * n1 + [1.0 / n2] * n2]])
-    tg = np.array([[smoothed_policy([0.0] * n1, tau, eps, normalize)
-                    + smoothed_policy([0.0] * n2, tau, eps, normalize)]])
-    steps = _visbr_steps(q1, q2, v1, v2, pi, tg, np.zeros(1, np.int64), game.R1[None],
-                         game.R2[None], np.empty((1, n1, n2, 0)), np.array([tau]),
-                         np.array([eps]), np.array([config.K]), False, normalize, 0.0, u,
-                         alpha, beta)
+    q = [[0.0] * game.n_actions_1, [0.0] * game.n_actions_2]
+    pi = [[1.0 / len(x)] * len(x) for x in q]
     out = []
     for k in range(config.K):
-        steps(k, k + 1)
-        out.append((q1[0, 0].copy(), q2[0, 0].copy(), pi[0, 0, :n1].copy(),
-                    pi[0, 0, n1:].copy()))
+        alpha, beta = config.schedule.rates(k)
+        for i in (0, 1):
+            target = smoothed_policy(q[i], tau, eps, normalize)
+            pi[i] = [p + beta * (g - p) for p, g in zip(pi[i], target)]
+        a1, a2 = pick_action(pi[0], u1[k]), pick_action(pi[1], u2[k])
+        q[0][a1] += alpha * (R1[a1][a2] + 0.0 * 0.0 - q[0][a1])
+        q[1][a2] += alpha * (R2[a2][a1] + 0.0 * 0.0 - q[1][a2])
+        out.append(tuple(np.array(x) for x in (*q, *pi)))
     return out
 
 
@@ -171,7 +169,9 @@ LAYOUTS = pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
 
 def test_run_equals_stepping_bitwise(loops):
     # the kernel against _reference_steps, compared after every step, on
-    # each loop. K=70 crosses a uniform chunk; the games are square and
+    # each loop. K=70 crosses the list loop's chunk of 64 uniforms, and the
+    # diminishing runs check the compiled loop's rates against
+    # schedule.rates(k) beyond it; the games are square and
     # not, and a one-action player samples without passing a partial sum,
     # a two-action player past one. The schedules are constant and
     # diminishing, and the 5x5 run is the explore variant with
@@ -207,23 +207,25 @@ def test_run_equals_stepping_bitwise(loops):
 def test_a_matrix_run_is_a_one_state_stochastic_run(loops):
     # the design's invariant: a matrix game is the one-state stochastic game
     # whose transition is all ones, and run_visbr at T=1 steps it as
-    # run_matrix_dynamics does. Player i's stream is spawn(3)[i] there and
-    # spawn(2)[i] here, the same stream, and v stays 0 until the round ends,
-    # so gamma does not enter: final q and both final policies agree bit for
-    # bit. rps's R2 has a -0.0 diagonal
+    # run_matrix_dynamics does. Player i draws from child i of the seed's
+    # SeedSequence in both, and v stays 0 until the round ends, so gamma
+    # does not enter: final q and both final policies agree bit for bit, at
+    # K=150 and, on mp, at each K=1..50 of one config. rps's R2 has a -0.0
+    # diagonal
     dim = z.StepsizeSchedule(kind="diminishing", alpha=4.0, beta=1.0, h=8.0)
     const = z.StepsizeSchedule(kind="constant", alpha=0.5, beta=0.1)
     for _ in loops:
         for source in ("builtin:mp", "builtin:rps", "builtin:appF:N=5"):
             game = z.load_game(source)
+            truncated = [(31, K) for K in range(1, 51)] if source == "builtin:mp" else []
             one = z.validate_stochastic_game(
                 np.ones((1, game.n_actions_1, game.n_actions_2, 1)), game.R1[None],
                 game.R2[None], gamma=0.5)
             for schedule, (variant, eps_bar) in product((const, dim),
                                                         (("plain", 0.0), ("explore", 0.2))):
-                kws = [dict(tau=0.3 + 0.1 * seed, schedule=schedule, K=150, seed=seed,
-                            variant=variant, eps_bar=eps_bar, record_stride=150)
-                       for seed in range(3)]
+                kws = [dict(tau=0.3 + 0.1 * seed, schedule=schedule, K=K, seed=seed,
+                            variant=variant, eps_bar=eps_bar, record_stride=K)
+                       for seed, K in [(0, 150), (1, 150), (2, 150), *truncated]]
                 matrix = z.run_matrix_dynamics(game, [z.MatrixRunConfig(**kw) for kw in kws])
                 stochastic = z.run_visbr(one, [z.VisbrConfig(**kw, T=1) for kw in kws])
                 for m, st in zip(matrix, stochastic, strict=True):
@@ -509,7 +511,8 @@ def test_records_do_not_depend_on_the_batch(shape, loops):
 def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape, loops):
     # configs that differ only in K and record_stride, among them the
     # truncations K=1..12 of one config, share one batch that drops each
-    # trajectory at its K, mid-chunk or at a chunk's start (K=64); each
+    # trajectory at its K, mid-chunk of the list loop's 64 uniforms or at a
+    # chunk's start (K=64); each
     # record is byte for byte its one-config run on the same loop
     game = _uniform_game(shape, 11)
     base = _config(seed=4, tau=0.6, variant="explore", eps_bar=0.1)
@@ -542,13 +545,12 @@ def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape, loops):
         monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: bind)
         mixed = z.run_matrix_dynamics(game, configs)
         assert batches == [len(configs)] and binds == [[c.K for c in configs]]
-        # the calls run steps 0..129 once each, none across a uniform chunk's
-        # start; with the rows left alone past their K, trajectory b is
-        # stepped at k = 0..K_b - 1, its own K times
-        assert [k0 for k0, _ in calls] == [0] + [k1 for _, k1 in calls[:-1]]
-        assert calls[-1][1] == 130
-        assert all(k0 < k1 and k0 // _UNIFORM_CHUNK == (k1 - 1) // _UNIFORM_CHUNK
-                   for k0, k1 in calls)
+        # the calls run steps 0..129 once each and stop exactly at the steps
+        # at which some trajectory records; with the rows left alone past
+        # their K, trajectory b is stepped at k = 0..K_b - 1, its own K times
+        due = sorted({k for c in configs
+                      for k in (*range(c.record_stride, c.K + 1, c.record_stride), c.K)})
+        assert calls == list(zip([0, *due], due)) and due[-1] == 130
         monkeypatch.setattr("zsdyn.matrix_dyn._run_batch", run_batch)
         monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: loop)
         for config, rec in zip(configs, mixed):

@@ -425,6 +425,32 @@ def test_compiled_simplex_matches_simplex_max_bitwise(monkeypatch):
                     one.minimax.tobytes()) == tuple(c[k].tobytes() for c in compiled)
 
 
+def test_simplex_pivot_budget_overrun_raises_no_convergence():
+    # a negative pivot tolerance lets columns of nonnegative reduced cost
+    # enter, so the numpy simplex pivots until its budget runs out
+    A = np.random.default_rng(0).uniform(0.5, 2.0, (3, 4))
+    with np.errstate(all="ignore"), pytest.raises(z.NoConvergence, match="pivot budget"):
+        ops._simplex_max(A, -0.1)
+
+
+def test_compiled_simplex_budget_overrun_raises_no_convergence(monkeypatch):
+    # the compiled simplex's rc 2, from the same LP where the library is
+    # built and from a library that returns 2 everywhere
+    A = np.random.default_rng(0).uniform(0.5, 2.0, (1, 3, 4))
+    solve = _core._lp_loop()
+    if solve is not None:
+        with pytest.raises(z.NoConvergence, match="pivot budget"):
+            solve(A, -0.1)
+
+    class Budgeted:  # the compiled simplex out of pivots on every stack
+        @staticmethod
+        def zsdyn_game_lps(*args):
+            return 2
+    monkeypatch.setattr(_core, "_library", lambda: Budgeted)
+    with pytest.raises(z.NoConvergence, match="pivot budget"):
+        _core._lp_loop()(A, ops._PIVOT_EPS)
+
+
 # --- Bellman operators -----------------------------------------------------
 
 def _random_sg(rng, n_states=2, n1=2, n2=2, gamma=0.9):

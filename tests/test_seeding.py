@@ -1,12 +1,13 @@
-"""Both kernels' generators against numpy's own seeding, bit for bit.
+"""Both kernels' streams against numpy's own seeding and draws, bit for bit.
 
 _core seeds all of a batch's PCG64 streams, for the matrix and the
 stochastic kernel alike, from one vectorized pass of SeedSequence's hash.
 Stream i*B + b must draw what
-default_rng(SeedSequence(seeds[b]).spawn(n)[i]) draws. numpy < 2 promotes
-mixed integer operands by other rules, which is where a hashed word could
-change, so CI also runs this file on the oldest numpy that pyproject.toml
-allows.
+default_rng(SeedSequence(seeds[b]).spawn(n)[i]) draws, through _uniforms and
+through the compiled step loop, which draws from the streams itself. numpy
+< 2 promotes mixed integer operands by other rules, which is where a hashed
+word could change, so CI also runs this file on the oldest numpy that
+pyproject.toml allows.
 """
 
 import os
@@ -21,24 +22,29 @@ from hypothesis import strategies as st
 
 import zsdyn
 from zsdyn.harness import splitmix64
-from zsdyn._core import _generators, _state_words, _stream_words
+from zsdyn import _core
+from zsdyn._core import _state_words, _stream_words, _streams, _uniforms
 
 PINNED = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+SEEDS = [*PINNED, *(splitmix64(j) for j in range(129 - len(PINNED)))]  # up to B = 129
 DRAWS = 200
+
+
+def _numpy_generator(seed, n, i):
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(n)[i])
 
 
 def _check_streams(seeds, n):
     # seeded with every numpy floating-point error and every warning raised
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        gens = _generators(seeds, n)
-    assert len(gens) == n * len(seeds)
+        streams = _streams(seeds, n)
+    assert streams.dtype == np.uint64 and streams.shape == (n * len(seeds), 4)
+    got = _uniforms(streams, DRAWS)
     for i in range(n):
         for b, seed in enumerate(seeds):
-            child = np.random.SeedSequence(seed).spawn(n)[i]
-            want = np.random.default_rng(child).random(DRAWS)
-            got = gens[i * len(seeds) + b].random(DRAWS)
-            assert got.tobytes() == want.tobytes(), (seed, n, i)
+            want = _numpy_generator(seed, n, i).random(DRAWS)
+            assert got[i * len(seeds) + b].tobytes() == want.tobytes(), (seed, n, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -47,15 +53,62 @@ def test_streams_match_numpy_seeding(B, n):
     # every pinned seed at every batch width: the low and high word ends of
     # the range, and a seed on each side of 2^32, where the entropy grows
     # from one word to two; B=129 fills up with splitmix64 values
-    seeds = [*PINNED, *(splitmix64(j) for j in range(129 - len(PINNED)))]
     for first in range(0, max(B, len(PINNED)), B):
-        _check_streams(seeds[first:first + B], n)
+        _check_streams(SEEDS[first:first + B], n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6), st.integers(1, 3))
 def test_drawn_seeds_match_numpy_seeding(seeds, n):
     _check_streams(seeds, n)
+
+
+def _check_loop_streams(seeds, n):
+    # the compiled loop's own draws for B = len(seeds) trajectories, over
+    # steps() calls of 5, 65, 1 and 129 steps: each trajectory's streams,
+    # player streams and at n = 3 the environment's of a two-state game,
+    # stand after K_b steps where numpy's Generator stands after K_b draws,
+    # so each call takes up the state the last one saved, and draw on as
+    # numpy's do. The iterates equal the list loop's, whose uniforms are
+    # numpy's. Trajectories end at K = 200, 140 and 80, mid-call, on a
+    # diminishing schedule
+    B, S, rng = len(seeds), n - 1, np.random.default_rng(3)
+    R1 = rng.uniform(-1.0, 1.0, (S, 2, 3))
+    P = rng.random((S, 2, 3, S)) + 0.1
+    P /= P.sum(axis=-1, keepdims=True)
+    tables = (R1, -R1.transpose(0, 2, 1).copy(), np.cumsum(P[..., :-1], axis=-1))
+    schedule = zsdyn.StepsizeSchedule(kind="diminishing", alpha=1.0, beta=0.5, h=2.0)
+    ends = np.array([200 - 60 * (b % 3) for b in range(B)], dtype=np.int64)
+    taus, epss = np.linspace(0.2, 0.9, B), np.linspace(0.0, 0.3, B)
+    runs = []
+    for loop in (_core._visbr_loop(), _core._visbr_steps):
+        arrays = (*_core._start(B, S, 2, 3, taus, epss, False), np.zeros(B, np.int64))
+        streams = _streams(seeds, n)
+        steps = loop(*arrays, *tables, taus, epss, ends, False, False, 0.9, streams, schedule)
+        for k0, k1 in ((0, 5), (5, 70), (70, 71), (71, 200)):
+            steps(k0, k1)
+        runs.append((arrays, streams))
+    (compiled, streams), (listed, _) = runs
+    assert all(c.tobytes() == li.tobytes() for c, li in zip(compiled, listed, strict=True))
+    saved = streams.copy()
+    after = _uniforms(streams, 3)
+    for i in range(n):
+        for b, seed in enumerate(seeds):
+            g = _numpy_generator(seed, n, i)
+            g.random(int(ends[b]))
+            st = g.bit_generator.state["state"]
+            hi, lo, inc_hi, inc_lo = map(int, saved[i * B + b])
+            assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (st["state"], st["inc"]), (seed, i)
+            assert after[i * B + b].tobytes() == g.random(3).tobytes(), (seed, i)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("B", [1, 2, 129])
+def test_compiled_loop_draws_numpy_streams(B, n):
+    if _core._library() is None:
+        pytest.skip("no cc on PATH: the list loop draws through numpy Generators")
+    for first in range(0, max(B, len(PINNED)), B):
+        _check_loop_streams(SEEDS[first:first + B], n)
 
 
 def test_state_words_equal_generate_state():

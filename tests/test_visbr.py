@@ -467,15 +467,15 @@ def test_one_fixed_point_and_ergodicity_check_per_call(monkeypatch):
 
 
 def test_one_seeding_pass_per_group(monkeypatch):
-    # a group's 3B generators come from one batched hash, in the group's order
+    # a group's 3B streams come from one batched hash, in the group's order
     sg = _random_sg(np.random.default_rng(54))
     calls = []
-    real = z.visbr._generators
+    real = z._core._stream_words
 
     def counting(seeds, n):
         calls.append((list(seeds), n))
         return real(seeds, n)
-    monkeypatch.setattr(z.visbr, "_generators", counting)
+    monkeypatch.setattr(z._core, "_stream_words", counting)
     configs = [_config(seed=11), _config(seed=12, K=5), _config(seed=13),
                _config(seed=14, T=1), _config(seed=15, K=5)]
     assert len(z.run_visbr(sg, configs)) == 5
@@ -580,8 +580,8 @@ def test_bisected_partial_sums_pick_the_action_pick_action_picks(row, u):
 
 
 def test_held_memory_does_not_grow_with_k():
-    # 16 trajectories recorded only at round ends: the uniforms are drawn
-    # in chunks and the recorder holds one group's rows, so a 4x longer
+    # 16 trajectories recorded only at round ends: the loop draws each
+    # uniform as it steps and the recorder holds one group's rows, so a 4x longer
     # round needs no more memory. A kernel that held its rates and
     # uniforms for a whole round peaked about 40 kB higher at K=512 than
     # at K=128; tracemalloc slows the kernel about 30x, so K stays small
