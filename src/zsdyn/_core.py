@@ -28,7 +28,11 @@ metrics.matrix_gaps, whose numpy body is its specification and fallback.
 It also seeds both kernels: _streams holds the PCG64 streams
 default_rng(SeedSequence(seed).spawn(n)[i]) of a batch of seeds as 4 words
 each, computed in one vectorized pass of SeedSequence's hash, and _uniforms
-draws from them.
+draws from them. _run is the one driver of both kinds of run: it groups
+the configs, seeds them, binds the step loop, steps from one recording step
+to the next, scores the recorded rows in chunks with its caller's gap
+scorer and builds the TrajectoryRecords; a matrix run is its case with one
+state, one round and no v.
 """
 
 from __future__ import annotations
@@ -43,10 +47,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import NoConvergence
+from .games import JointPolicy, TrajectoryRecord
 
 # steps whose uniforms the list loop draws from each stream at once: bounds
 # the memory of long runs and leaves the stream as one draw per step leaves it
 _UNIFORM_CHUNK = 64
+
+# recorded rows per gap-scorer call, or B if larger: bounds the memory held
+_SCORE_CHUNK = 256
 
 
 def smoothed_policy(q: list, tau: float, eps_bar: float, normalize: bool) -> list:
@@ -108,12 +116,14 @@ def _visbr_steps(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, tau, eps, ends, f
     # schedule.rates(k).
     (S, n1, _), B = R1.shape, len(states)
     R1, R2, sums = R1.tolist(), R2.tolist(), sums.tolist()
-    taus, epss, last = tau.tolist(), eps.tolist(), ends.tolist()
+    taus, epss = tau.tolist(), eps.tolist()
     gens = [np.random.Generator(_bit_generator(row)) for row in streams]
     us = [[]] * len(gens)  # each stream's uniforms of the current chunk
 
     def steps(k0: int, k1: int) -> None:
+        # ends is read on each call, as the compiled loop reads it
         at, qs, vs = states.tolist(), (q1.tolist(), q2.tolist()), (v1.tolist(), v2.tolist())
+        last = ends.tolist()
         # the live trajectories change only at an end
         cuts = sorted({k0, k1, *(e for e in last if k0 < e < k1)})
         for lo, hi in zip(cuts, cuts[1:]):
@@ -385,6 +395,133 @@ def _visbr_loop():
                 *(a.ctypes.data for a in held))
         return lambda k0, k1, held=held: lib.zsdyn_visbr_steps(k0, k1, *args)
     return compiled_steps
+
+
+def _weighted_rows(pi: list, q: list) -> list:
+    # v(s) = sum_a pi(a|s) q(s,a), accumulated in action order.
+    out = []
+    for pi_row, q_row in zip(pi, q):
+        acc = 0.0
+        for p, x in zip(pi_row, q_row):
+            acc += p * x
+        out.append(acc)
+    return out
+
+
+def _run(configs, tables, *, fixed2, normalize, gamma, v_star, gaps, names, warnings) -> list:
+    # Both kinds of run: each config's TrajectoryRecord, in order. tables holds
+    # the transition rows' partial sums (S, n1, n2, S - 1), R1 (S, n1, n2),
+    # R2 (S, n2, n1) and the initial distribution; fixed2 a frozen player 2's
+    # (S, n2) table or None; normalize[i] and warnings[i] are config i's.
+    # Configs sharing schedule and normalize step as one group in the step
+    # loop, from one recording step to the next; in round t, ends[b] is K_b
+    # while t < T_b, else 0, so b sits still after its own rounds. v_star None
+    # is a matrix run: one round, rows (0, k), no v. Otherwise rows (0, 0) and
+    # (T, 0) join them, v = pi . q ends each round of the live trajectories,
+    # and rows carry lsum, v_inf and v_err. gaps(pi, tau) scores up to
+    # _SCORE_CHUNK recorded policies per call into the first columns of names
+    sums, R1, R2, initial = tables
+    (S, n1, n2), frozen, matrix = R1.shape, fixed2 is not None, v_star is None
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault((c.schedule, normalize[i]), []).append(i)
+    records: list = [None] * len(configs)
+    for (schedule, norm), members in groups.items():
+        cs, B = [configs[i] for i in members], len(members)
+        Ks, strides, rounds = np.array([(c.K, c.record_stride, 1 if matrix else c.T)
+                                        for c in cs], np.int64).T
+        taus, epss = np.array([[c.tau for c in cs], [c.eps_bar for c in cs]], np.float64)
+        # stream i*B + b is player 1's (i = 0), player 2's (i = 1) or, where
+        # there are states to pick, the environment's (i = 2) of trajectory b,
+        # whose first draw picks S0
+        streams = _streams([c.seed for c in cs], 2 + (S > 1))
+        states = np.zeros(B, dtype=np.int64)
+        if S > 1:
+            states[:] = [pick_action(initial.tolist(), u)
+                         for u in _uniforms(streams[2 * B:], 1)[:, 0].tolist()]
+        # a frozen player's target is its own table, which its policy starts
+        # at. Targets depend on q only, so the cache carries across rounds
+        q1, q2, v1, v2, pi, tg = _start(B, S, n1, n2, taus, epss, norm)
+        if frozen:
+            pi[..., n1:] = tg[..., n1:] = fixed2
+        ends = np.zeros(B, np.int64)
+        steps = _visbr_loop()(q1, q2, v1, v2, pi, tg, states, R1, R2, sums, taus, epss, ends,
+                              frozen, norm, gamma, streams, schedule)
+        due = np.zeros(Ks.max() + 1, dtype=bool)  # the steps at which some trajectory records
+        for s, e in set(zip(strides.tolist(), Ks.tolist())):
+            due[s:e + 1:s] = due[e] = True
+        stops = np.flatnonzero(due)
+        # the trajectories that record at each stop of a round they run in
+        by = (Ks >= stops[:, None]) & ((stops[:, None] % strides == 0) | (Ks == stops[:, None]))
+        whos = np.split(np.nonzero(by)[1], np.cumsum(np.count_nonzero(by, axis=1))[:-1])
+        stops = [0, *stops.tolist()]
+        rows, held, scored, stats = [], [], [], []  # stats[t]: the v columns after t rounds
+        n_held = 0
+
+        def score() -> None:
+            nonlocal n_held
+            p, h1, h2, t = map(np.concatenate, zip(*held))
+            scored.append((*gaps(p, t), p[..., :n1 if frozen else None].min(axis=(1, 2)),
+                           np.maximum(*(np.abs(h).max(axis=(1, 2)) for h in (h1, h2)))))
+            held.clear()
+            n_held = 0
+
+        def record(who: np.ndarray, t: int, k: int) -> None:
+            nonlocal n_held
+            if n_held and n_held + len(who) > _SCORE_CHUNK:
+                score()
+            rows.append((t, k, who))
+            held.append((pi[who], q1[who], q2[who], taus[who]))
+            n_held += len(who)
+
+        def v_stats() -> None:
+            # a frozen player 2's v stays 0, so v_err then measures player 1
+            # alone. Player 2's v* is -v_star, as the game is zero-sum
+            err = np.abs(v1 - v_star).max(axis=1)
+            if not frozen:
+                err = np.maximum(err, np.abs(v2 + v_star).max(axis=1))
+            stats.append((np.abs(v1 + v2).max(axis=1),
+                          np.maximum(np.abs(v1), np.abs(v2)).max(axis=1), err))
+
+        if not matrix:
+            v_stats()
+            record(np.arange(B), 0, 0)
+        for t in range(rounds.max()):
+            live = rounds > t  # a slice when all are, to spare the masks' copies
+            ends[:] = np.where(live, Ks, 0)
+            now, live = (whos, slice(None)) if live.all() else ([w[live[w]] for w in whos], live)
+            for k, done, who in zip(stops, stops[1:], now):
+                steps(k, done)
+                record(who, t, done)
+            if not matrix:
+                for v, q, p in ((v1, q1, pi[..., :n1]), (v2, q2, pi[..., n1:])):
+                    v[live] = [_weighted_rows(*x) for x in zip(p[live].tolist(), q[live].tolist())]
+                v_stats()
+                record(np.flatnonzero(rounds == t + 1), t + 1, 0)
+        score()
+        owner = np.concatenate([who for _, _, who in rows])
+        index = np.repeat([(t, k) for t, k, _ in rows], [len(who) for _, _, who in rows], axis=0)
+        series = [*map(np.concatenate, zip(*scored))]
+        if not matrix:  # each row's v columns, of its trajectory after t rounds
+            series += list(np.stack(stats)[index[:, 0], :, owner].T)
+        series = np.stack(series)  # (metric, entry)
+        # each trajectory's entries, in step order
+        mine = np.split(np.argsort(owner, kind="stable"),
+                        np.cumsum(np.bincount(owner, minlength=B))[:-1])
+        # the final iterates as views, one trajectory each; a matrix run's
+        # policies and q are vectors
+        at = 0 if matrix else slice(None)
+        pi1, pi2 = pi[:, at, :n1].copy(), pi[:, at, n1:].copy()
+        for b, i in enumerate(members):
+            records[i] = TrajectoryRecord(
+                config_echo=configs[i].to_dict(),
+                index=index[mine[b]],
+                series=dict(zip(names, series.take(mine[b], axis=1), strict=True)),
+                final_policy=JointPolicy(pi1=pi1[b], pi2=pi2[b]),
+                final_q=(q1[b, at], q2[b, at]),
+                final_v=None if matrix else (v1[b], v2[b]),
+                warnings=warnings[i])
+    return records
 
 
 def _lp_loop():

@@ -521,15 +521,16 @@ def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape, loops):
                 for s, (K, stride) in enumerate([(70, 1), (70, 9), (65, 64), (130, 7),
                                                  (9, 4), (130, 130), (64, 5)])]
     random.Random(5).shuffle(configs)
-    run_batch = z.matrix_dyn._run_batch
+    run = z.matrix_dyn._run
     for _ in loops:
         batches, binds, calls = [], [], []
-        loop = z.matrix_dyn._visbr_loop()
+        loop = z._core._visbr_loop()
 
         def bind(*arrays):
-            # q1, q2, v1, v2, pi, tg, states; each trajectory's K
+            # q1, q2, v1, v2, pi, tg, states; each trajectory's K, set
+            # in place when its round starts
             state, ends = arrays[:7], arrays[12]
-            binds.append(ends.tolist())
+            binds.append(ends)
             steps = loop(*arrays)
 
             def counted(k0, k1):
@@ -540,19 +541,20 @@ def test_mixed_k_and_stride_run_as_one_batch(monkeypatch, shape, loops):
                 assert all(np.array_equal(x[gone], y[gone]) for x, y in zip(state, before))
             return counted
 
-        monkeypatch.setattr("zsdyn.matrix_dyn._run_batch",
-                            lambda g, cs: batches.append(len(cs)) or run_batch(g, cs))
-        monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: bind)
+        monkeypatch.setattr("zsdyn.matrix_dyn._run",
+                            lambda cs, *args, **kw: batches.append(len(cs)) or run(cs, *args, **kw))
+        monkeypatch.setattr("zsdyn._core._visbr_loop", lambda: bind)
         mixed = z.run_matrix_dynamics(game, configs)
-        assert batches == [len(configs)] and binds == [[c.K for c in configs]]
+        assert batches == [len(configs)]
+        assert [ends.tolist() for ends in binds] == [[c.K for c in configs]]
         # the calls run steps 0..129 once each and stop exactly at the steps
         # at which some trajectory records; with the rows left alone past
         # their K, trajectory b is stepped at k = 0..K_b - 1, its own K times
         due = sorted({k for c in configs
                       for k in (*range(c.record_stride, c.K + 1, c.record_stride), c.K)})
         assert calls == list(zip([0, *due], due)) and due[-1] == 130
-        monkeypatch.setattr("zsdyn.matrix_dyn._run_batch", run_batch)
-        monkeypatch.setattr("zsdyn.matrix_dyn._visbr_loop", lambda: loop)
+        monkeypatch.setattr("zsdyn.matrix_dyn._run", run)
+        monkeypatch.setattr("zsdyn._core._visbr_loop", lambda: loop)
         for config, rec in zip(configs, mixed):
             [alone] = z.run_matrix_dynamics(game, [config])
             assert rec.index.tobytes() == alone.index.tobytes()
@@ -573,11 +575,11 @@ def test_records_do_not_depend_on_the_score_chunk(monkeypatch, shape):
     game = _uniform_game(shape, 7)
     configs = [_config(seed=s, K=45, record_stride=2, tau=0.3 + 0.1 * s,
                        variant="explore", eps_bar=0.1) for s in range(3)]
-    monkeypatch.setattr("zsdyn.matrix_dyn._SCORE_CHUNK", 10 ** 6)
+    monkeypatch.setattr("zsdyn._core._SCORE_CHUNK", 10 ** 6)
     whole = z.run_matrix_dynamics(game, configs)
     assert len(whole[0].index) == 23
     for chunk in (1, 7, 69):
-        monkeypatch.setattr("zsdyn.matrix_dyn._SCORE_CHUNK", chunk)
+        monkeypatch.setattr("zsdyn._core._SCORE_CHUNK", chunk)
         for rec, ref in zip(z.run_matrix_dynamics(game, configs), whole):
             for name in ("ng", "ngtau", "min_pi", "q_inf"):
                 assert rec.metric(name).tobytes() == ref.metric(name).tobytes()

@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import zsdyn as z
-from zsdyn._core import pick_action, smoothed_policy
-from zsdyn.visbr import _weighted_rows
+from zsdyn._core import _weighted_rows, pick_action, smoothed_policy
 
 
 def _sched(alpha=0.5, beta=0.01):
@@ -172,24 +171,6 @@ def test_weighted_rows_one_hot_policy_reads_q():
     # the round-end update with a one-hot policy reads q at the chosen action
     assert _weighted_rows([[1.0, 0.0], [0.0, 1.0]], [[0.3, -0.7], [0.1, 0.9]]) == [0.3, 0.9]
     assert _weighted_rows([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]) == [0.0, 0.0]
-
-
-def test_single_state_round_matches_matrix_dynamics_bitwise():
-    # with one state and v = 0 the first inner round is exactly the
-    # matrix-game update, and the player seed children coincide; the round's
-    # end leaves q and pi as they are, so run_visbr at T=1, K=k ends where
-    # run_matrix_dynamics at K=k does
-    sg = _mp_sg(0.5)
-    mg = z.matching_pennies()
-    ks = range(1, 51)
-    vrecs = z.run_visbr(sg, [_config(T=1, K=k, seed=31, tau=0.8) for k in ks])
-    mrecs = z.run_matrix_dynamics(mg, [z.MatrixRunConfig(tau=0.8, schedule=_sched(), K=k,
-                                                         seed=31) for k in ks])
-    for vr, mr in zip(vrecs, mrecs):
-        for i in range(2):
-            assert np.array_equal(vr.final_q[i][0], mr.final_q[i])
-        assert np.array_equal(vr.final_policy.pi1[0], mr.final_policy.pi1)
-        assert np.array_equal(vr.final_policy.pi2[0], mr.final_policy.pi2)
 
 
 def _recorded_row(sg, iterates, v_star, frozen):
@@ -405,14 +386,14 @@ def test_ng_does_not_depend_on_the_score_chunk(monkeypatch, frozen):
     sg = _random_sg(rng, n_states=3, n1=2, n2=3)
     kw = {"frozen_pi2": _random_rows(rng, 3, 3)} if frozen else {}
     configs = [_config(T=2, K=10, record_stride=1), _config(T=1, K=21, record_stride=3)]
-    monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", 10 ** 6)
+    monkeypatch.setattr("zsdyn._core._SCORE_CHUNK", 10 ** 6)
     whole = z.run_visbr(sg, configs, **kw)
     assert [len(rec.index) for rec in whole] == [22, 9]
     # the last row scores the policy the record ends with, frozen or not
     for rec in whole:
         assert rec.metric("ng")[-1] == z.nash_gap_stochastic(sg, rec.final_policy, tol=1e-6)
     for chunk in (1, 3, 5, 22):
-        monkeypatch.setattr("zsdyn.visbr._SCORE_CHUNK", chunk)
+        monkeypatch.setattr("zsdyn._core._SCORE_CHUNK", chunk)
         recs = z.run_visbr(sg, configs, **kw)
         for rec, want in zip(recs, whole):
             for name in want.series:
@@ -421,9 +402,11 @@ def test_ng_does_not_depend_on_the_score_chunk(monkeypatch, frozen):
 
 
 @pytest.mark.parametrize("frozen", [False, True])
-def test_a_sequence_call_equals_one_config_calls(frozen):
+def test_a_sequence_call_equals_one_config_calls(frozen, loops):
     # configs that differ in every field a sweep may vary give, in one
-    # call, the records of one call each, field for field
+    # call, the records of one call each, field for field, on both loops.
+    # They share one group, so a trajectory past its own K sits still until
+    # the round ends, and one past its own T until the group's last round
     rng = np.random.default_rng(47)
     sg = _random_sg(rng, n_states=4, n1=3, n2=2)
     kw = {"frozen_pi2": _random_rows(rng, 4, 2)} if frozen else {}
@@ -432,21 +415,22 @@ def test_a_sequence_call_equals_one_config_calls(frozen):
                _config(T=1, K=15, seed=3, tau=0.8, variant="explore", eps_bar=0.3,
                        record_stride=15),
                _config(T=2, K=10, seed=3, record_stride=1)]
-    recs = z.run_visbr(sg, configs, **kw)
-    assert len(recs) == len(configs) and recs[0] == recs[3]
-    for rec, config in zip(recs, configs):
-        [alone] = z.run_visbr(sg, [config], **kw)
-        assert rec.config_echo == alone.config_echo == config.to_dict()
-        assert rec.index.tobytes() == alone.index.tobytes()
-        assert list(rec.series) == list(alone.series)
-        for name in alone.series:
-            assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
-        for got, want in ((rec.final_policy.pi1, alone.final_policy.pi1),
-                          (rec.final_policy.pi2, alone.final_policy.pi2),
-                          *zip(rec.final_q, alone.final_q), *zip(rec.final_v, alone.final_v)):
-            assert got.tobytes() == want.tobytes()
-        assert rec.warnings == alone.warnings
-    assert z.run_visbr(sg, [], **kw) == []
+    for _ in loops:
+        recs = z.run_visbr(sg, configs, **kw)
+        assert len(recs) == len(configs) and recs[0] == recs[3]
+        for rec, config in zip(recs, configs):
+            [alone] = z.run_visbr(sg, [config], **kw)
+            assert rec.config_echo == alone.config_echo == config.to_dict()
+            assert rec.index.tobytes() == alone.index.tobytes()
+            assert list(rec.series) == list(alone.series)
+            for name in alone.series:
+                assert rec.metric(name).tobytes() == alone.metric(name).tobytes(), name
+            for got, want in ((rec.final_policy.pi1, alone.final_policy.pi1),
+                              (rec.final_policy.pi2, alone.final_policy.pi2),
+                              *zip(rec.final_q, alone.final_q), *zip(rec.final_v, alone.final_v)):
+                assert got.tobytes() == want.tobytes()
+            assert rec.warnings == alone.warnings
+        assert z.run_visbr(sg, [], **kw) == []
 
 
 def test_one_fixed_point_and_ergodicity_check_per_call(monkeypatch):
@@ -479,7 +463,7 @@ def test_one_seeding_pass_per_group(monkeypatch):
     configs = [_config(seed=11), _config(seed=12, K=5), _config(seed=13),
                _config(seed=14, T=1), _config(seed=15, K=5)]
     assert len(z.run_visbr(sg, configs)) == 5
-    assert calls == [([11, 13], 3), ([12, 15], 3), ([14], 3)]
+    assert calls == [([11, 12, 13, 14, 15], 3)]
 
 
 def test_run_reports_warnings():
@@ -506,7 +490,7 @@ def test_rejects_non_zero_sum_game():
 
 
 def _assert_group_equals_stepping(sg, configs, frozen_pi2=None):
-    # one call steps configs that share (schedule, K, T) as one group; each
+    # one call steps configs that share the schedule as one group; each
     # trajectory's rows at stride 1 and final iterates equal those of its
     # own _reference_rows bitwise
     recs = z.run_visbr(sg, configs, frozen_pi2=frozen_pi2)
@@ -540,9 +524,9 @@ def test_a_group_equals_stepping(frozen, loops):
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_a_mixed_call_equals_one_config_calls(frozen, loops):
-    # groups of two and three configs that differ in schedule, K or T, each
-    # member with its own tau, eps_bar and record_stride, plus a config
-    # alone in its group
+    # configs that differ in schedule, K or T, each with its own tau,
+    # eps_bar and record_stride: a group of two on one schedule and one of
+    # five, with K 10 and 13 and T 2 and 3, on the other
     rng = np.random.default_rng(73)
     sg = _random_sg(rng, n_states=4, n1=2, n2=3)
     kw = {"frozen_pi2": _random_rows(rng, 4, 3)} if frozen else {}
